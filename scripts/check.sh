@@ -18,7 +18,8 @@
 #   schema fails the pass)
 # — plus the serve-smoke pass: cwgl fit -> predict -> serve-bench on the
 #   bundled example trace, and bench_serve diffed against
-#   bench/baselines/BENCH_serve.json
+#   bench/baselines/BENCH_serve.json with a --min-bar floor of 0.5 on the
+#   full-fit vs sampled-fit serial classify ratio
 # — plus the serve-daemon-smoke pass: fit a snapshot, run the resident
 #   `cwgl serve` daemon on a unix socket, round-trip ping/classify through
 #   `cwgl client`, verify a corrupt reload is rejected while the old model
@@ -143,7 +144,8 @@ run_bench_smoke() {
 # classify the committed probe jobs against it, and run the serving bench —
 # the full `cwgl fit -> predict -> serve-bench` sequence a deployment would
 # use. BENCH_serve.json is structurally diffed against the committed
-# baseline (timing deltas informational, like bench-smoke).
+# baseline (timing deltas informational, like bench-smoke); a full-trace
+# model must classify at least half as fast as the sampled one.
 run_serve_smoke() {
   local name="serve-smoke" build_dir="build-check-serve-smoke"
   echo
@@ -179,7 +181,8 @@ run_serve_smoke() {
       echo "serve-smoke: bench_serve failed" >&2
       ok=0
     elif ! python3 scripts/bench_diff.py \
-        "bench/baselines/BENCH_serve.json" "${out}/BENCH_serve.json"; then
+        "bench/baselines/BENCH_serve.json" "${out}/BENCH_serve.json" \
+        --min-bar 'full_vs_sampled_ratio=0.5'; then
       ok=0
     fi
   fi

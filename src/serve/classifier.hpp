@@ -1,6 +1,8 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,25 +28,35 @@ struct Prediction {
   double predicted_width = 0.0;
 };
 
-/// Read-only classifier over a fitted model snapshot — the serving half of
-/// the train/serve split.
+/// Classifier over a fitted model snapshot — the serving half of the
+/// train/serve split.
 ///
 /// Construction rehydrates the frozen signature dictionary (serial
 /// interning reproduces ids 0..n-1 exactly, because a single-threaded
 /// ShardedSignatureDictionary assigns ids in first-seen order) and wires a
-/// FrozenWlFeaturizer over it. After the constructor returns, NOTHING
-/// mutates this object: classify() is const, uses only the dictionary's
-/// const find(), and maps unseen signatures to the model's reserved OOV id.
-/// Any number of threads may call classify() concurrently — the serve-bench
-/// TSan configuration holds this to account.
+/// FrozenWlFeaturizer over it. After the constructor returns the model, the
+/// dictionary and the scan order never change: classify() is const, uses
+/// only the dictionary's const find(), and maps unseen signatures to the
+/// model's reserved OOV id. The one piece of mutable state is the answer
+/// memo (below), whose slots are each filled at most once and published
+/// with a compare-and-swap. Any number of threads may call classify()
+/// concurrently — the TSan configuration holds this to account.
 ///
 /// A job is assigned to the cluster of its most similar representative
 /// (normalized kernel similarity when the model was fitted with
-/// normalization, raw kernel value otherwise). Because the model keeps
-/// every training job as a representative, classifying a training job
-/// scores 1 against itself and exactly reproduces the pipeline's own
-/// cluster assignment. Ties break toward the representative with the
-/// lowest training index, making results independent of iteration order.
+/// normalization, raw kernel value otherwise). A sampled fit keeps every
+/// sampled training job as a representative and a full fit keeps one per
+/// distinct shape, so classifying a training job scores 1 against its own
+/// representative and reproduces the fit's cluster assignment. Ties break
+/// toward the representative with the lowest training index, making
+/// results independent of iteration order.
+///
+/// Answer memo: the scan is a pure function of the job's feature vector,
+/// so a job whose vector bitwise-equals some representative's gets the
+/// answer an earlier such job already paid for. There is one slot per
+/// distinct representative vector, filled by the first scan that matches
+/// it; memory is bounded by the model, not by traffic, and a hit returns
+/// exactly the bits a fresh scan would (DESIGN.md §12 "Answer memo").
 class Classifier {
  public:
   /// Takes ownership of the snapshot. Throws model::ModelError if the model
@@ -74,6 +86,19 @@ class Classifier {
   /// Applies the model's labeling switch to produce the kernel-form graph.
   kernel::LabeledGraph make_labeled(const core::JobDag& job) const;
 
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// Scores `phi` against every representative, filling out.scores,
+  /// out.similarity and out.cluster. Returns the scan_ index of the nearest
+  /// representative, or kNone when nothing beat -infinity.
+  std::uint32_t scan(const kernel::SparseVector& phi, Prediction& out) const;
+
+  /// Position in memo_index_ of the slot whose key bitwise-equals `phi`
+  /// (hash `h`), or of the empty entry where that slot would go. Requires a
+  /// non-empty index.
+  std::size_t probe(const kernel::SparseVector& phi,
+                    std::uint64_t h) const noexcept;
+
   /// One representative in the flattened scan order (clusters ascending,
   /// then each cluster's reps in model order — exactly the order the old
   /// nested loop visited, so the tie-break outcome is unchanged).
@@ -90,6 +115,25 @@ class Classifier {
   /// and every similarity is a sparse dot through the shared galloping
   /// fast path (kernel::SparseVector::dot).
   std::vector<ScanEntry> scan_;
+
+  /// A memo slot's answer. `state` goes empty -> busy (the one CAS, won by
+  /// a single writer) -> ready (release store after the payload is written);
+  /// readers touch the payload only after an acquire load sees ready.
+  struct MemoSlot {
+    std::atomic<std::uint32_t> state{0};
+    std::uint32_t nearest = kNone;  ///< scan_ index of the nearest rep
+    int cluster = 0;
+  };
+  /// Slot s's key is scan_[memo_keys_[s]].rep->features, the first of the
+  /// representatives sharing that bitwise-identical vector.
+  std::vector<std::uint32_t> memo_keys_;
+  /// Open-addressing index over the slots (slot + 1; 0 = empty), at most
+  /// two-thirds full, so every probe sequence ends at an empty entry.
+  std::vector<std::uint32_t> memo_index_;
+  mutable std::vector<MemoSlot> memo_;
+  /// Slot s's similarity, then its per-cluster scores, at
+  /// [s * (num_clusters + 1), (s + 1) * (num_clusters + 1)).
+  mutable std::vector<double> memo_values_;
 };
 
 }  // namespace cwgl::serve

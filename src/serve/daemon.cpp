@@ -636,7 +636,11 @@ void Daemon::process_batch(std::vector<Pending>& batch) {
     r.id = p.req.id;
     const auto now = std::chrono::steady_clock::now();
     const auto compute_start = now;
-    const auto record_timing = [&](std::string_view status) {
+    // Stamps the classify/write boundary, writes the reply, then records
+    // the request's timing.
+    const auto respond_and_record = [&] {
+      const auto write_start = std::chrono::steady_clock::now();
+      respond(p.conn, r);
       const auto done = std::chrono::steady_clock::now();
       const auto us = [](std::chrono::steady_clock::duration d) {
         const auto n =
@@ -646,10 +650,12 @@ void Daemon::process_batch(std::vector<Pending>& batch) {
       RequestTiming t;
       t.trace_id = p.trace_id;
       t.job_name = p.req.job_name;
-      t.status = std::string(status);
+      t.status = std::string(to_string(r.status));
       t.queue_wait_us = us(p.dispatched_at - p.admitted_at);
       t.batch_wait_us = us(compute_start - p.dispatched_at);
       t.compute_us = us(done - compute_start);
+      t.classify_us = us(write_start - compute_start);
+      t.write_us = us(done - write_start);
       t.total_us = us(done - p.admitted_at);
       t.deadline_ms = p.deadline_ms;
       recorder_.record(t);
@@ -669,8 +675,7 @@ void Daemon::process_batch(std::vector<Pending>& batch) {
                     {"deadline_ms", p.deadline_ms},
                     {"past_drain", past_drain}});
       }
-      respond(p.conn, r);
-      record_timing(to_string(r.status));
+      respond_and_record();
       return;
     }
     if (config_.service_delay.count() > 0) {
@@ -713,8 +718,7 @@ void Daemon::process_batch(std::vector<Pending>& batch) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       gm().errors.add();
     }
-    respond(p.conn, r);
-    record_timing(to_string(r.status));
+    respond_and_record();
   };
 
   if (batch.size() == 1 || pool_.size() == 1) {

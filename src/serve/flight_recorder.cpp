@@ -14,7 +14,10 @@ FlightRecorder::FlightRecorder(Config config)
       batch_wait_(
           obs::MetricsRegistry::global().histogram("serve.daemon.batch_wait_us")),
       compute_(
-          obs::MetricsRegistry::global().histogram("serve.daemon.compute_us")) {
+          obs::MetricsRegistry::global().histogram("serve.daemon.compute_us")),
+      classify_(
+          obs::MetricsRegistry::global().histogram("serve.daemon.classify_us")),
+      write_(obs::MetricsRegistry::global().histogram("serve.daemon.write_us")) {
   if (config_.slow_ring_capacity > 0) ring_.reserve(config_.slow_ring_capacity);
 }
 
@@ -22,6 +25,8 @@ void FlightRecorder::record(const RequestTiming& timing) {
   queue_wait_.record(timing.queue_wait_us);
   batch_wait_.record(timing.batch_wait_us);
   compute_.record(timing.compute_us);
+  classify_.record(timing.classify_us);
+  write_.record(timing.write_us);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 
   const bool slow =
@@ -63,6 +68,8 @@ void FlightRecorder::write_slow_json(
     j.field("queue_wait_us", static_cast<unsigned long long>(t.queue_wait_us));
     j.field("batch_wait_us", static_cast<unsigned long long>(t.batch_wait_us));
     j.field("compute_us", static_cast<unsigned long long>(t.compute_us));
+    j.field("classify_us", static_cast<unsigned long long>(t.classify_us));
+    j.field("write_us", static_cast<unsigned long long>(t.write_us));
     j.field("total_us", static_cast<unsigned long long>(t.total_us));
     j.field("deadline_ms", t.deadline_ms);
     j.end_object();

@@ -11,10 +11,12 @@
 
 namespace cwgl::serve {
 
-/// Where one request's wall time went, measured at the daemon's four
+/// Where one request's wall time went, measured at the daemon's five
 /// lifecycle points: admission -> dispatch (queue_wait), dispatch -> compute
 /// start (batch_wait, the coalescing linger), compute start -> reply sent
-/// (compute). `total_us` is admission -> reply.
+/// (compute). `compute` splits at the moment the reply is handed to the
+/// socket: `classify_us` (DAG build plus classify) and `write_us` (the
+/// socket write). `total_us` is admission -> reply.
 struct RequestTiming {
   std::uint64_t trace_id = 0;
   std::string job_name;
@@ -22,14 +24,17 @@ struct RequestTiming {
   std::uint64_t queue_wait_us = 0;
   std::uint64_t batch_wait_us = 0;
   std::uint64_t compute_us = 0;
+  std::uint64_t classify_us = 0;
+  std::uint64_t write_us = 0;
   std::uint64_t total_us = 0;
   double deadline_ms = 0.0;  ///< effective deadline; 0 = none
 };
 
 /// Per-request latency attribution for the serving daemon.
 ///
-/// Every recorded request feeds three global histograms
-/// (`serve.daemon.queue_wait_us` / `batch_wait_us` / `compute_us` —
+/// Every recorded request feeds five global histograms
+/// (`serve.daemon.queue_wait_us` / `batch_wait_us` / `compute_us` /
+/// `classify_us` / `write_us` —
 /// histogram references are resolved once at construction, so the record
 /// path never touches the registry mutex). Requests that consumed more than
 /// `slow_deadline_fraction` of their deadline are additionally sampled into
@@ -73,6 +78,8 @@ class FlightRecorder {
   obs::Histogram& queue_wait_;
   obs::Histogram& batch_wait_;
   obs::Histogram& compute_;
+  obs::Histogram& classify_;
+  obs::Histogram& write_;
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> slow_sampled_{0};

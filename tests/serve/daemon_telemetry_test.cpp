@@ -1,9 +1,9 @@
 // Telemetry-plane contract of the resident daemon: `ping` carries version
 // and model generation, `health`/`stats` answer rich JSON payloads that are
 // never torn under concurrent traffic and reloads, the flight recorder
-// attributes request latency to queue/batch/compute, `trace` drains the
-// global span buffer, and the queue-depth gauge is consistent across
-// overload and drain.
+// attributes request latency to queue/batch/compute (compute split into
+// classify and write), `trace` drains the global span buffer, and the
+// queue-depth gauge is consistent across overload and drain.
 
 #include <gtest/gtest.h>
 
@@ -205,6 +205,10 @@ TEST(DaemonTelemetry, StatsPayloadCarriesDaemonFlightAndMetrics) {
   ASSERT_NE(metrics.at("histograms").find("serve.daemon.queue_wait_us"),
             nullptr);
   ASSERT_NE(metrics.at("histograms").find("serve.daemon.compute_us"), nullptr);
+  for (const char* split : {"serve.daemon.classify_us", "serve.daemon.write_us"}) {
+    ASSERT_NE(metrics.at("histograms").find(split), nullptr) << split;
+    EXPECT_GE(metrics.at("histograms").at(split).at("count").as_number(), 5.0);
+  }
   const auto& compute = metrics.at("histograms").at("serve.daemon.compute_us");
   EXPECT_GE(compute.at("count").as_number(), 5.0);
   ASSERT_NE(compute.find("p50_est"), nullptr);
@@ -261,6 +265,13 @@ TEST(DaemonTelemetry, FlightRecorderAttributesLatencyToQueueBatchCompute) {
     EXPECT_GE(compute, 14000.0) << "service_delay must land in compute";
     EXPECT_LE(std::abs(queue_wait + batch_wait + compute - total), 3.0);
     EXPECT_GE(total, compute);
+
+    // compute splits at the socket hand-off: the delay sits before it, in
+    // classify; the write is the remainder.
+    const double classify = entry.at("classify_us").as_number();
+    const double write = entry.at("write_us").as_number();
+    EXPECT_GE(classify, 14000.0) << "service_delay must land in classify";
+    EXPECT_LE(classify + write, compute + 1.0);
   }
   // Trace ids are unique across sampled requests.
   std::sort(trace_ids.begin(), trace_ids.end());
