@@ -14,9 +14,9 @@
 #include "core/pipeline.hpp"
 #include "core/report_text.hpp"
 #include "core/topology_census.hpp"
+#include "obs/stopwatch.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
-#include "util/timer.hpp"
 
 using namespace cwgl;
 
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   std::size_t sample_size = 100;
   trace::Trace data;
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   if (argc > 1 && argv[1][0] != '-' && !std::isdigit(argv[1][0])) {
     std::size_t skipped = 0;
     data = trace::read_trace(argv[1], &skipped);

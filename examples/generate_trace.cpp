@@ -10,9 +10,9 @@
 #include <cstring>
 #include <iostream>
 
+#include "obs/stopwatch.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
-#include "util/timer.hpp"
 
 using namespace cwgl;
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const trace::Trace data = trace::TraceGenerator(cfg).generate();
   trace::write_trace(data, argv[1]);
   std::cout << "wrote " << data.tasks.size() << " task rows and "

@@ -95,7 +95,10 @@ run_config() {
 #  ClusterAtScale/MiniBatchKMeans/LandmarkSpectral/FullTrace cover the
 # scalable clustering engine: the cluster.scale failpoint's landmark ->
 # mini-batch degradation and both backends rerun under both sanitizers.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace'
+#  InternDifferential/KMeansWeighted/SilhouetteWeighted/DescribeWeighted
+# cover the count-weighted clustering and report code (one implementation
+# per stage, unit weights the direct case) under both sanitizers.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|SilhouetteWeighted|DescribeWeighted'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

@@ -15,6 +15,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/stopwatch.hpp"
 #include "obs/tracer.hpp"
 
 #include "cluster/scale.hpp"
@@ -41,7 +42,6 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
-#include "util/timer.hpp"
 
 namespace cwgl::cli {
 
@@ -166,7 +166,7 @@ trace::Trace load_or_generate(const Args& args, std::ostream& out) {
   const std::string dir = args.get("trace");
   if (!dir.empty()) {
     std::size_t skipped = 0;
-    util::WallTimer timer;
+    obs::Stopwatch timer;
     trace::Trace data = trace::read_trace(dir, &skipped);
     out << "loaded " << data.tasks.size() << " task rows from " << dir << " ("
         << skipped << " malformed skipped) in "
@@ -177,7 +177,7 @@ trace::Trace load_or_generate(const Args& args, std::ostream& out) {
   cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(20000));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
   cfg.emit_instances = false;
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   trace::Trace data = trace::TraceGenerator(cfg).generate();
   out << "generated " << data.tasks.size() << " task rows (" << cfg.num_jobs
       << " jobs, seed " << cfg.seed << ") in "
@@ -402,7 +402,7 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
   cfg.emit_instances = !args.has("no-instances");
   if (const int rc = reject_unknown(args, err)) return rc;
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const trace::Trace data = trace::TraceGenerator(cfg).generate();
   trace::write_trace(data, dir);
   out << "wrote " << data.tasks.size() << " task rows and "
@@ -441,8 +441,8 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   const ObsOptions obs_opts = start_observation(args);
   std::ostringstream sink;  // keep the JSON stream pure of progress chatter
   std::ostream& progress = as_json ? static_cast<std::ostream&>(sink) : out;
-  util::WallTimer total_timer;
-  util::WallTimer load_timer;
+  obs::Stopwatch total_timer;
+  obs::Stopwatch load_timer;
   const trace::Trace data = load_or_generate(args, progress);
   const double load_ms = load_timer.millis();
   core::PipelineConfig cfg = pipeline_config(args);
@@ -453,7 +453,7 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
     // Full-trace path: cluster EVERY eligible job (no sampling) via the
     // scalable backends — memory bounded by distinct shapes.
     util::ThreadPool pool;
-    util::WallTimer timer;
+    obs::Stopwatch timer;
     const core::FullTraceResult result =
         core::CharacterizationPipeline(cfg).run_full(data, &pool);
     const double pipeline_ms = timer.millis();
@@ -471,7 +471,7 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   util::ThreadPool pool;
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   const auto result = core::CharacterizationPipeline(cfg).run(data, &pool);
   const double pipeline_ms = timer.millis();
   const std::string metrics_json = finish_observation(obs_opts, err);
@@ -614,7 +614,7 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
   core::InternedIngest shapes;
   std::vector<core::JobDag> dag_jobs;
   std::size_t dag_count = 0;
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   if (intern) {
     shapes = core::stream_shape_jobs(*in, options, serial ? nullptr : &*pool);
     stats = shapes.stats;
@@ -766,7 +766,7 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   if (const int rc = reject_unknown(args, err)) return rc;
 
   util::ThreadPool pool;
-  util::WallTimer timer;
+  obs::Stopwatch timer;
   core::FittedFeatures fitted;
   const core::CharacterizationPipeline pipeline(cfg);
   model::FittedModel snapshot;

@@ -9,23 +9,8 @@ namespace cwgl::cli {
 
 /// Dispatches `cwgl <command> ...`. Returns the process exit code and
 /// writes human output to `out` and problems to `err` (testable without
-/// spawning a process). Commands:
-///
-///   generate      --out DIR [--jobs N] [--seed S] [--no-instances]
-///   census        (--trace DIR | [--jobs N]) [--seed S]
-///   characterize  (--trace DIR | [--jobs N]) [--sample K] [--natural]
-///                 [--clusters K] [--wl-iterations H] [--seed S]
-///   cluster       (--trace DIR | [--jobs N]) [--sample K] [--clusters K]
-///                 [--out DIR] [--seed S]
-///   similarity    (--trace DIR | [--jobs N]) [--sample K] [--matrix]
-///   ingest        (--trace DIR | [--jobs N]) [--threads T] [--serial] [--seed S]
-///   schedule      [--jobs N] [--sample K] [--machines M] [--online F]
-///                 [--inter-arrival S] [--seed S]
-///   serve         --model FILE (--socket PATH | --port N) — resident
-///                 classification daemon (admission control, deadlines,
-///                 SIGHUP hot reload, graceful drain)
-///   client        (--socket PATH | --port N) one-shot daemon client
-///   help          prints usage
+/// spawning a process). The commands and their options are listed by
+/// `usage()`, the text `cwgl help` prints.
 int run_command(std::string_view command, const Args& args, std::ostream& out,
                 std::ostream& err);
 

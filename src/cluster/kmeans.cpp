@@ -10,6 +10,7 @@
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace cwgl::cluster {
 
@@ -24,121 +25,37 @@ double sq_dist(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
-linalg::Matrix kmeanspp_init(const linalg::Matrix& data, int k,
+linalg::Matrix kmeanspp_init(const linalg::Matrix& data,
+                             std::span<const double> weights, int k,
                              util::Xoshiro256StarStar& rng) {
-  const std::size_t n = data.rows();
-  linalg::Matrix centers(k, data.cols());
-  std::vector<double> min_dist(n, std::numeric_limits<double>::max());
-
-  std::size_t first = static_cast<std::size_t>(rng.uniform_u64(0, n - 1));
-  for (std::size_t c = 0; c < data.cols(); ++c) centers(0, c) = data(first, c);
-  for (int centroid = 1; centroid < k; ++centroid) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      min_dist[i] =
-          std::min(min_dist[i], sq_dist(data.row(i), centers.row(centroid - 1)));
-      total += min_dist[i];
-    }
-    // Degenerate embedding (all points coincide with chosen centers): the
-    // D^2 weights vanish and `discrete` would deterministically pick index
-    // 0. Re-seed uniformly instead so duplicate data still yields a usable
-    // (if arbitrary) clustering rather than k copies of one point's center.
-    const std::size_t pick = total > 0.0
-                                 ? rng.discrete(min_dist)
-                                 : static_cast<std::size_t>(
-                                       rng.uniform_u64(0, n - 1));
-    for (std::size_t c = 0; c < data.cols(); ++c) {
-      centers(centroid, c) = data(pick, c);
-    }
-  }
-  return centers;
-}
-
-KMeansResult lloyd(const linalg::Matrix& data, int k, const KMeansOptions& opt,
-                   util::Xoshiro256StarStar& rng) {
-  const std::size_t n = data.rows();
-  const std::size_t d = data.cols();
-  KMeansResult r;
-  r.centers = kmeanspp_init(data, k, rng);
-  r.labels.assign(n, 0);
-  double prev_inertia = std::numeric_limits<double>::max();
-
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    r.iterations = it + 1;
-    // Assignment step.
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (int c = 0; c < k; ++c) {
-        const double dist = sq_dist(data.row(i), r.centers.row(c));
-        if (dist < best) {
-          best = dist;
-          best_c = c;
-        }
-      }
-      r.labels[i] = best_c;
-      inertia += best;
-    }
-    r.inertia = inertia;
-
-    // Update step.
-    linalg::Matrix sums(k, d);
-    std::vector<std::size_t> counts(k, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int c = r.labels[i];
-      ++counts[c];
-      for (std::size_t j = 0; j < d; ++j) sums(c, j) += data(i, j);
-    }
-    for (int c = 0; c < k; ++c) {
-      if (counts[c] == 0) {
-        // Re-seed an empty cluster from the point farthest from its center.
-        std::size_t worst = 0;
-        double worst_dist = -1.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double dist = sq_dist(data.row(i), r.centers.row(r.labels[i]));
-          if (dist > worst_dist) {
-            worst_dist = dist;
-            worst = i;
-          }
-        }
-        for (std::size_t j = 0; j < d; ++j) r.centers(c, j) = data(worst, j);
-        continue;
-      }
-      for (std::size_t j = 0; j < d; ++j) {
-        r.centers(c, j) = sums(c, j) / static_cast<double>(counts[c]);
-      }
-    }
-    if (prev_inertia - inertia < opt.tol) break;
-    prev_inertia = inertia;
-  }
-  return r;
-}
-
-linalg::Matrix kmeanspp_init_weighted(const linalg::Matrix& data,
-                                      std::span<const double> weights, int k,
-                                      util::Xoshiro256StarStar& rng) {
   const std::size_t n = data.rows();
   linalg::Matrix centers(k, data.cols());
   std::vector<double> min_dist(n, std::numeric_limits<double>::max());
   std::vector<double> scores(n, 0.0);
 
-  // The expanded-sample uniform first pick lands on row i with probability
-  // proportional to its multiplicity.
-  const std::size_t first = rng.discrete(weights);
+  // A uniform pick over the expanded sample lands on row i with probability
+  // proportional to its weight; without weights it is a uniform row.
+  const auto seed_row = [&]() -> std::size_t {
+    return weights.empty()
+               ? static_cast<std::size_t>(rng.uniform_u64(0, n - 1))
+               : rng.discrete(weights);
+  };
+  const std::size_t first = seed_row();
   for (std::size_t c = 0; c < data.cols(); ++c) centers(0, c) = data(first, c);
   for (int centroid = 1; centroid < k; ++centroid) {
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       min_dist[i] =
           std::min(min_dist[i], sq_dist(data.row(i), centers.row(centroid - 1)));
-      scores[i] = weights[i] * min_dist[i];
+      scores[i] = util::weight_at(weights, i) * min_dist[i];
       total += scores[i];
     }
-    // Same degenerate-embedding fallback as the unweighted init, with the
-    // uniform re-seed replaced by its weighted counterpart.
-    const std::size_t pick =
-        total > 0.0 ? rng.discrete(scores) : rng.discrete(weights);
+    // Degenerate embedding (all points coincide with chosen centers): the
+    // D^2 weights vanish and `discrete` would deterministically pick index
+    // 0. Re-seed like the first pick instead so duplicate data still yields
+    // a usable (if arbitrary) clustering rather than k copies of one
+    // point's center.
+    const std::size_t pick = total > 0.0 ? rng.discrete(scores) : seed_row();
     for (std::size_t c = 0; c < data.cols(); ++c) {
       centers(centroid, c) = data(pick, c);
     }
@@ -146,14 +63,13 @@ linalg::Matrix kmeanspp_init_weighted(const linalg::Matrix& data,
   return centers;
 }
 
-KMeansResult lloyd_weighted(const linalg::Matrix& data,
-                            std::span<const double> weights, int k,
-                            const KMeansOptions& opt,
-                            util::Xoshiro256StarStar& rng) {
+KMeansResult lloyd(const linalg::Matrix& data, std::span<const double> weights,
+                   int k, const KMeansOptions& opt,
+                   util::Xoshiro256StarStar& rng) {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
   KMeansResult r;
-  r.centers = kmeanspp_init_weighted(data, weights, k, rng);
+  r.centers = kmeanspp_init(data, weights, k, rng);
   r.labels.assign(n, 0);
   double prev_inertia = std::numeric_limits<double>::max();
 
@@ -173,7 +89,7 @@ KMeansResult lloyd_weighted(const linalg::Matrix& data,
         }
       }
       r.labels[i] = best_c;
-      inertia += weights[i] * best;
+      inertia += util::weight_at(weights, i) * best;
     }
     r.inertia = inertia;
 
@@ -182,16 +98,14 @@ KMeansResult lloyd_weighted(const linalg::Matrix& data,
     std::vector<double> mass(k, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const int c = r.labels[i];
-      mass[c] += weights[i];
-      for (std::size_t j = 0; j < d; ++j) {
-        sums(c, j) += weights[i] * data(i, j);
-      }
+      const double w = util::weight_at(weights, i);
+      mass[c] += w;
+      for (std::size_t j = 0; j < d; ++j) sums(c, j) += w * data(i, j);
     }
     for (int c = 0; c < k; ++c) {
       if (mass[c] == 0.0) {
         // Re-seed an empty cluster from the row farthest from its center
-        // (the same row the expanded run would pick: multiplicity does not
-        // change which point is farthest).
+        // (multiplicity does not change which point is farthest).
         std::size_t worst = 0;
         double worst_dist = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -214,15 +128,15 @@ KMeansResult lloyd_weighted(const linalg::Matrix& data,
   return r;
 }
 
-void validate_points(const linalg::Matrix& data, int k, const char* what) {
+void validate_points(const linalg::Matrix& data, int k) {
   if (k < 1 || static_cast<std::size_t>(k) > data.rows()) {
-    throw util::InvalidArgument(std::string(what) + ": need 1 <= k <= n");
+    throw util::InvalidArgument("kmeans: need 1 <= k <= n");
   }
   for (std::size_t i = 0; i < data.rows(); ++i) {
     for (std::size_t j = 0; j < data.cols(); ++j) {
       if (!std::isfinite(data(i, j))) {
         throw util::InvalidArgument(
-            std::string(what) + ": non-finite value at (" + std::to_string(i) +
+            "kmeans: non-finite value at (" + std::to_string(i) +
             ", " + std::to_string(j) + ")");
       }
     }
@@ -231,8 +145,10 @@ void validate_points(const linalg::Matrix& data, int k, const char* what) {
 
 }  // namespace
 
-KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt) {
-  validate_points(data, k, "kmeans");
+KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt,
+                    std::span<const double> weights) {
+  validate_points(data, k);
+  util::check_weights(weights, data.rows(), "kmeans");
   auto& registry = obs::MetricsRegistry::global();
   obs::Counter& iterations = registry.counter("cluster.kmeans.iterations");
   obs::Counter& restarts = registry.counter("cluster.kmeans.restarts");
@@ -245,41 +161,7 @@ KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt)
   for (int restart = 0; restart < std::max(1, opt.restarts); ++restart) {
     util::Xoshiro256StarStar rng(
         util::hash_combine(opt.seed, static_cast<std::uint64_t>(restart)));
-    KMeansResult r = lloyd(data, k, opt, rng);
-    restarts.add();
-    iterations.add(static_cast<std::uint64_t>(r.iterations));
-    total_iterations += static_cast<std::uint64_t>(r.iterations);
-    if (r.inertia < best.inertia) best = std::move(r);
-  }
-  span.arg("iterations", total_iterations);
-  return best;
-}
-
-KMeansResult kmeans_weighted(const linalg::Matrix& data,
-                             std::span<const double> weights, int k,
-                             const KMeansOptions& opt) {
-  validate_points(data, k, "kmeans_weighted");
-  if (weights.size() != data.rows()) {
-    throw util::InvalidArgument("kmeans_weighted: one weight per row required");
-  }
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (!std::isfinite(weights[i]) || weights[i] <= 0.0) {
-      throw util::InvalidArgument("kmeans_weighted: weights must be positive");
-    }
-  }
-  auto& registry = obs::MetricsRegistry::global();
-  obs::Counter& iterations = registry.counter("cluster.kmeans.iterations");
-  obs::Counter& restarts = registry.counter("cluster.kmeans.restarts");
-  obs::Span span("cluster.kmeans_weighted");
-  span.arg("points", data.rows());
-  span.arg("k", static_cast<std::uint64_t>(k));
-  KMeansResult best;
-  best.inertia = std::numeric_limits<double>::max();
-  std::uint64_t total_iterations = 0;
-  for (int restart = 0; restart < std::max(1, opt.restarts); ++restart) {
-    util::Xoshiro256StarStar rng(
-        util::hash_combine(opt.seed, static_cast<std::uint64_t>(restart)));
-    KMeansResult r = lloyd_weighted(data, weights, k, opt, rng);
+    KMeansResult r = lloyd(data, weights, k, opt, rng);
     restarts.add();
     iterations.add(static_cast<std::uint64_t>(r.iterations));
     total_iterations += static_cast<std::uint64_t>(r.iterations);

@@ -24,27 +24,25 @@ struct KMeansOptions {
   std::uint64_t seed = 1;  ///< all restarts derive deterministically from this
 };
 
-/// Lloyd's k-means with k-means++ seeding over the rows of `data` (n x d).
+/// Lloyd's k-means with k-means++ seeding over the rows of `data` (n x d),
+/// where row i stands for `weights[i]` identical points; empty `weights`
+/// means one point per row. Equivalent to the run on the expanded data set
+/// without its cost: k-means++ picks rows with probability proportional to
+/// weight x D^2, centroids are weighted means, and inertia is the weighted
+/// sum of squared distances. Unit weights reproduce the unweighted run bit
+/// for bit except in the seed draw, the one step that looks at whether
+/// weights were given: without them the first center (and the re-seed of a
+/// degenerate embedding) is a uniform row, with them a row drawn in
+/// proportion to its weight. Per-seed labels of a weighted run are
+/// therefore not comparable to the expanded run's; on well-separated data
+/// both converge to the same partition.
 ///
 /// Deterministic in `options.seed`. Empty clusters are re-seeded from the
 /// point farthest from its center. Throws InvalidArgument if k < 1 or
-/// k > n.
+/// k > n, on non-finite data, or unless `weights` is empty or one finite,
+/// positive weight per row.
 KMeansResult kmeans(const linalg::Matrix& data, int k,
-                    const KMeansOptions& options = {});
-
-/// Weighted k-means: row i of `data` stands for `weights[i]` identical
-/// points. Mathematically equivalent to `kmeans` on the expanded data set —
-/// k-means++ picks rows with probability proportional to weight x D^2,
-/// centroids are weighted means, inertia is the weighted sum of squared
-/// distances — but runs on n distinct rows instead of sum(weights) points.
-///
-/// The RNG draw sequence differs from the expanded run (the sample spaces
-/// have different sizes), so per-seed results are not bitwise-comparable to
-/// `kmeans`; on well-separated data both converge to the same partition.
-/// Weights must be finite and > 0. Throws InvalidArgument on bad weights or
-/// if k < 1 or k > n.
-KMeansResult kmeans_weighted(const linalg::Matrix& data,
-                             std::span<const double> weights, int k,
-                             const KMeansOptions& options = {});
+                    const KMeansOptions& options = {},
+                    std::span<const double> weights = {});
 
 }  // namespace cwgl::cluster

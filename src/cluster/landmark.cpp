@@ -160,8 +160,7 @@ LandmarkResult landmark_spectral_cluster(
     }
   }
 
-  KMeansOptions kmeans_options = opt.kmeans;
-  const KMeansResult km = kmeans_weighted(embedding, weights, k, kmeans_options);
+  const KMeansResult km = kmeans(embedding, k, opt.kmeans, weights);
   r.labels = km.labels;
   r.inertia = km.inertia;
   r.kmeans_iterations = km.iterations;

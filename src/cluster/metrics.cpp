@@ -7,65 +7,24 @@
 #include <set>
 
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace cwgl::cluster {
 
 double silhouette_score(const linalg::Matrix& distances,
-                        std::span<const int> labels) {
+                        std::span<const int> labels,
+                        std::span<const double> weights) {
   const std::size_t n = labels.size();
   if (distances.rows() != n || distances.cols() != n) {
     throw util::InvalidArgument("silhouette_score: matrix/labels size mismatch");
   }
-  const auto sizes = cluster_sizes(labels);
-  std::size_t populated = 0;
-  for (std::size_t s : sizes) populated += (s > 0);
-  if (populated < 2) return 0.0;
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sizes[labels[i]] <= 1) continue;  // singleton scores 0
-    // Mean distance to own cluster (a) and nearest other cluster (b).
-    std::vector<double> sum(sizes.size(), 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) sum[labels[j]] += distances(i, j);
-    }
-    const double a =
-        sum[labels[i]] / static_cast<double>(sizes[labels[i]] - 1);
-    double b = std::numeric_limits<double>::max();
-    for (std::size_t c = 0; c < sizes.size(); ++c) {
-      if (static_cast<int>(c) == labels[i] || sizes[c] == 0) continue;
-      b = std::min(b, sum[c] / static_cast<double>(sizes[c]));
-    }
-    const double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-  }
-  return total / static_cast<double>(n);
-}
-
-double silhouette_score_weighted(const linalg::Matrix& distances,
-                                 std::span<const double> weights,
-                                 std::span<const int> labels) {
-  const std::size_t n = labels.size();
-  if (distances.rows() != n || distances.cols() != n) {
-    throw util::InvalidArgument(
-        "silhouette_score_weighted: matrix/labels size mismatch");
-  }
-  if (weights.size() != n) {
-    throw util::InvalidArgument(
-        "silhouette_score_weighted: one weight per item required");
-  }
-  for (double w : weights) {
-    if (!std::isfinite(w) || w <= 0.0) {
-      throw util::InvalidArgument(
-          "silhouette_score_weighted: weights must be positive");
-    }
-  }
+  util::check_weights(weights, n, "silhouette_score");
   const auto sizes = cluster_sizes(labels);
   std::vector<double> mass(sizes.size(), 0.0);
   double total_mass = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    mass[labels[i]] += weights[i];
-    total_mass += weights[i];
+    mass[labels[i]] += util::weight_at(weights, i);
+    total_mass += util::weight_at(weights, i);
   }
   std::size_t populated = 0;
   for (double m : mass) populated += (m > 0.0);
@@ -74,22 +33,22 @@ double silhouette_score_weighted(const linalg::Matrix& distances,
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (mass[labels[i]] <= 1.0) continue;  // singleton scores 0
-    // Distance mass from one copy of item i to every cluster; own-cluster
-    // excludes the copy itself (its distance to co-copies is
-    // distances(i, i), subtracted once — 0 for a true metric).
+    // Distance mass from one copy of item i to every cluster, counting
+    // every copy of every item except that copy itself.
     std::vector<double> sum(sizes.size(), 0.0);
     for (std::size_t j = 0; j < n; ++j) {
-      sum[labels[j]] += weights[j] * distances(i, j);
+      const double copies = util::weight_at(weights, j) - (j == i ? 1.0 : 0.0);
+      if (copies > 0.0) sum[labels[j]] += copies * distances(i, j);
     }
-    const double a = (sum[labels[i]] - distances(i, i)) /
-                     (mass[labels[i]] - 1.0);
+    // Mean distance to own cluster (a) and nearest other cluster (b).
+    const double a = sum[labels[i]] / (mass[labels[i]] - 1.0);
     double b = std::numeric_limits<double>::max();
     for (std::size_t c = 0; c < sizes.size(); ++c) {
       if (static_cast<int>(c) == labels[i] || mass[c] <= 0.0) continue;
       b = std::min(b, sum[c] / mass[c]);
     }
     const double denom = std::max(a, b);
-    total += denom > 0.0 ? weights[i] * (b - a) / denom : 0.0;
+    total += denom > 0.0 ? util::weight_at(weights, i) * (b - a) / denom : 0.0;
   }
   return total / total_mass;
 }

@@ -7,21 +7,18 @@
 
 namespace cwgl::cluster {
 
-/// Mean silhouette coefficient over all points, computed from a pairwise
-/// distance matrix and an assignment. Points in singleton clusters score 0
-/// by convention. Returns 0 when fewer than 2 clusters are populated.
-double silhouette_score(const linalg::Matrix& distances, std::span<const int> labels);
-
-/// Silhouette of the expanded sample in which item i occurs `weights[i]`
-/// times, computed from the compact distance matrix. Copies of the same
-/// item have identical distances to everything and distance 0 to each
-/// other, so every copy shares one silhouette value; this evaluates that
-/// value per distinct item and averages with multiplicity. Weighted
-/// cluster populations <= 1 score 0 (the singleton convention). Weights
-/// must be positive and finite.
-double silhouette_score_weighted(const linalg::Matrix& distances,
-                                 std::span<const double> weights,
-                                 std::span<const int> labels);
+/// Mean silhouette coefficient computed from a pairwise distance matrix and
+/// an assignment, where item i occurs `weights[i]` times (empty `weights`:
+/// once each). Copies of an item have identical distances to everything and
+/// distance 0 to each other, so every copy shares one silhouette value; this
+/// evaluates that value per item and averages with multiplicity, which at
+/// unit weights is the plain per-point mean. Points in clusters of total
+/// weight <= 1 score 0 by convention. Returns 0 when fewer than 2 clusters
+/// are populated. Throws InvalidArgument on a size mismatch or unless
+/// `weights` is empty or one finite, positive weight per item.
+double silhouette_score(const linalg::Matrix& distances,
+                        std::span<const int> labels,
+                        std::span<const double> weights = {});
 
 /// Adjusted Rand Index between two assignments of the same items; 1 for
 /// identical partitions (up to relabeling), ~0 for independent ones,

@@ -9,15 +9,18 @@
 #include "obs/tracer.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace cwgl::cluster {
 
 SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
-                                const SpectralOptions& options) {
+                                const SpectralOptions& options,
+                                std::span<const double> weights) {
   if (similarity.rows() != similarity.cols()) {
     throw util::InvalidArgument("spectral_cluster: similarity must be square");
   }
   const std::size_t n = similarity.rows();
+  util::check_weights(weights, n, "spectral_cluster");
   if (k < 1 || static_cast<std::size_t>(k) > n) {
     throw util::InvalidArgument("spectral_cluster: need 1 <= k <= n");
   }
@@ -87,17 +90,25 @@ SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
     }
   }
 
+  // Weighted degrees d_t = sum_u w_u W(t,u): the degree every copy of item
+  // t has in the expanded graph.
   std::vector<double> inv_sqrt_degree(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double deg = 0.0;
-    for (std::size_t j = 0; j < n; ++j) deg += w(i, j);
+    for (std::size_t j = 0; j < n; ++j) {
+      deg += util::weight_at(weights, j) * w(i, j);
+    }
     inv_sqrt_degree[i] = deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
   }
 
+  // L = I - M with M(t,u) = sqrt(w_t w_u) W(t,u) / sqrt(d_t d_u); at unit
+  // weights the factors of 1 are exact, so this is L_sym bit for bit.
   linalg::Matrix lsym(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      const double norm = inv_sqrt_degree[i] * w(i, j) * inv_sqrt_degree[j];
+      const double norm =
+          std::sqrt(util::weight_at(weights, i) * util::weight_at(weights, j)) *
+          w(i, j) * inv_sqrt_degree[i] * inv_sqrt_degree[j];
       lsym(i, j) = (i == j ? 1.0 : 0.0) - norm;
     }
   }
@@ -133,146 +144,8 @@ SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
   eigen_span.end();
 
   result.eigenvalues = eig.values;
-  result.embedding = linalg::Matrix(n, k);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int c = 0; c < k; ++c) {
-      result.embedding(i, c) = eig.vectors(i, static_cast<std::size_t>(c));
-    }
-    double norm = 0.0;
-    for (int c = 0; c < k; ++c) {
-      norm += result.embedding(i, c) * result.embedding(i, c);
-    }
-    norm = std::sqrt(norm);
-    if (norm > 0.0) {
-      for (int c = 0; c < k; ++c) result.embedding(i, c) /= norm;
-    }
-  }
-
-  SpectralOptions opts = options;
-  const auto km = kmeans(result.embedding, k, opts.kmeans);
-  result.labels = km.labels;
-  return result;
-}
-
-SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
-                                         std::span<const double> weights,
-                                         int k, const SpectralOptions& options) {
-  if (similarity.rows() != similarity.cols()) {
-    throw util::InvalidArgument(
-        "spectral_cluster_weighted: similarity must be square");
-  }
-  const std::size_t n = similarity.rows();
-  if (weights.size() != n) {
-    throw util::InvalidArgument(
-        "spectral_cluster_weighted: one weight per row required");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(weights[i]) || weights[i] <= 0.0) {
-      throw util::InvalidArgument(
-          "spectral_cluster_weighted: weights must be positive");
-    }
-  }
-  if (k < 1 || static_cast<std::size_t>(k) > n) {
-    throw util::InvalidArgument("spectral_cluster_weighted: need 1 <= k <= n");
-  }
-  if (options.max_dense_items != 0 && n > options.max_dense_items) {
-    throw util::InvalidArgument(
-        "spectral_cluster_weighted: " + std::to_string(n) +
-        " items exceed the dense-path limit of " +
-        std::to_string(options.max_dense_items) +
-        " (O(n^2) memory, O(n^3) eigensolve); use the scalable path "
-        "(`cwgl characterize --full` / cluster_at_scale) or raise "
-        "SpectralOptions::max_dense_items");
-  }
-
-  SpectralResult result;
-
-  // Always strict: the interned pipeline feeds a freshly computed kernel
-  // matrix; damage here is a programming error, not dirty input.
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!std::isfinite(similarity(i, j))) {
-        throw util::InvalidArgument(
-            "spectral_cluster_weighted: non-finite similarity at (" +
-            std::to_string(i) + ", " + std::to_string(j) + ")");
-      }
-      max_abs = std::max(max_abs, std::abs(similarity(i, j)));
-    }
-  }
-  const double asym_tol = 1e-6 * std::max(1.0, max_abs);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (std::abs(similarity(i, j) - similarity(j, i)) > asym_tol) {
-        throw util::InvalidArgument(
-            "spectral_cluster_weighted: similarity is not symmetric at (" +
-            std::to_string(i) + ", " + std::to_string(j) + ")");
-      }
-    }
-  }
-
-  // Symmetrize and clamp exactly as the unweighted path does, so both see
-  // the same effective affinity W.
-  linalg::Matrix w(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      w(i, j) = std::max(0.0, 0.5 * (similarity(i, j) + similarity(j, i)));
-    }
-  }
-
-  // Weighted degrees d_t = sum_u w_u W(t,u): the degree every copy of item
-  // t has in the expanded graph.
-  std::vector<double> inv_sqrt_degree(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double deg = 0.0;
-    for (std::size_t j = 0; j < n; ++j) deg += weights[j] * w(i, j);
-    inv_sqrt_degree[i] = deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
-  }
-
-  // L = I - M with M(t,u) = sqrt(w_t w_u) W(t,u) / sqrt(d_t d_u). M is
-  // similar (via the per-class constant structure) to the expanded
-  // normalized affinity restricted to its class-constant invariant
-  // subspace; its complement contributes only eigenvalue-1 directions.
-  linalg::Matrix lsym(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double norm = std::sqrt(weights[i] * weights[j]) * w(i, j) *
-                          inv_sqrt_degree[i] * inv_sqrt_degree[j];
-      lsym(i, j) = (i == j ? 1.0 : 0.0) - norm;
-    }
-  }
-
-  const bool partial = n > options.partial_eigen_threshold;
-  obs::Span eigen_span("cluster.eigensolve");
-  eigen_span.arg("n", n);
-  eigen_span.arg("partial", partial ? 1 : 0);
-  auto eig = partial
-                 ? linalg::smallest_eigenpairs(lsym, k,
-                                               options.partial_max_sweeps)
-                 : linalg::jacobi_eigen(lsym);
-  if (partial && !eig.converged) {
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->record(
-          "spectral", "eigen-fallback",
-          "subspace iteration did not converge in " +
-              std::to_string(options.partial_max_sweeps) +
-              " sweeps (n=" + std::to_string(n) + "); using dense solver");
-    }
-    {
-      obs::Span fallback_span("cluster.eigensolve.jacobi_fallback");
-      fallback_span.arg("n", n);
-      eig = linalg::jacobi_eigen(lsym);
-    }
-    obs::MetricsRegistry::global().counter("cluster.spectral.fallbacks").add();
-    result.eigen_fallback = true;
-  }
-  eigen_span.arg("fallback", result.eigen_fallback ? 1 : 0);
-  eigen_span.end();
-
-  result.eigenvalues = eig.values;
   // Row-normalization makes the 1/sqrt(w_t) class scaling irrelevant: the
-  // normalized row of item t equals the expanded run's normalized row for
-  // every copy of t.
+  // normalized row of item t equals the expanded run's row for every copy.
   result.embedding = linalg::Matrix(n, k);
   for (std::size_t i = 0; i < n; ++i) {
     for (int c = 0; c < k; ++c) {
@@ -288,8 +161,7 @@ SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
     }
   }
 
-  const auto km = kmeans_weighted(result.embedding, weights, k, options.kmeans);
-  result.labels = km.labels;
+  result.labels = kmeans(result.embedding, k, options.kmeans, weights).labels;
   return result;
 }
 

@@ -49,47 +49,40 @@ struct SpectralResult {
   std::size_t clamped_entries = 0;
 };
 
-/// Ng–Jordan–Weiss normalized spectral clustering over a similarity matrix.
+/// Ng–Jordan–Weiss normalized spectral clustering over a similarity matrix,
+/// where row/column t stands for `weights[t]` identical items (e.g. one
+/// distinct job shape with its multiplicity); empty `weights` means one
+/// item per row.
 ///
 /// Steps: symmetrize W (average with its transpose), build
-/// L_sym = I - D^{-1/2} W D^{-1/2}, take the k eigenvectors of the smallest
-/// eigenvalues, row-normalize, k-means in the embedded space. Negative
-/// similarities are clamped to zero; isolated rows (zero degree) embed at
-/// the origin.
+/// L = I - M with M(t,u) = sqrt(w_t w_u) W(t,u) / sqrt(d_t d_u) and weighted
+/// degrees d_t = sum_u w_u W(t,u) (the usual L_sym = I - D^{-1/2} W D^{-1/2}
+/// at unit weights), take the k eigenvectors of the smallest eigenvalues,
+/// row-normalize, and run `kmeans` with the same weights in the embedded
+/// space. Negative similarities are clamped to zero; isolated rows (zero
+/// degree) embed at the origin.
 ///
-/// Throws InvalidArgument if `similarity` is not square or k is out of
-/// range — and, under the default strict posture, if entries are non-finite
-/// or the matrix is asymmetric beyond numerical noise (see SpectralOptions::
+/// A weighted run is equivalent to the unweighted run on the expanded
+/// matrix: for identical items the expansion's normalized affinity has
+/// eigenvectors constant within each identity class, and restricting to one
+/// row per class yields M. Its spectrum is the expanded spectrum minus
+/// (N - n) copies of the eigenvalue 1 (append them to reproduce it for the
+/// eigengap heuristic); row-normalizing cancels the per-class 1/sqrt(w_t)
+/// scaling, so the embedding rows equal the expanded run's and k-means sees
+/// the same point set, weighted (its seed-draw caveat applies).
+///
+/// Throws InvalidArgument if `similarity` is not square, k is out of range,
+/// or `weights` is neither empty nor one finite, positive weight per row —
+/// and, under the default strict posture, if entries are non-finite or the
+/// matrix is asymmetric beyond numerical noise (see SpectralOptions::
 /// lenient for the degrade-and-report alternative).
 SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
-                                const SpectralOptions& options = {});
+                                const SpectralOptions& options = {},
+                                std::span<const double> weights = {});
 
 /// Eigengap heuristic: given the ascending spectrum of L_sym, the suggested
 /// cluster count is the k (in [1, max_k]) maximizing
 /// eigenvalues[k] - eigenvalues[k-1].
 int eigengap_k(std::span<const double> eigenvalues, int max_k);
-
-/// Weighted spectral clustering: row/column t of `similarity` stands for
-/// `weights[t]` identical items (e.g. one distinct job shape with its
-/// multiplicity). Mathematically equivalent to `spectral_cluster` on the
-/// expanded similarity matrix: the expansion's normalized affinity
-/// D^{-1/2} W D^{-1/2} has, for identical items, eigenvectors that are
-/// constant within each identity class, and restricting to one row per
-/// class yields M(t,u) = sqrt(w_t w_u) S(t,u) / sqrt(d_t d_u) with weighted
-/// degrees d_t = sum_u w_u S(t,u) — the matrix this function diagonalizes.
-/// Its spectrum is the expanded spectrum minus (N - n) copies of the
-/// eigenvalue 1; row-normalizing the eigenvectors cancels the per-class
-/// 1/sqrt(w_t) scaling, so the embedding rows equal the expanded run's
-/// embedding rows exactly and k-means sees the same point set, weighted.
-///
-/// `eigenvalues` holds the n-item weighted spectrum (append N - n ones to
-/// reproduce the expanded spectrum for the eigengap heuristic). Always
-/// strict: non-finite or asymmetric input throws (options.lenient is
-/// ignored). Weights must be finite and > 0; the final stage is
-/// `kmeans_weighted`, so label caveats from there apply.
-SpectralResult spectral_cluster_weighted(const linalg::Matrix& similarity,
-                                         std::span<const double> weights,
-                                         int k,
-                                         const SpectralOptions& options = {});
 
 }  // namespace cwgl::cluster

@@ -9,73 +9,44 @@
 
 namespace cwgl::core {
 
-StructuralReport StructuralReport::compute(std::span<const JobDag> jobs) {
-  StructuralReport report;
-  std::map<int, SizeGroupFeatures> groups;
-  for (const JobDag& job : jobs) {
-    const int size = job.size();
-    report.size_histogram.add(size);
-    SizeGroupFeatures& g = groups[size];
-    g.size = size;
-    ++g.count;
-    g.max_critical_path =
-        std::max(g.max_critical_path, graph::critical_path_length(job.dag));
-    g.max_width = std::max(g.max_width, graph::max_width(job.dag));
-  }
-  for (const auto& [size, features] : groups) report.groups.push_back(features);
-  report.distinct_sizes = report.groups.size();
-  return report;
-}
-
 StructuralReport StructuralReport::compute(
-    std::span<const JobDag> exemplars, std::span<const std::uint64_t> counts) {
+    std::span<const JobDag> jobs, std::span<const std::uint64_t> counts) {
+  util::check_counts(counts, jobs.size(), "StructuralReport");
   StructuralReport report;
   std::map<int, SizeGroupFeatures> groups;
-  for (std::size_t t = 0; t < exemplars.size(); ++t) {
-    const JobDag& job = exemplars[t];
+  for (std::size_t t = 0; t < jobs.size(); ++t) {
+    const JobDag& job = jobs[t];
+    const auto count = static_cast<std::size_t>(util::weight_at(counts, t));
     const int size = job.size();
-    report.size_histogram.add(size, static_cast<std::size_t>(counts[t]));
+    report.size_histogram.add(size, count);
     SizeGroupFeatures& g = groups[size];
     g.size = size;
-    g.count += static_cast<std::size_t>(counts[t]);
+    g.count += count;
     g.max_critical_path =
         std::max(g.max_critical_path, graph::critical_path_length(job.dag));
     g.max_width = std::max(g.max_width, graph::max_width(job.dag));
   }
   for (const auto& [size, features] : groups) report.groups.push_back(features);
   report.distinct_sizes = report.groups.size();
-  return report;
-}
-
-ConflationReport ConflationReport::compute(std::span<const JobDag> jobs) {
-  ConflationReport report;
-  double reduction_sum = 0.0;
-  for (const JobDag& job : jobs) {
-    const JobDag merged = conflate_job(job);
-    report.before.add(job.size());
-    report.after.add(merged.size());
-    reduction_sum += static_cast<double>(job.size()) /
-                     static_cast<double>(std::max(1, merged.size()));
-  }
-  report.mean_reduction =
-      jobs.empty() ? 1.0 : reduction_sum / static_cast<double>(jobs.size());
   return report;
 }
 
 ConflationReport ConflationReport::compute(
-    std::span<const JobDag> exemplars, std::span<const std::uint64_t> counts) {
+    std::span<const JobDag> jobs, std::span<const std::uint64_t> counts) {
+  util::check_counts(counts, jobs.size(), "ConflationReport");
   ConflationReport report;
   double reduction_sum = 0.0;
   std::uint64_t total = 0;
-  for (std::size_t t = 0; t < exemplars.size(); ++t) {
-    const JobDag& job = exemplars[t];
+  for (std::size_t t = 0; t < jobs.size(); ++t) {
+    const JobDag& job = jobs[t];
+    const std::uint64_t count = util::weight_at(counts, t);
     const JobDag merged = conflate_job(job);
-    report.before.add(job.size(), static_cast<std::size_t>(counts[t]));
-    report.after.add(merged.size(), static_cast<std::size_t>(counts[t]));
-    reduction_sum += static_cast<double>(counts[t]) *
+    report.before.add(job.size(), static_cast<std::size_t>(count));
+    report.after.add(merged.size(), static_cast<std::size_t>(count));
+    reduction_sum += static_cast<double>(count) *
                      (static_cast<double>(job.size()) /
                       static_cast<double>(std::max(1, merged.size())));
-    total += counts[t];
+    total += count;
   }
   report.mean_reduction =
       total == 0 ? 1.0 : reduction_sum / static_cast<double>(total);
@@ -85,8 +56,7 @@ ConflationReport ConflationReport::compute(
 namespace {
 
 /// Builds the Fig. 6 row for one job and bumps the matching model counter
-/// by `weight` (1 on the per-job path, the shape multiplicity when
-/// interned).
+/// by `weight`, the job's multiplicity.
 void add_task_type_row(TaskTypeReport& report, const JobDag& job,
                        std::size_t weight) {
   TaskTypeRow row;
@@ -134,48 +104,27 @@ void add_task_type_row(TaskTypeReport& report, const JobDag& job,
 
 }  // namespace
 
-TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> jobs) {
+TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> jobs,
+                                       std::span<const std::uint64_t> counts) {
+  util::check_counts(counts, jobs.size(), "TaskTypeReport");
   TaskTypeReport report;
   report.rows.reserve(jobs.size());
-  for (const JobDag& job : jobs) add_task_type_row(report, job, 1);
-  return report;
-}
-
-TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> exemplars,
-                                       std::span<const std::uint64_t> counts) {
-  TaskTypeReport report;
-  report.rows.reserve(exemplars.size());
-  for (std::size_t t = 0; t < exemplars.size(); ++t) {
-    add_task_type_row(report, exemplars[t],
-                      static_cast<std::size_t>(counts[t]));
+  for (std::size_t t = 0; t < jobs.size(); ++t) {
+    add_task_type_row(report, jobs[t],
+                      static_cast<std::size_t>(util::weight_at(counts, t)));
   }
   return report;
 }
 
-PatternCensus PatternCensus::compute(std::span<const JobDag> jobs) {
-  PatternCensus census;
-  census.total = jobs.size();
-  std::map<graph::ShapePattern, std::size_t> counts;
-  for (const JobDag& job : jobs) ++counts[graph::classify_shape(job.dag)];
-  for (const auto& [pattern, count] : counts) {
-    census.rows.push_back(
-        {pattern, count,
-         census.total ? static_cast<double>(count) / static_cast<double>(census.total)
-                      : 0.0});
-  }
-  std::sort(census.rows.begin(), census.rows.end(),
-            [](const Row& a, const Row& b) { return a.count > b.count; });
-  return census;
-}
-
-PatternCensus PatternCensus::compute(std::span<const JobDag> exemplars,
+PatternCensus PatternCensus::compute(std::span<const JobDag> jobs,
                                      std::span<const std::uint64_t> counts) {
+  util::check_counts(counts, jobs.size(), "PatternCensus");
   PatternCensus census;
   std::map<graph::ShapePattern, std::size_t> tally;
-  for (std::size_t t = 0; t < exemplars.size(); ++t) {
-    tally[graph::classify_shape(exemplars[t].dag)] +=
-        static_cast<std::size_t>(counts[t]);
-    census.total += static_cast<std::size_t>(counts[t]);
+  for (std::size_t t = 0; t < jobs.size(); ++t) {
+    const auto count = static_cast<std::size_t>(util::weight_at(counts, t));
+    tally[graph::classify_shape(jobs[t].dag)] += count;
+    census.total += count;
   }
   for (const auto& [pattern, count] : tally) {
     census.rows.push_back(

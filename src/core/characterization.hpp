@@ -28,13 +28,12 @@ struct StructuralReport {
   std::vector<SizeGroupFeatures> groups;  ///< ascending by size
   std::size_t distinct_sizes = 0;         ///< "17 different size types"
 
-  static StructuralReport compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: `exemplars[t]` stands for `counts[t]`
-  /// identical jobs. Identical output to `compute` on the expansion (size
-  /// and structural extremes are shape invariants).
-  static StructuralReport compute(std::span<const JobDag> exemplars,
-                                  std::span<const std::uint64_t> counts);
+  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each), as
+  /// when the jobs are interned shapes; the output equals the report on the
+  /// expansion (size and structural extremes are shape invariants). Throws
+  /// InvalidArgument when `counts` is neither empty nor one per job.
+  static StructuralReport compute(std::span<const JobDag> jobs,
+                                  std::span<const std::uint64_t> counts = {});
 };
 
 /// Figure 3: size distributions before vs after node conflation.
@@ -44,14 +43,14 @@ struct ConflationReport {
   /// Mean size reduction factor achieved by conflation.
   double mean_reduction = 1.0;
 
-  static ConflationReport compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: conflation is a deterministic function of
-  /// topology + labels, so one conflation per distinct shape reproduces the
-  /// per-job histograms exactly; `mean_reduction` matches the expansion up
-  /// to floating-point summation order.
-  static ConflationReport compute(std::span<const JobDag> exemplars,
-                                  std::span<const std::uint64_t> counts);
+  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each).
+  /// Conflation is a deterministic function of topology + labels, so one
+  /// conflation per distinct shape reproduces the per-job histograms
+  /// exactly; `mean_reduction` matches the expansion up to floating-point
+  /// summation order. Throws InvalidArgument when `counts` is neither empty
+  /// nor one per job.
+  static ConflationReport compute(std::span<const JobDag> jobs,
+                                  std::span<const std::uint64_t> counts = {});
 };
 
 /// One row of Figure 6: the task-type composition of a job and the inferred
@@ -77,14 +76,14 @@ struct TaskTypeReport {
   std::size_t map_reduce_merge_jobs = 0;
   std::size_t multi_stage_jobs = 0;
 
-  static TaskTypeReport compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: programming-model counters aggregate with
-  /// multiplicity and match the expansion exactly. `rows` necessarily
-  /// diverges from the per-job report — one row per DISTINCT shape (named
-  /// after the exemplar), since expanding would defeat the interning.
-  static TaskTypeReport compute(std::span<const JobDag> exemplars,
-                                std::span<const std::uint64_t> counts);
+  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each).
+  /// Programming-model counters aggregate with multiplicity and match the
+  /// expansion exactly; `rows` holds one row per entry of `jobs` (one per
+  /// DISTINCT shape when interned, named after the exemplar), since
+  /// expanding would defeat the interning. Throws InvalidArgument when
+  /// `counts` is neither empty nor one per job.
+  static TaskTypeReport compute(std::span<const JobDag> jobs,
+                                std::span<const std::uint64_t> counts = {});
 };
 
 /// Shape-pattern census (Section V-B): which fraction of jobs is a chain /
@@ -98,12 +97,12 @@ struct PatternCensus {
   std::vector<Row> rows;  ///< descending by count
   std::size_t total = 0;
 
-  static PatternCensus compute(std::span<const JobDag> jobs);
-
-  /// Shape-interned overload: identical output to `compute` on the
-  /// expansion (the pattern is a shape invariant).
-  static PatternCensus compute(std::span<const JobDag> exemplars,
-                               std::span<const std::uint64_t> counts);
+  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each);
+  /// the output equals the census of the expansion (the pattern is a shape
+  /// invariant). Throws InvalidArgument when `counts` is neither empty nor
+  /// one per job.
+  static PatternCensus compute(std::span<const JobDag> jobs,
+                               std::span<const std::uint64_t> counts = {});
 
   /// Fraction for one pattern (0 when absent).
   double fraction(graph::ShapePattern p) const noexcept;

@@ -12,127 +12,101 @@
 
 namespace cwgl::core {
 
-ClusteringAnalysis ClusteringAnalysis::compute(const linalg::Matrix& similarity,
-                                               std::span<const JobDag> jobs,
-                                               const ClusteringOptions& options) {
-  if (similarity.rows() != jobs.size()) {
-    throw util::InvalidArgument("ClusteringAnalysis: similarity/jobs size mismatch");
+ClusteringAnalysis ClusteringAnalysis::compute(
+    const linalg::Matrix& similarity, std::span<const JobDag> items,
+    const ClusteringOptions& options, std::span<const std::uint64_t> counts,
+    std::span<const std::uint32_t> shape_of) {
+  const std::size_t m = items.size();
+  if (similarity.rows() != m) {
+    throw util::InvalidArgument(
+        "ClusteringAnalysis: similarity/items size mismatch");
   }
+  util::check_counts(counts, m, "ClusteringAnalysis");
+  std::uint64_t total_jobs = 0;
+  for (std::size_t t = 0; t < m; ++t) {
+    if (util::weight_at(counts, t) == 0) {
+      throw util::InvalidArgument("ClusteringAnalysis: zero item count");
+    }
+    total_jobs += util::weight_at(counts, t);
+  }
+  const auto item_of = [&](std::size_t i) -> std::size_t {
+    return shape_of.empty() ? i : shape_of[i];
+  };
+  const std::size_t n = shape_of.empty() ? m : shape_of.size();
+  std::vector<std::size_t> first_job(m, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (item_of(i) >= m) {
+      throw util::InvalidArgument("ClusteringAnalysis: shape id out of range");
+    }
+    if (first_job[item_of(i)] == n) first_job[item_of(i)] = i;
+  }
+
+  const std::vector<double> weights(counts.begin(), counts.end());
   cluster::SpectralOptions spectral_options;
   spectral_options.kmeans.seed = options.seed;
-  const auto spectral =
-      cluster::spectral_cluster(similarity, options.clusters, spectral_options);
-
-  // Relabel groups by descending population: 'A' is always the largest.
-  const auto raw_sizes = cluster::cluster_sizes(spectral.labels);
-  std::vector<int> order(raw_sizes.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return raw_sizes[a] != raw_sizes[b] ? raw_sizes[a] > raw_sizes[b] : a < b;
-  });
-  std::vector<int> relabel(raw_sizes.size());
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    relabel[order[rank]] = static_cast<int>(rank);
-  }
+  const auto spectral = cluster::spectral_cluster(
+      similarity, options.clusters, spectral_options, weights);
+  const std::vector<int> item_label = relabel_by_mass(spectral.labels, counts);
 
   ClusteringAnalysis out;
+  // The expanded sample's spectrum is the weighted spectrum plus one
+  // eigenvalue-1 direction per duplicated job (see
+  // cluster::spectral_cluster); reconstruct it so the eigengap heuristic
+  // sees what the direct run would.
   out.eigenvalues = spectral.eigenvalues;
-  out.suggested_k = cluster::eigengap_k(out.eigenvalues, 10);
-  out.labels.resize(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out.labels[i] = relabel[spectral.labels[i]];
+  if (total_jobs > m) {
+    out.eigenvalues.insert(out.eigenvalues.end(),
+                           static_cast<std::size_t>(total_jobs - m), 1.0);
+    std::sort(out.eigenvalues.begin(), out.eigenvalues.end());
   }
+  out.suggested_k = cluster::eigengap_k(out.eigenvalues, 10);
+  out.labels.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out.labels[i] = item_label[item_of(i)];
 
   const linalg::Matrix distances = kernel::kernel_to_distance(similarity);
-  out.silhouette = cluster::silhouette_score(distances, out.labels);
+  out.silhouette = cluster::silhouette_score(distances, item_label, weights);
 
-  out.groups.resize(options.clusters);
-  for (int g = 0; g < options.clusters; ++g) {
-    ClusterGroupStats& stats = out.groups[g];
-    stats.group = g;
-    std::vector<double> sizes, depths, widths;
-    std::size_t chains = 0, shorts = 0;
+  out.groups = group_statistics(items, item_label, options.clusters, counts);
+  for (ClusterGroupStats& stats : out.groups) {
+    // Medoid: the member most similar to the rest of its group. Every copy
+    // of item t has the same centrality, its similarity to every other
+    // copy in the group. Items iterate in first-seen order with a strict
+    // max, so the winner's first job is the job the direct argmax keeps.
     double best_centrality = -1.0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (out.labels[i] != g) continue;
-      ++stats.population;
-      sizes.push_back(jobs[i].size());
-      depths.push_back(graph::critical_path_length(jobs[i].dag));
-      widths.push_back(graph::max_width(jobs[i].dag));
-      chains += graph::classify_shape(jobs[i].dag) ==
-                graph::ShapePattern::StraightChain;
-      shorts += jobs[i].size() < 3;
-      // Medoid: the member most similar to the rest of its group.
+    std::size_t medoid_item = m;
+    for (std::size_t t = 0; t < m; ++t) {
+      if (item_label[t] != stats.group) continue;
       double centrality = 0.0;
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (out.labels[j] == g && j != i) centrality += similarity(i, j);
+      for (std::size_t u = 0; u < m; ++u) {
+        if (item_label[u] != stats.group) continue;
+        const std::uint64_t copies = util::weight_at(counts, u) - (u == t);
+        if (copies > 0) {
+          centrality += static_cast<double>(copies) * similarity(t, u);
+        }
       }
       if (centrality > best_centrality) {
         best_centrality = centrality;
-        stats.medoid = i;
+        medoid_item = t;
       }
     }
-    stats.population_fraction =
-        jobs.empty() ? 0.0
-                     : static_cast<double>(stats.population) /
-                           static_cast<double>(jobs.size());
-    stats.size = util::describe(sizes);
-    stats.critical_path = util::describe(depths);
-    stats.parallelism = util::describe(widths);
-    stats.chain_fraction =
-        stats.population ? static_cast<double>(chains) /
-                               static_cast<double>(stats.population)
-                         : 0.0;
-    stats.short_job_fraction =
-        stats.population ? static_cast<double>(shorts) /
-                               static_cast<double>(stats.population)
-                         : 0.0;
+    if (medoid_item < m && first_job[medoid_item] < n) {
+      stats.medoid = first_job[medoid_item];
+    }
   }
   return out;
 }
 
-ClusteringAnalysis ClusteringAnalysis::compute_interned(
-    const linalg::Matrix& shape_similarity, std::span<const JobDag> exemplars,
-    std::span<const std::uint64_t> counts,
-    std::span<const std::uint32_t> shape_of, const ClusteringOptions& options) {
-  const std::size_t m = exemplars.size();
-  if (shape_similarity.rows() != m || counts.size() != m) {
-    throw util::InvalidArgument(
-        "ClusteringAnalysis: shape similarity/exemplars/counts size mismatch");
-  }
-  const std::size_t n = shape_of.size();
-  std::vector<std::size_t> first_job(m, n);
-  std::uint64_t total_jobs = 0;
-  for (std::size_t t = 0; t < m; ++t) {
-    if (counts[t] == 0) {
-      throw util::InvalidArgument("ClusteringAnalysis: zero shape count");
-    }
-    total_jobs += counts[t];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (shape_of[i] >= m) {
-      throw util::InvalidArgument("ClusteringAnalysis: shape id out of range");
-    }
-    if (first_job[shape_of[i]] == n) first_job[shape_of[i]] = i;
-  }
-
-  std::vector<double> weights;
-  weights.reserve(m);
-  for (std::uint64_t c : counts) weights.push_back(static_cast<double>(c));
-
-  cluster::SpectralOptions spectral_options;
-  spectral_options.kmeans.seed = options.seed;
-  const auto spectral = cluster::spectral_cluster_weighted(
-      shape_similarity, weights, options.clusters, spectral_options);
-
-  // Relabel by descending *weighted* population — the same group masses
-  // the direct path sees on the expanded sample.
+std::vector<int> relabel_by_mass(std::span<const int> raw_labels,
+                                 std::span<const std::uint64_t> counts) {
+  util::check_counts(counts, raw_labels.size(), "relabel_by_mass");
   std::size_t raw_clusters = 0;
-  for (int l : spectral.labels) {
+  for (int l : raw_labels) {
     raw_clusters = std::max(raw_clusters, static_cast<std::size_t>(l) + 1);
   }
   std::vector<std::uint64_t> raw_mass(raw_clusters, 0);
-  for (std::size_t t = 0; t < m; ++t) raw_mass[spectral.labels[t]] += counts[t];
+  for (std::size_t t = 0; t < raw_labels.size(); ++t) {
+    raw_mass[raw_labels[t]] += util::weight_at(counts, t);
+  }
   std::vector<int> order(raw_clusters);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -142,76 +116,51 @@ ClusteringAnalysis ClusteringAnalysis::compute_interned(
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     relabel[order[rank]] = static_cast<int>(rank);
   }
-  std::vector<int> shape_label(m);
-  for (std::size_t t = 0; t < m; ++t) {
-    shape_label[t] = relabel[spectral.labels[t]];
+  std::vector<int> out;
+  out.reserve(raw_labels.size());
+  for (int l : raw_labels) out.push_back(relabel[l]);
+  return out;
+}
+
+std::vector<ClusterGroupStats> group_statistics(
+    std::span<const JobDag> items, std::span<const int> labels, int groups,
+    std::span<const std::uint64_t> counts) {
+  if (labels.size() != items.size()) {
+    throw util::InvalidArgument("group_statistics: labels/items size mismatch");
   }
-
-  ClusteringAnalysis out;
-  // The expanded sample's spectrum is the weighted spectrum plus one
-  // eigenvalue-1 direction per duplicated job (see
-  // cluster::spectral_cluster_weighted); reconstruct it so the eigengap
-  // heuristic sees what the direct path would.
-  out.eigenvalues = spectral.eigenvalues;
-  if (total_jobs > m) {
-    out.eigenvalues.insert(out.eigenvalues.end(),
-                           static_cast<std::size_t>(total_jobs - m), 1.0);
-    std::sort(out.eigenvalues.begin(), out.eigenvalues.end());
+  util::check_counts(counts, items.size(), "group_statistics");
+  std::uint64_t total = 0;
+  for (std::size_t t = 0; t < items.size(); ++t) {
+    total += util::weight_at(counts, t);
   }
-  out.suggested_k = cluster::eigengap_k(out.eigenvalues, 10);
-  out.labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.labels[i] = shape_label[shape_of[i]];
-
-  const linalg::Matrix distances = kernel::kernel_to_distance(shape_similarity);
-  out.silhouette =
-      cluster::silhouette_score_weighted(distances, weights, shape_label);
-
-  out.groups.resize(options.clusters);
-  for (int g = 0; g < options.clusters; ++g) {
-    ClusterGroupStats& stats = out.groups[g];
+  std::vector<ClusterGroupStats> out(static_cast<std::size_t>(groups));
+  for (int g = 0; g < groups; ++g) {
+    ClusterGroupStats& stats = out[static_cast<std::size_t>(g)];
     stats.group = g;
     std::vector<double> sizes, depths, widths;
     std::vector<std::uint64_t> member_counts;
     std::uint64_t chains = 0, shorts = 0;
-    double best_centrality = -1.0;
-    std::size_t medoid_shape = m;
-    for (std::size_t t = 0; t < m; ++t) {
-      if (shape_label[t] != g) continue;
-      stats.population += counts[t];
-      sizes.push_back(exemplars[t].size());
-      depths.push_back(graph::critical_path_length(exemplars[t].dag));
-      widths.push_back(graph::max_width(exemplars[t].dag));
-      member_counts.push_back(counts[t]);
-      if (graph::classify_shape(exemplars[t].dag) ==
+    for (std::size_t t = 0; t < items.size(); ++t) {
+      if (labels[t] != g) continue;
+      const std::uint64_t c = util::weight_at(counts, t);
+      stats.population += c;
+      sizes.push_back(items[t].size());
+      depths.push_back(graph::critical_path_length(items[t].dag));
+      widths.push_back(graph::max_width(items[t].dag));
+      member_counts.push_back(c);
+      if (graph::classify_shape(items[t].dag) ==
           graph::ShapePattern::StraightChain) {
-        chains += counts[t];
+        chains += c;
       }
-      if (exemplars[t].size() < 3) shorts += counts[t];
-      // Every copy of shape t has the same centrality: the count-weighted
-      // similarity mass of its group minus itself. Shapes iterate in
-      // first-seen order with a strict max, so the winning shape's first
-      // job is the job the direct argmax would keep.
-      double centrality = -shape_similarity(t, t);
-      for (std::size_t u = 0; u < m; ++u) {
-        if (shape_label[u] == g) {
-          centrality += static_cast<double>(counts[u]) * shape_similarity(t, u);
-        }
-      }
-      if (centrality > best_centrality) {
-        best_centrality = centrality;
-        medoid_shape = t;
-      }
-    }
-    if (medoid_shape < m && first_job[medoid_shape] < n) {
-      stats.medoid = first_job[medoid_shape];
+      if (items[t].size() < 3) shorts += c;
     }
     stats.population_fraction =
-        total_jobs == 0 ? 0.0
-                        : static_cast<double>(stats.population) /
-                              static_cast<double>(total_jobs);
-    stats.size = util::describe_weighted(sizes, member_counts);
-    stats.critical_path = util::describe_weighted(depths, member_counts);
-    stats.parallelism = util::describe_weighted(widths, member_counts);
+        total == 0 ? 0.0
+                   : static_cast<double>(stats.population) /
+                         static_cast<double>(total);
+    stats.size = util::describe(sizes, member_counts);
+    stats.critical_path = util::describe(depths, member_counts);
+    stats.parallelism = util::describe(widths, member_counts);
     stats.chain_fraction =
         stats.population ? static_cast<double>(chains) /
                                static_cast<double>(stats.population)

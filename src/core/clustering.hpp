@@ -42,27 +42,39 @@ struct ClusteringAnalysis {
   double silhouette = 0.0;             ///< quality in feature-space distance
   int suggested_k = 1;                 ///< eigengap heuristic (max 10)
 
-  static ClusteringAnalysis compute(const linalg::Matrix& similarity,
-                                    std::span<const JobDag> jobs,
-                                    const ClusteringOptions& options = {});
-
-  /// Shape-interned equivalent of `compute`: `shape_similarity` is the
-  /// m x m kernel over distinct shapes, `exemplars`/`counts` describe the
-  /// m shapes, and `shape_of[i]` maps job i of the analysis set to its
-  /// shape. Produces the same analysis the direct path would on the
-  /// expanded sample — per-JOB labels, count-weighted group statistics
-  /// (quantiles bit-identical, means up to summation order), the expanded
-  /// spectrum (the weighted spectrum plus jobs-minus-shapes copies of the
-  /// eigenvalue 1), weighted silhouette, and the medoid as a job index
-  /// (the earliest job of the most central shape, matching the direct
-  /// argmax tie-break). Cluster-letter agreement with the direct path
-  /// additionally requires separated groups, because the k-means RNG draw
-  /// sequences differ (see cluster::kmeans_weighted).
-  static ClusteringAnalysis compute_interned(
-      const linalg::Matrix& shape_similarity, std::span<const JobDag> exemplars,
-      std::span<const std::uint64_t> counts,
-      std::span<const std::uint32_t> shape_of,
-      const ClusteringOptions& options = {});
+  /// Clusters the items of the analysis set, `similarity` being the kernel
+  /// over them. Item t stands for `counts[t]` identical jobs (e.g. one
+  /// distinct shape with its multiplicity) and `shape_of[i]` maps job i of
+  /// the analysis set to its item; empty `counts` means one job per item
+  /// and empty `shape_of` the identity, which is the direct per-job run.
+  /// With counts the result is the analysis of the expanded sample: per-JOB
+  /// labels, count-weighted group statistics (quantiles bit-identical,
+  /// means to rounding), the expanded spectrum (the weighted spectrum plus
+  /// jobs-minus-items copies of the eigenvalue 1), weighted silhouette, and
+  /// the medoid as a job index (the earliest job of the most central item,
+  /// matching the direct argmax tie-break). Cluster-letter agreement with
+  /// the direct run on the expansion additionally requires separated
+  /// groups, because the k-means seed draws differ (see cluster::kmeans).
+  /// Throws InvalidArgument on mismatched sizes, a zero count, or a shape
+  /// id out of range.
+  static ClusteringAnalysis compute(
+      const linalg::Matrix& similarity, std::span<const JobDag> items,
+      const ClusteringOptions& options = {},
+      std::span<const std::uint64_t> counts = {},
+      std::span<const std::uint32_t> shape_of = {});
 };
+
+/// Relabels raw cluster ids by descending mass (the population counted
+/// with `counts`, empty meaning one per item), ties to the lower raw id:
+/// the paper's group-'A'-is-largest convention. Returns each item's new id.
+std::vector<int> relabel_by_mass(std::span<const int> raw_labels,
+                                 std::span<const std::uint64_t> counts = {});
+
+/// Statistics of groups 0..groups-1 over `items`, item t belonging to
+/// group `labels[t]` and standing for `counts[t]` jobs (empty: one each).
+/// Fills every field but `medoid`, whose rule belongs to the caller.
+std::vector<ClusterGroupStats> group_statistics(
+    std::span<const JobDag> items, std::span<const int> labels, int groups,
+    std::span<const std::uint64_t> counts = {});
 
 }  // namespace cwgl::core

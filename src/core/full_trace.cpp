@@ -1,13 +1,9 @@
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "cluster/spectral.hpp"
 #include "core/pipeline.hpp"
-#include "graph/algorithms.hpp"
-#include "graph/patterns.hpp"
 #include "kernel/wl.hpp"
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
@@ -158,58 +154,24 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   result.landmarks = scaled.landmarks;
   result.embedding_dims = scaled.embedding_dims;
 
-  // Relabel by descending weighted mass (ties to the lower raw id), the
-  // paper's group-'A'-is-largest convention.
+  // Group 'A' is the largest by job count; the per-group statistics are the
+  // sampled pipeline's, and the medoid is the member shape nearest the
+  // group's weighted feature mean (no m x m kernel needed).
   const std::vector<std::uint64_t> counts = result.table.counts();
-  std::size_t raw_clusters = 0;
-  for (int l : scaled.labels) {
-    raw_clusters = std::max(raw_clusters, static_cast<std::size_t>(l) + 1);
-  }
-  std::vector<std::uint64_t> raw_mass(raw_clusters, 0);
-  for (std::size_t t = 0; t < m; ++t) raw_mass[scaled.labels[t]] += counts[t];
-  std::vector<int> order(raw_clusters);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return raw_mass[a] != raw_mass[b] ? raw_mass[a] > raw_mass[b] : a < b;
-  });
-  std::vector<int> relabel(raw_clusters);
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    relabel[order[rank]] = static_cast<int>(rank);
-  }
-  result.shape_labels.resize(m);
-  for (std::size_t t = 0; t < m; ++t) {
-    result.shape_labels[t] = relabel[scaled.labels[t]];
-  }
-
-  // Count-weighted per-group statistics, mirroring the interned sampled
-  // path; the medoid is the member shape nearest the group's weighted
-  // feature mean (no m x m kernel needed).
-  result.groups.resize(static_cast<std::size_t>(k_eff));
+  result.shape_labels = relabel_by_mass(scaled.labels, counts);
+  result.groups =
+      group_statistics(exemplars, result.shape_labels, k_eff, counts);
   std::vector<double> point_sq(m);
   for (std::size_t t = 0; t < m; ++t) {
     const double norm = normalized[t].norm();
     point_sq[t] = norm * norm;
   }
-  for (int g = 0; g < k_eff; ++g) {
-    ClusterGroupStats& group_stats = result.groups[static_cast<std::size_t>(g)];
-    group_stats.group = g;
-    std::vector<double> sizes, depths, widths;
-    std::vector<std::uint64_t> member_counts;
-    std::uint64_t chains = 0, shorts = 0;
+  for (ClusterGroupStats& group_stats : result.groups) {
+    const int g = group_stats.group;
     std::vector<double> center(dims, 0.0);
     double mass = 0.0;
     for (std::size_t t = 0; t < m; ++t) {
       if (result.shape_labels[t] != g) continue;
-      group_stats.population += counts[t];
-      sizes.push_back(exemplars[t].size());
-      depths.push_back(graph::critical_path_length(exemplars[t].dag));
-      widths.push_back(graph::max_width(exemplars[t].dag));
-      member_counts.push_back(counts[t]);
-      if (graph::classify_shape(exemplars[t].dag) ==
-          graph::ShapePattern::StraightChain) {
-        chains += counts[t];
-      }
-      if (exemplars[t].size() < 3) shorts += counts[t];
       const double w = weights[t];
       mass += w;
       for (const auto& [id, value] : normalized[t].items) {
@@ -236,22 +198,6 @@ FullTraceResult CharacterizationPipeline::run_full_table(
       }
     }
     if (medoid < m) group_stats.medoid = medoid;
-    group_stats.population_fraction =
-        result.table.total_jobs == 0
-            ? 0.0
-            : static_cast<double>(group_stats.population) /
-                  static_cast<double>(result.table.total_jobs);
-    group_stats.size = util::describe_weighted(sizes, member_counts);
-    group_stats.critical_path = util::describe_weighted(depths, member_counts);
-    group_stats.parallelism = util::describe_weighted(widths, member_counts);
-    group_stats.chain_fraction =
-        group_stats.population ? static_cast<double>(chains) /
-                                     static_cast<double>(group_stats.population)
-                               : 0.0;
-    group_stats.short_job_fraction =
-        group_stats.population ? static_cast<double>(shorts) /
-                                     static_cast<double>(group_stats.population)
-                               : 0.0;
   }
 
   // Validation: the exact spectral pipeline on a shared uniform job

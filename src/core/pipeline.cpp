@@ -24,6 +24,29 @@ std::vector<JobDag> build_jobs_from_groups(
   return jobs;
 }
 
+/// Interns the sample's job shapes: the distinct shapes in first-seen
+/// order, each exemplar a copy of its first job, plus every job's shape.
+InternedAnalysis intern_sample(std::span<const JobDag> sample) {
+  obs::Span span("pipeline.intern");
+  ShapeStore store;
+  std::vector<const ShapeStore::Node*> handles;
+  handles.reserve(sample.size());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    handles.push_back(store.intern(sample[i], i));
+  }
+  ShapeStore::FrozenView view = store.freeze_with_ids();
+  InternedAnalysis interned;
+  interned.table = std::move(view.table);
+  interned.shape_of.reserve(handles.size());
+  for (const ShapeStore::Node* node : handles) {
+    interned.shape_of.push_back(view.id_of.at(node));
+  }
+  interned.stats = store.stats();
+  span.arg("jobs", sample.size());
+  span.arg("shapes", interned.table.size());
+  return interned;
+}
+
 }  // namespace
 
 CharacterizationPipeline::CharacterizationPipeline(PipelineConfig config)
@@ -57,104 +80,33 @@ PipelineResult CharacterizationPipeline::run(const trace::Trace& trace,
     span.arg("jobs", result.sample.size());
   }
 
+  // Every stage below runs once per item: a sample job, or with
+  // intern_shapes a distinct shape's exemplar carrying its multiplicity.
+  std::span<const JobDag> items = result.sample;
+  std::vector<std::uint64_t> counts;
+  std::span<const std::uint32_t> shape_of;
   if (config_.intern_shapes) {
-    run_interned(result, pool, fitted);
-    pipeline_span.arg("sampled_jobs", result.sample.size());
-    pipeline_span.arg("distinct_shapes", result.interned->table.size());
-    return result;
+    result.interned = intern_sample(result.sample);
+    items = result.interned->table.exemplars;
+    counts = result.interned->table.counts();
+    shape_of = result.interned->shape_of;
   }
+  const char* const item_unit = config_.intern_shapes ? "shapes" : "jobs";
 
   {
     obs::Span span("pipeline.structure");
-    result.conflation = ConflationReport::compute(result.sample);
-    result.structure_before = StructuralReport::compute(result.sample);
+    result.conflation = ConflationReport::compute(items, counts);
+    result.structure_before = StructuralReport::compute(items, counts);
   }
 
-  // Conflation is pure per job, so it rides the same pool as featurization.
-  std::vector<JobDag> conflated(result.sample.size());
+  // Conflation is pure per item, so it rides the same pool as featurization.
+  std::vector<JobDag> conflated(items.size());
   {
     obs::Span span("pipeline.conflation");
-    span.arg("jobs", conflated.size());
+    span.arg(item_unit, conflated.size());
     const auto conflate_range = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        conflated[i] = conflate_job(result.sample[i]);
-      }
-    };
-    if (pool != nullptr) {
-      util::parallel_for_chunked(*pool, 0, conflated.size(), 16, conflate_range);
-    } else {
-      conflate_range(0, conflated.size());
-    }
-    result.structure_after = StructuralReport::compute(conflated);
-  }
-
-  {
-    obs::Span span("pipeline.task_types");
-    result.task_types = TaskTypeReport::compute(result.sample);
-    result.patterns = PatternCensus::compute(result.sample);
-  }
-
-  const std::vector<JobDag>& analysis_set =
-      config_.analyze_conflated ? conflated : result.sample;
-  {
-    obs::Span span("pipeline.similarity");
-    span.arg("jobs", analysis_set.size());
-    result.similarity = SimilarityAnalysis::compute(
-        analysis_set, config_.similarity, pool, fitted);
-  }
-  {
-    obs::Span span("pipeline.clustering");
-    result.clustering = ClusteringAnalysis::compute(result.similarity.gram,
-                                                    analysis_set,
-                                                    config_.clustering);
-  }
-  pipeline_span.arg("sampled_jobs", result.sample.size());
-  return result;
-}
-
-/// The shape-interned back half of run(): everything after sampling runs
-/// once per distinct shape, count-weighted. Per-job outputs (labels, the
-/// Gram matrix) are expanded back so the PipelineResult is a drop-in
-/// replacement for the direct path's.
-void CharacterizationPipeline::run_interned(PipelineResult& result,
-                                            util::ThreadPool* pool,
-                                            FittedFeatures* fitted) const {
-  InternedAnalysis interned;
-  {
-    obs::Span span("pipeline.intern");
-    ShapeStore store;
-    std::vector<const ShapeStore::Node*> handles;
-    handles.reserve(result.sample.size());
-    for (std::size_t i = 0; i < result.sample.size(); ++i) {
-      handles.push_back(store.intern(result.sample[i], i));
-    }
-    ShapeStore::FrozenView view = store.freeze_with_ids();
-    interned.table = std::move(view.table);
-    interned.shape_of.reserve(handles.size());
-    for (const ShapeStore::Node* node : handles) {
-      interned.shape_of.push_back(view.id_of.at(node));
-    }
-    interned.stats = store.stats();
-    span.arg("jobs", result.sample.size());
-    span.arg("shapes", interned.table.size());
-  }
-  const std::vector<JobDag>& exemplars = interned.table.exemplars;
-  const std::vector<std::uint64_t> counts = interned.table.counts();
-
-  {
-    obs::Span span("pipeline.structure");
-    result.conflation = ConflationReport::compute(exemplars, counts);
-    result.structure_before = StructuralReport::compute(exemplars, counts);
-  }
-
-  // One conflation per distinct shape (vs one per job on the direct path).
-  std::vector<JobDag> conflated(exemplars.size());
-  {
-    obs::Span span("pipeline.conflation");
-    span.arg("shapes", conflated.size());
-    const auto conflate_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        conflated[i] = conflate_job(exemplars[i]);
+        conflated[i] = conflate_job(items[i]);
       }
     };
     if (pool != nullptr) {
@@ -167,32 +119,32 @@ void CharacterizationPipeline::run_interned(PipelineResult& result,
 
   {
     obs::Span span("pipeline.task_types");
-    result.task_types = TaskTypeReport::compute(exemplars, counts);
-    result.patterns = PatternCensus::compute(exemplars, counts);
+    result.task_types = TaskTypeReport::compute(items, counts);
+    result.patterns = PatternCensus::compute(items, counts);
   }
 
-  const std::vector<JobDag>& analysis_shapes =
-      config_.analyze_conflated ? conflated : exemplars;
-  SimilarityAnalysis shape_similarity;
+  const std::span<const JobDag> analysis_set =
+      config_.analyze_conflated ? std::span<const JobDag>(conflated) : items;
   {
     obs::Span span("pipeline.similarity");
-    span.arg("shapes", analysis_shapes.size());
-    shape_similarity = SimilarityAnalysis::compute(
-        analysis_shapes, config_.similarity, pool, fitted);
+    span.arg(item_unit, analysis_set.size());
+    result.similarity = SimilarityAnalysis::compute(
+        analysis_set, config_.similarity, pool, fitted);
   }
-  interned.shape_gram = shape_similarity.gram;
-
   {
     obs::Span span("pipeline.clustering");
-    result.clustering = ClusteringAnalysis::compute_interned(
-        interned.shape_gram, analysis_shapes, counts, interned.shape_of,
-        config_.clustering);
+    result.clustering =
+        ClusteringAnalysis::compute(result.similarity.gram, analysis_set,
+                                    config_.clustering, counts, shape_of);
   }
 
-  // Expand the shape kernel back to the per-job Gram: same-shape jobs have
-  // bitwise-identical WL feature vectors, so this reproduces the direct
-  // path's matrix exactly and every downstream consumer works unchanged.
-  {
+  pipeline_span.arg("sampled_jobs", result.sample.size());
+  if (result.interned.has_value()) {
+    // Expand the shape kernel back to the per-job Gram: same-shape jobs have
+    // bitwise-identical WL feature vectors, so this reproduces the direct
+    // path's matrix exactly and every downstream consumer works unchanged.
+    InternedAnalysis& interned = *result.interned;
+    interned.shape_gram = std::move(result.similarity.gram);
     const std::size_t n = result.sample.size();
     result.similarity.gram = linalg::Matrix(n, n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -201,12 +153,14 @@ void CharacterizationPipeline::run_interned(PipelineResult& result,
             interned.shape_gram(interned.shape_of[i], interned.shape_of[j]);
       }
     }
+    result.similarity.job_names.clear();
     result.similarity.job_names.reserve(n);
     for (const JobDag& job : result.sample) {
       result.similarity.job_names.push_back(job.job_name);
     }
+    pipeline_span.arg("distinct_shapes", interned.table.size());
   }
-  result.interned = std::move(interned);
+  return result;
 }
 
 std::vector<JobDag> CharacterizationPipeline::build_all_dags(

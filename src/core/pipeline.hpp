@@ -170,9 +170,6 @@ class CharacterizationPipeline {
                            IngestStats* stats = nullptr) const;
 
  private:
-  void run_interned(PipelineResult& result, util::ThreadPool* pool,
-                    FittedFeatures* fitted) const;
-
   FullTraceResult run_full_table(ShapeTable table,
                                  std::vector<std::uint32_t> shape_of,
                                  ShapeStore::Stats stats,

@@ -47,77 +47,45 @@ FittedModel build_model(const core::PipelineResult& result,
   }
   m.representatives.resize(m.profiles.size());
 
-  if (result.interned.has_value()) {
-    // Shape-interned fit: the fitted vectors are per distinct shape, the
-    // clustering labels per job. One representative per shape — its exemplar
-    // is a literal copy of the shape's first sampled job, so job_name and
-    // training_index address that job and the medoid remap below still
-    // resolves (group medoids are first-job indices of medoid shapes).
-    const core::InternedAnalysis& interned = *result.interned;
-    const std::size_t shapes = interned.table.size();
-    if (n != shapes || clustering.labels.size() != interned.shape_of.size()) {
-      throw ModelError(
-          "model: fitted features, clustering labels, and the shape table "
-          "disagree on the analysis-set size — results from different runs?");
-    }
-    std::vector<std::uint64_t> first_job(shapes,
-                                         std::numeric_limits<std::uint64_t>::max());
-    std::vector<int> shape_label(shapes, -1);
-    for (std::size_t i = 0; i < interned.shape_of.size(); ++i) {
-      const std::uint32_t t = interned.shape_of[i];
-      if (t >= shapes) {
-        throw ModelError("model: shape id out of range in interned result");
-      }
-      if (first_job[t] == std::numeric_limits<std::uint64_t>::max()) {
-        first_job[t] = i;
-        shape_label[t] = clustering.labels[i];
-      }
-    }
-    for (std::size_t t = 0; t < shapes; ++t) {
-      const int group = shape_label[t];
-      if (group < 0 || static_cast<std::size_t>(group) >= m.profiles.size()) {
-        throw ModelError("model: clustering label out of range for shape " +
-                         std::to_string(t));
-      }
-      Representative rep;
-      rep.job_name = interned.table.exemplars[t].job_name;
-      rep.training_index = first_job[t];
-      rep.count = interned.table.shapes[t].count;
-      rep.features = std::move(fitted.vectors[t]);
-      rep.self_norm = rep.features.norm();
-      m.representatives[static_cast<std::size_t>(group)].push_back(
-          std::move(rep));
-    }
-    for (std::size_t c = 0; c < clustering.groups.size(); ++c) {
-      const std::size_t medoid = clustering.groups[c].medoid;
-      const auto& reps = m.representatives[c];
-      for (std::size_t r = 0; r < reps.size(); ++r) {
-        if (reps[r].training_index == medoid) {
-          m.profiles[c].medoid = r;
-          break;
-        }
-      }
-    }
-    m.validate();
-    return m;
-  }
-
-  if (clustering.labels.size() != n || names.size() != n) {
+  // One representative per analysis-set item: every job on a direct run,
+  // every distinct shape on an interned one, carrying its multiplicity. An
+  // item's training index is its first job (an interned exemplar is a
+  // literal copy of it), so the group medoids, which are job indices,
+  // resolve below either way.
+  const core::InternedAnalysis* interned =
+      result.interned.has_value() ? &*result.interned : nullptr;
+  const std::size_t jobs = clustering.labels.size();
+  if (names.size() != jobs ||
+      n != (interned != nullptr ? interned->table.size() : jobs) ||
+      (interned != nullptr && interned->shape_of.size() != jobs)) {
     throw ModelError(
         "model: fitted features, clustering labels, and job names disagree "
         "on the analysis-set size — results from different runs?");
   }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const int group = clustering.labels[i];
+  constexpr auto kUnseen = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> first_job(n, kUnseen);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    const std::size_t t = interned != nullptr ? interned->shape_of[i] : i;
+    if (t >= n) {
+      throw ModelError("model: shape id out of range in interned result");
+    }
+    if (first_job[t] == kUnseen) first_job[t] = i;
+  }
+  for (std::size_t t = 0; t < n; ++t) {
+    if (first_job[t] == kUnseen) {
+      throw ModelError("model: no job of shape " + std::to_string(t) +
+                       " in interned result");
+    }
+    const int group = clustering.labels[first_job[t]];
     if (group < 0 || static_cast<std::size_t>(group) >= m.profiles.size()) {
       throw ModelError("model: clustering label out of range for job '" +
-                       names[i] + "'");
+                       names[first_job[t]] + "'");
     }
     Representative rep;
-    rep.job_name = names[i];
-    rep.training_index = i;
-    rep.features = std::move(fitted.vectors[i]);
+    rep.job_name = names[first_job[t]];
+    rep.training_index = first_job[t];
+    if (interned != nullptr) rep.count = interned->table.shapes[t].count;
+    rep.features = std::move(fitted.vectors[t]);
     rep.self_norm = rep.features.norm();
     m.representatives[static_cast<std::size_t>(group)].push_back(
         std::move(rep));

@@ -171,16 +171,6 @@ Trace read_trace(const std::filesystem::path& dir, std::size_t* skipped,
   return trace;
 }
 
-StreamStats for_each_job_in_task_csv(
-    std::istream& in,
-    const std::function<bool(const std::string& job_name,
-                             const std::vector<TaskRecord>& tasks)>& fn) {
-  return consume_jobs_in_task_csv(
-      in, [&fn](std::string&& job, std::vector<TaskRecord>&& tasks) {
-        return fn(job, tasks);
-      });
-}
-
 StreamStats consume_jobs_in_task_csv(
     std::istream& in,
     const std::function<bool(std::string&& job_name,

@@ -66,20 +66,13 @@ struct StreamStats {
 };
 
 /// Streams batch_task rows grouped by job WITHOUT materializing the trace —
-/// required for the real 270 GB files. Rows of one job are assumed
-/// contiguous (true of the released trace); if a job name reappears after
-/// its group was emitted, the re-occurrence is emitted as a separate group
-/// and counted in `StreamStats::fragmented` so callers can detect unsorted
-/// input. `fn` returning false stops the stream early.
-StreamStats for_each_job_in_task_csv(
-    std::istream& in,
-    const std::function<bool(const std::string& job_name,
-                             const std::vector<TaskRecord>& tasks)>& fn);
-
-/// Move-based variant of `for_each_job_in_task_csv`: ownership of each job
-/// group transfers to `fn`, so a consumer can forward groups to worker
-/// threads without copying (the streaming ingest's reader thread does).
-/// Same grouping, early-stop, and StreamStats semantics.
+/// required for the real 270 GB files. Ownership of each job group
+/// transfers to `fn`, so a consumer can forward groups to worker threads
+/// without copying (the streaming ingest's reader thread does). Rows of one
+/// job are assumed contiguous (true of the released trace); if a job name
+/// reappears after its group was emitted, the re-occurrence is emitted as a
+/// separate group and counted in `StreamStats::fragmented` so callers can
+/// detect unsorted input. `fn` returning false stops the stream early.
 ///
 /// Failure posture follows `options`: lenient (default) quarantines
 /// malformed rows and CSV damage into `options.diagnostics`; strict throws

@@ -63,19 +63,6 @@ bool CsvReader::next(std::vector<std::string>& fields) {
   return true;
 }
 
-std::size_t for_each_csv_record(
-    std::istream& in,
-    const std::function<bool(const std::vector<std::string>&)>& fn) {
-  CsvReader reader(in);
-  std::vector<std::string> fields;
-  std::size_t n = 0;
-  while (reader.next(fields)) {
-    ++n;
-    if (!fn(fields)) break;
-  }
-  return n;
-}
-
 std::string csv_escape(std::string_view field) {
   const bool needs_quotes =
       field.find_first_of(",\"\r\n") != std::string_view::npos;

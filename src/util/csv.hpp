@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -31,11 +30,6 @@ class CsvReader {
   std::istream& in_;
   std::size_t record_ = 0;
 };
-
-/// Streams records through `fn`; stops early if `fn` returns false.
-/// Returns the number of records visited.
-std::size_t for_each_csv_record(
-    std::istream& in, const std::function<bool(const std::vector<std::string>&)>& fn);
 
 /// Escapes a single field per RFC 4180 (quotes only when needed).
 std::string csv_escape(std::string_view field);

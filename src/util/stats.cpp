@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/error.hpp"
+
 namespace cwgl::util {
 
 void RunningSummary::add(double x) noexcept {
@@ -76,56 +78,40 @@ double IntHistogram::fraction(long long key) const noexcept {
                      : static_cast<double>(count(key)) / static_cast<double>(total_);
 }
 
-Distribution describe(std::span<const double> values) {
-  Distribution d;
-  d.count = values.size();
-  if (values.empty()) return d;
-  RunningSummary s;
-  for (double v : values) s.add(v);
-  Quantiles q(values);
-  d.mean = s.mean();
-  d.min = q.min();
-  d.p25 = q.p25();
-  d.median = q.median();
-  d.p75 = q.p75();
-  d.max = q.max();
-  return d;
-}
-
-Distribution describe_weighted(std::span<const double> values,
-                               std::span<const std::uint64_t> weights) {
-  Distribution d;
-  if (values.size() != weights.size()) return d;
-  // Sorted (value, weight) pairs with zero weights dropped: the compressed
+Distribution describe(std::span<const double> values,
+                      std::span<const std::uint64_t> counts) {
+  check_counts(counts, values.size(), "describe");
+  // Sorted (value, count) pairs with zero counts dropped: the compressed
   // form of the expanded sorted sample.
   std::vector<std::pair<double, std::uint64_t>> sorted;
   sorted.reserve(values.size());
   std::uint64_t total = 0;
+  double mean = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (weights[i] == 0) continue;
-    sorted.emplace_back(values[i], weights[i]);
-    total += weights[i];
+    const std::uint64_t c = weight_at(counts, i);
+    if (c == 0) continue;
+    sorted.emplace_back(values[i], c);
+    total += c;
+    mean += (values[i] - mean) * static_cast<double>(c) /
+            static_cast<double>(total);
   }
-  std::sort(sorted.begin(), sorted.end());
+  Distribution d;
   d.count = static_cast<std::size_t>(total);
   if (total == 0) return d;
-
-  double sum = 0.0;
-  for (const auto& [v, w] : sorted) sum += v * static_cast<double>(w);
-  d.mean = sum / static_cast<double>(total);
+  d.mean = mean;
+  std::sort(sorted.begin(), sorted.end());
 
   // The expanded sample's order statistic at `rank` via a cumulative scan.
   const auto element_at = [&](std::uint64_t rank) {
     std::uint64_t cumulative = 0;
-    for (const auto& [v, w] : sorted) {
-      cumulative += w;
+    for (const auto& [v, c] : sorted) {
+      cumulative += c;
       if (rank < cumulative) return v;
     }
     return sorted.back().first;
   };
-  // Mirrors Quantiles::quantile exactly — same pos/lo/frac arithmetic over
-  // the (virtual) expanded sorted vector, so results are bit-identical to
-  // describe() on the expansion.
+  // Mirrors Quantiles::quantile exactly: the same pos/lo/frac arithmetic
+  // over the (virtual) expanded sorted vector.
   const auto quantile = [&](double q) {
     if (q <= 0.0) return sorted.front().first;
     if (q >= 1.0) return sorted.back().first;
@@ -141,6 +127,25 @@ Distribution describe_weighted(std::span<const double> values,
   d.p75 = quantile(0.75);
   d.max = sorted.back().first;
   return d;
+}
+
+void check_counts(std::span<const std::uint64_t> counts, std::size_t rows,
+                  std::string_view what) {
+  if (!counts.empty() && counts.size() != rows) {
+    throw InvalidArgument(std::string(what) + ": one count per row required");
+  }
+}
+
+void check_weights(std::span<const double> weights, std::size_t rows,
+                   std::string_view what) {
+  if (!weights.empty() && weights.size() != rows) {
+    throw InvalidArgument(std::string(what) + ": one weight per row required");
+  }
+  for (double w : weights) {
+    if (!std::isfinite(w) || w <= 0.0) {
+      throw InvalidArgument(std::string(what) + ": weights must be positive");
+    }
+  }
 }
 
 double jensen_shannon(const IntHistogram& p, const IntHistogram& q) {

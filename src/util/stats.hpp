@@ -5,6 +5,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cwgl::util {
@@ -91,16 +92,32 @@ struct Distribution {
   double max = 0.0;
 };
 
-/// Computes a `Distribution` from raw values.
-Distribution describe(std::span<const double> values);
-
 /// Computes the `Distribution` of the sample in which `values[i]` occurs
-/// `weights[i]` times, without expanding it. Order statistics (min/p25/
-/// median/p75/max) are bit-identical to `describe` on the expanded sample;
-/// the mean is the same value up to floating-point summation order.
-/// Weights of zero are ignored; the spans must have equal length.
-Distribution describe_weighted(std::span<const double> values,
-                               std::span<const std::uint64_t> weights);
+/// `counts[i]` times, without expanding it; empty `counts` means once each.
+/// Order statistics (min/p25/median/p75/max) are bit-identical to the
+/// expanded sample's. The mean is a count-weighted Welford pass in input
+/// order: with unit counts it is exactly RunningSummary's mean, otherwise
+/// the expanded mean up to rounding. Zero counts are ignored. Throws
+/// InvalidArgument when `counts` is neither empty nor one per value.
+Distribution describe(std::span<const double> values,
+                      std::span<const std::uint64_t> counts = {});
+
+/// Multiplicity of row `i` of a count-weighted input: `weights[i]`, or 1
+/// when `weights` is empty (the unweighted case).
+template <typename W>
+W weight_at(std::span<const W> weights, std::size_t i) noexcept {
+  return weights.empty() ? W{1} : weights[i];
+}
+
+/// Throws InvalidArgument, prefixed by `what`, unless `counts` is empty or
+/// holds one entry per row.
+void check_counts(std::span<const std::uint64_t> counts, std::size_t rows,
+                  std::string_view what);
+
+/// `check_counts` for real-valued weights, which must also be finite and
+/// positive.
+void check_weights(std::span<const double> weights, std::size_t rows,
+                   std::string_view what);
 
 /// Pearson correlation of two equal-length samples; 0 if degenerate.
 double pearson(std::span<const double> x, std::span<const double> y);

@@ -40,7 +40,7 @@ TEST(DenseGuard, WeightedVariantGuardedToo) {
   opt.max_dense_items = 16;
   const auto w = identity_similarity(17);
   const std::vector<double> weights(17, 1.0);
-  EXPECT_THROW(spectral_cluster_weighted(w, weights, 2, opt),
+  EXPECT_THROW(spectral_cluster(w, 2, opt, weights),
                util::InvalidArgument);
 }
 

@@ -14,7 +14,7 @@ TEST(KMeansWeightedEdges, SingleClusterIsWeightedMean) {
   linalg::Matrix data = linalg::Matrix::from_rows(
       {{0.0, 0.0}, {4.0, 0.0}, {0.0, 8.0}});
   const std::vector<double> weights = {1.0, 2.0, 1.0};
-  const auto result = kmeans_weighted(data, weights, 1);
+  const auto result = kmeans(data, 1, {}, weights);
   for (int l : result.labels) EXPECT_EQ(l, 0);
   // Weighted mean: x = (0 + 2*4 + 0)/4 = 2, y = (0 + 0 + 8)/4 = 2.
   EXPECT_NEAR(result.centers(0, 0), 2.0, 1e-9);
@@ -24,16 +24,16 @@ TEST(KMeansWeightedEdges, SingleClusterIsWeightedMean) {
 TEST(KMeansWeightedEdges, AllZeroWeightsThrow) {
   linalg::Matrix data = linalg::Matrix::from_rows({{0.0}, {1.0}, {2.0}});
   const std::vector<double> zeros = {0.0, 0.0, 0.0};
-  EXPECT_THROW(kmeans_weighted(data, zeros, 2), util::InvalidArgument);
+  EXPECT_THROW(kmeans(data, 2, {}, zeros), util::InvalidArgument);
 }
 
 TEST(KMeansWeightedEdges, NegativeAndNonFiniteWeightsThrow) {
   linalg::Matrix data = linalg::Matrix::from_rows({{0.0}, {1.0}, {2.0}});
   const std::vector<double> negative = {1.0, -1.0, 1.0};
-  EXPECT_THROW(kmeans_weighted(data, negative, 2), util::InvalidArgument);
+  EXPECT_THROW(kmeans(data, 2, {}, negative), util::InvalidArgument);
   const std::vector<double> inf = {
       1.0, std::numeric_limits<double>::infinity(), 1.0};
-  EXPECT_THROW(kmeans_weighted(data, inf, 2), util::InvalidArgument);
+  EXPECT_THROW(kmeans(data, 2, {}, inf), util::InvalidArgument);
 }
 
 TEST(KMeansWeightedEdges, KAboveDistinctPointsStaysBounded) {
@@ -47,7 +47,7 @@ TEST(KMeansWeightedEdges, KAboveDistinctPointsStaysBounded) {
     data(i, 1) = 0.0;
   }
   const std::vector<double> weights = {1.0, 1.0, 1.0, 2.0, 2.0, 2.0};
-  const auto result = kmeans_weighted(data, weights, 4);
+  const auto result = kmeans(data, 4, {}, weights);
   for (int l : result.labels) {
     EXPECT_GE(l, 0);
     EXPECT_LT(l, 4);
@@ -68,17 +68,17 @@ TEST(KMeansWeightedEdges, DeterministicAcrossRuns) {
   }
   KMeansOptions opt;
   opt.seed = 977;
-  const auto a = kmeans_weighted(data, weights, 4, opt);
-  const auto b = kmeans_weighted(data, weights, 4, opt);
+  const auto a = kmeans(data, 4, opt, weights);
+  const auto b = kmeans(data, 4, opt, weights);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
 
   KMeansOptions other = opt;
   other.seed = 978;
-  const auto c = kmeans_weighted(data, weights, 4, other);
+  const auto c = kmeans(data, 4, other, weights);
   // A different seed is allowed to find the same partition, but the
   // restart-stream must at minimum be reproducible per seed.
-  const auto d = kmeans_weighted(data, weights, 4, other);
+  const auto d = kmeans(data, 4, other, weights);
   EXPECT_EQ(c.labels, d.labels);
 }
 
@@ -98,22 +98,29 @@ TEST(SilhouetteWeightedEdges, SingleClusterScoresZero) {
   const auto d = pair_distances();
   const std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
   const std::vector<int> labels = {0, 0, 0, 0};
-  EXPECT_DOUBLE_EQ(silhouette_score_weighted(d, weights, labels), 0.0);
+  EXPECT_DOUBLE_EQ(silhouette_score(d, labels, weights), 0.0);
 }
 
 TEST(SilhouetteWeightedEdges, AllZeroWeightsThrow) {
   const auto d = pair_distances();
   const std::vector<double> zeros = {0.0, 0.0, 0.0, 0.0};
   const std::vector<int> labels = {0, 0, 1, 1};
-  EXPECT_THROW(silhouette_score_weighted(d, zeros, labels),
+  EXPECT_THROW(silhouette_score(d, labels, zeros),
                util::InvalidArgument);
+}
+
+TEST(SilhouetteWeightedEdges, WeightLengthMismatchThrows) {
+  const auto d = pair_distances();
+  const std::vector<double> weights = {1.0, 2.0, 3.0};
+  const std::vector<int> labels = {0, 0, 1, 1};
+  EXPECT_THROW(silhouette_score(d, labels, weights), util::InvalidArgument);
 }
 
 TEST(SilhouetteWeightedEdges, WellSeparatedPairsScoreHigh) {
   const auto d = pair_distances();
   const std::vector<double> weights = {2.0, 2.0, 2.0, 2.0};
   const std::vector<int> labels = {0, 0, 1, 1};
-  const double s = silhouette_score_weighted(d, weights, labels);
+  const double s = silhouette_score(d, labels, weights);
   EXPECT_GT(s, 0.85);
   EXPECT_LE(s, 1.0);
 }
@@ -124,7 +131,7 @@ TEST(SilhouetteWeightedEdges, SingletonWeightConventionScoresZero) {
   const auto d = pair_distances();
   const std::vector<double> weights = {1.0, 1.0, 1.0, 1.0};
   const std::vector<int> labels = {0, 1, 2, 3};
-  EXPECT_DOUBLE_EQ(silhouette_score_weighted(d, weights, labels), 0.0);
+  EXPECT_DOUBLE_EQ(silhouette_score(d, labels, weights), 0.0);
 }
 
 }  // namespace

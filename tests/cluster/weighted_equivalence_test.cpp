@@ -90,7 +90,7 @@ TEST(KMeansWeighted, MatchesExpandedRunOnSeparatedData) {
   std::vector<double> w(weights.begin(), weights.end());
 
   const KMeansResult plain = kmeans(expanded, 3);
-  const KMeansResult weighted = kmeans_weighted(data, w, 3);
+  const KMeansResult weighted = kmeans(data, 3, {}, w);
 
   // Expand the weighted labels and compare partitions (cluster ids may be
   // permuted between the two runs — the RNG streams differ).
@@ -122,7 +122,7 @@ TEST(KMeansWeighted, AllWeightsOneMatchesPlainExactly) {
   std::vector<std::uint64_t> weights;
   const linalg::Matrix data = blob_rows(&weights, 11, 12);
   const std::vector<double> ones(data.rows(), 1.0);
-  const KMeansResult weighted = kmeans_weighted(data, ones, 3);
+  const KMeansResult weighted = kmeans(data, 3, {}, ones);
   const KMeansResult plain = kmeans(data, 3);
   EXPECT_TRUE(same_partition(plain.labels, weighted.labels));
   EXPECT_NEAR(weighted.inertia, plain.inertia, 1e-12 * (1.0 + plain.inertia));
@@ -131,14 +131,42 @@ TEST(KMeansWeighted, AllWeightsOneMatchesPlainExactly) {
 TEST(KMeansWeighted, RejectsBadWeights) {
   std::vector<std::uint64_t> weights;
   const linalg::Matrix data = blob_rows(&weights);
-  EXPECT_THROW(kmeans_weighted(data, std::vector<double>(3, 1.0), 3),
+  EXPECT_THROW(kmeans(data, 3, {}, std::vector<double>(3, 1.0)),
                util::InvalidArgument);
   std::vector<double> zero(data.rows(), 1.0);
   zero[0] = 0.0;
-  EXPECT_THROW(kmeans_weighted(data, zero, 3), util::InvalidArgument);
+  EXPECT_THROW(kmeans(data, 3, {}, zero), util::InvalidArgument);
   std::vector<double> nan(data.rows(), 1.0);
   nan[0] = std::nan("");
-  EXPECT_THROW(kmeans_weighted(data, nan, 3), util::InvalidArgument);
+  EXPECT_THROW(kmeans(data, 3, {}, nan), util::InvalidArgument);
+}
+
+TEST(KMeansWeighted, SeedDrawIsUniformWithoutWeightsProportionalWith) {
+  // With no Lloyd iteration the result is the k-means++ seeding itself, so
+  // the first center shows which draw picked it: a uniform row without
+  // weights (the unweighted run's draw, which fixes its labels), a row drawn
+  // in proportion to weight with them.
+  linalg::Matrix data(7, 1);
+  for (std::size_t i = 0; i < 7; ++i) data(i, 0) = static_cast<double>(i);
+  const std::vector<double> weights{1.0, 4.0, 1.0, 2.0, 9.0, 1.0, 3.0};
+  KMeansOptions opt;
+  opt.max_iterations = 0;
+  opt.restarts = 1;
+  std::size_t draws_that_differ = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    opt.seed = seed;
+    const auto stream = [&] {
+      return util::Xoshiro256StarStar(util::hash_combine(seed, 0));
+    };
+    const auto uniform_row = stream().uniform_u64(0, 6);
+    const auto weighted_row = stream().discrete(weights);
+    draws_that_differ += uniform_row != weighted_row;
+    EXPECT_EQ(kmeans(data, 1, opt).centers(0, 0),
+              static_cast<double>(uniform_row));
+    EXPECT_EQ(kmeans(data, 1, opt, weights).centers(0, 0),
+              static_cast<double>(weighted_row));
+  }
+  EXPECT_GT(draws_that_differ, 0u);
 }
 
 /// Block similarity over `rows` items in 3 groups: 1.0 within, ~0 across,
@@ -165,7 +193,7 @@ TEST(SpectralWeighted, MatchesExpandedRunOnBlockData) {
   std::vector<double> w(weights.begin(), weights.end());
 
   const SpectralResult plain = spectral_cluster(expanded, 3);
-  const SpectralResult weighted = spectral_cluster_weighted(sim, w, 3);
+  const SpectralResult weighted = spectral_cluster(sim, 3, {}, w);
 
   std::vector<int> weighted_expanded;
   for (std::size_t i = 0; i < n; ++i) {
@@ -194,7 +222,7 @@ TEST(SpectralWeighted, MatchesExpandedRunOnBlockData) {
 TEST(SpectralWeighted, AllWeightsOneMatchesPlain) {
   const linalg::Matrix sim = block_similarity(9);
   const std::vector<double> ones(9, 1.0);
-  const SpectralResult weighted = spectral_cluster_weighted(sim, ones, 3);
+  const SpectralResult weighted = spectral_cluster(sim, 3, {}, ones);
   const SpectralResult plain = spectral_cluster(sim, 3);
   EXPECT_TRUE(same_partition(plain.labels, weighted.labels));
   ASSERT_EQ(weighted.eigenvalues.size(), plain.eigenvalues.size());
@@ -205,11 +233,11 @@ TEST(SpectralWeighted, AllWeightsOneMatchesPlain) {
 
 TEST(SpectralWeighted, RejectsBadInput) {
   const linalg::Matrix sim = block_similarity(6);
-  EXPECT_THROW(spectral_cluster_weighted(sim, std::vector<double>(4, 1.0), 2),
+  EXPECT_THROW(spectral_cluster(sim, 2, {}, std::vector<double>(4, 1.0)),
                util::InvalidArgument);
   std::vector<double> negative(6, 1.0);
   negative[2] = -1.0;
-  EXPECT_THROW(spectral_cluster_weighted(sim, negative, 2),
+  EXPECT_THROW(spectral_cluster(sim, 2, {}, negative),
                util::InvalidArgument);
 }
 
@@ -233,7 +261,7 @@ TEST(SilhouetteWeighted, MatchesExpandedRun) {
   std::vector<double> w(weights.begin(), weights.end());
 
   const double expanded = silhouette_score(big, big_labels);
-  const double weighted = silhouette_score_weighted(dist, w, labels);
+  const double weighted = silhouette_score(dist, labels, w);
   EXPECT_NEAR(weighted, expanded, 1e-12);
 }
 
@@ -246,7 +274,7 @@ TEST(SilhouetteWeighted, AllWeightsOneMatchesPlain) {
   }
   const std::vector<int> labels{0, 0, 1, 1};
   const std::vector<double> ones(4, 1.0);
-  EXPECT_NEAR(silhouette_score_weighted(dist, ones, labels),
+  EXPECT_NEAR(silhouette_score(dist, labels, ones),
               silhouette_score(dist, labels), 1e-15);
 }
 

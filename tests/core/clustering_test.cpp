@@ -127,6 +127,67 @@ TEST(ClusteringAnalysis, SizeMismatchThrows) {
                util::InvalidArgument);
 }
 
+TEST(ClusteringAnalysis, MedoidTiesKeepTheEarliestJob) {
+  // Two disconnected pairs: both members of a pair are equally central, so
+  // the medoid is the pair's first job. A centrality that subtracted the
+  // self similarity and added it back would give the second job
+  // (-1 + 0.3) + 1, which rounds above 0.3, and hand it the tie.
+  const auto jobs = two_family_corpus();
+  const std::vector<JobDag> pairs(jobs.begin(), jobs.begin() + 4);
+  linalg::Matrix sim(4, 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      sim(i, j) = i == j ? 1.0 : (i / 2 == j / 2 ? 0.3 : 0.0);
+    }
+  }
+  ClusteringOptions options;
+  options.clusters = 2;
+  const auto analysis = ClusteringAnalysis::compute(sim, pairs, options);
+  ASSERT_EQ(analysis.groups.size(), 2u);
+  EXPECT_EQ(analysis.labels[0], analysis.labels[1]);
+  EXPECT_EQ(analysis.labels[2], analysis.labels[3]);
+  EXPECT_EQ(analysis.groups[analysis.labels[0]].medoid, 0u);
+  EXPECT_EQ(analysis.groups[analysis.labels[2]].medoid, 2u);
+}
+
+TEST(ClusteringAnalysis, CountLengthMismatchThrows) {
+  const auto jobs = two_family_corpus();
+  const auto sim = SimilarityAnalysis::compute(jobs);
+  const std::vector<std::uint64_t> counts(jobs.size() + 1, 1);
+  EXPECT_THROW(ClusteringAnalysis::compute(sim.gram, jobs, {}, counts),
+               util::InvalidArgument);
+}
+
+TEST(RelabelByMass, LargestMassFirstTiesToLowerRawId) {
+  const std::vector<int> raw{0, 1, 2, 2, 1};
+  // One job per item: raw ids 1 and 2 tie at two jobs, raw 0 holds one.
+  EXPECT_EQ(relabel_by_mass(raw), (std::vector<int>{2, 0, 1, 1, 0}));
+  // Counts decide the order: raw 0 now stands for five jobs.
+  const std::vector<std::uint64_t> counts{5, 1, 1, 1, 1};
+  EXPECT_EQ(relabel_by_mass(raw, counts), (std::vector<int>{0, 1, 2, 2, 1}));
+  const std::vector<std::uint64_t> short_counts{5, 1};
+  EXPECT_THROW(relabel_by_mass(raw, short_counts), util::InvalidArgument);
+}
+
+TEST(GroupStatistics, CountsWeighEveryStatistic) {
+  const std::vector<JobDag> items{make_job({"M1", "R2_1"}, "j_short"),
+                                  make_job({"M1", "M2", "R3_2_1"}, "j_fan")};
+  const std::vector<int> labels{0, 0};
+  const std::vector<std::uint64_t> counts{3, 1};
+  const auto groups = group_statistics(items, labels, 2, counts);
+  ASSERT_EQ(groups.size(), 2u);
+  // Group 0 is the expanded sample {2, 2, 2, 3} tasks.
+  EXPECT_EQ(groups[0].population, 4u);
+  EXPECT_DOUBLE_EQ(groups[0].population_fraction, 1.0);
+  EXPECT_EQ(groups[0].size.count, 4u);
+  EXPECT_DOUBLE_EQ(groups[0].size.mean, 2.25);
+  EXPECT_DOUBLE_EQ(groups[0].size.median, 2.0);
+  EXPECT_DOUBLE_EQ(groups[0].short_job_fraction, 0.75);
+  EXPECT_DOUBLE_EQ(groups[0].chain_fraction, 0.75);
+  EXPECT_EQ(groups[1].group, 1);
+  EXPECT_EQ(groups[1].population, 0u);
+}
+
 TEST(ClusterGroupStats, ShortJobFraction) {
   std::vector<JobDag> jobs;
   for (int i = 0; i < 4; ++i) {

@@ -74,7 +74,7 @@ TEST_F(EndToEnd, StreamingGroupsMatchIndexGroups) {
   std::ifstream in(dir / "batch_task.csv");
   ASSERT_TRUE(in.is_open());
   std::size_t groups = 0;
-  const auto stats = trace::for_each_job_in_task_csv(
+  const auto stats = trace::consume_jobs_in_task_csv(
       in, [&](const std::string& job, const std::vector<trace::TaskRecord>& tasks) {
         EXPECT_EQ(index.jobs()[groups].job_name, job);
         EXPECT_EQ(index.jobs()[groups].tasks.size(), tasks.size());

@@ -7,13 +7,14 @@
 //
 // Regenerating after an INTENTIONAL format/pipeline change:
 //   cwgl generate --out tests/data/example_trace --jobs 300 --seed 7 --no-instances
-//   cwgl fit --trace tests/data/example_trace --sample 60 --clusters 4 \
+//   cwgl fit --trace tests/data/example_trace --sample 60 --clusters 4
 //            --out tests/data/example_model.cwgl
 // then re-pin the expected clusters below from
 //   cwgl predict --model tests/data/example_model.cwgl tests/data/probe_jobs.csv
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <fstream>
 #include <iterator>
@@ -127,6 +128,35 @@ TEST(GoldenModelTest, InternedFitReproducesGoldenClassifications) {
                                                      : kExpectedTriangleCluster;
     EXPECT_EQ(interned_p.cluster, expected) << probe.job_name;
   }
+}
+
+TEST(GoldenModelTest, RecipeRefitIsByteIdentical) {
+  // The header's `cwgl fit` recipe run through the library (pooled, like the
+  // CLI) must rebuild the committed artifact byte for byte: a change to the
+  // default pipeline that moves one label, statistic or feature shows here.
+  const trace::Trace data =
+      trace::read_trace(std::string(kDataDir) + "/example_trace");
+  core::PipelineConfig cfg;
+  cfg.sample_size = kExpectedTrainingJobs;
+  cfg.clustering.clusters = kExpectedClusters;
+  util::ThreadPool pool;
+  core::FittedFeatures fitted;
+  const core::PipelineResult result =
+      core::CharacterizationPipeline(cfg).run(data, &pool, &fitted);
+  ASSERT_FALSE(result.interned.has_value());
+  const std::string refit =
+      serialize_model(model::build_model(result, std::move(fitted), cfg));
+
+  std::ifstream in(std::string(kDataDir) + "/example_model.cwgl",
+                   std::ios::binary);
+  ASSERT_TRUE(in.is_open());
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  ASSERT_EQ(refit.size(), on_disk.size());
+  const auto first_diff =
+      std::mismatch(refit.begin(), refit.end(), on_disk.begin()).first;
+  EXPECT_TRUE(first_diff == refit.end())
+      << "first differing byte at offset " << (first_diff - refit.begin());
 }
 
 TEST(GoldenModelTest, GoldenPredictionsAreByteStable) {

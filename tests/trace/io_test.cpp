@@ -94,7 +94,7 @@ TEST(TraceIoStream, GroupsConsecutiveRowsByJob) {
   write_batch_task_csv(buffer, trace.tasks);
   std::vector<std::string> jobs_seen;
   std::size_t rows_seen = 0;
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer, [&](const std::string& job, const std::vector<TaskRecord>& tasks) {
         jobs_seen.push_back(job);
         rows_seen += tasks.size();
@@ -117,7 +117,7 @@ TEST(TraceIoStream, FragmentedJobsDetected) {
   buffer << "M1,1,j_2,1,Terminated,10,20,100.00,0.50\n";
   buffer << "R2_1,1,j_1,1,Terminated,30,40,100.00,0.50\n";  // j_1 reappears
   std::size_t groups = 0;
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer, [&](const std::string&, const std::vector<TaskRecord>&) {
         ++groups;
         return true;
@@ -132,7 +132,7 @@ TEST(TraceIoStream, EarlyStopHonored) {
   std::stringstream buffer;
   write_batch_task_csv(buffer, trace.tasks);
   std::size_t groups = 0;
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer, [&](const std::string&, const std::vector<TaskRecord>&) {
         return ++groups < 3;
       });
@@ -146,7 +146,7 @@ TEST(TraceIoStream, MalformedRowsCountedNotFatal) {
   buffer << "garbage row\n";
   buffer << "R2_1,1,j_1,1,Terminated,30,40,100.00,0.50\n";
   std::size_t rows = 0;
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer, [&](const std::string&, const std::vector<TaskRecord>& tasks) {
         rows += tasks.size();
         return true;
@@ -158,7 +158,7 @@ TEST(TraceIoStream, MalformedRowsCountedNotFatal) {
 
 TEST(TraceIoStream, EmptyInput) {
   std::stringstream buffer;
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer,
       [&](const std::string&, const std::vector<TaskRecord>&) { return true; });
   EXPECT_EQ(stats.rows, 0u);
@@ -171,7 +171,7 @@ TEST(TraceIoStream, EarlyStopDoesNotVisitLaterGroups) {
   buffer << "M1,1,j_2,1,Terminated,10,20,100.00,0.50\n";
   buffer << "M1,1,j_3,1,Terminated,10,20,100.00,0.50\n";
   std::vector<std::string> seen;
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer, [&](const std::string& job, const std::vector<TaskRecord>&) {
         seen.push_back(job);
         return false;  // stop after the very first group
@@ -189,7 +189,7 @@ TEST(TraceIoStream, RepeatedReoccurrencesEachCountFragmented) {
     buffer << "M1,1,j_a,1,Terminated,10,20,100.00,0.50\n";
     buffer << "M1,1,j_b,1,Terminated,10,20,100.00,0.50\n";
   }
-  const auto stats = for_each_job_in_task_csv(
+  const auto stats = consume_jobs_in_task_csv(
       buffer, [](const std::string&, const std::vector<TaskRecord>&) {
         return true;
       });

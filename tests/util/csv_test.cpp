@@ -108,16 +108,19 @@ TEST(CsvRoundTrip, ArbitraryFieldsSurvive) {
   EXPECT_EQ(rows[0], original);
 }
 
-TEST(ForEachCsvRecord, EarlyStop) {
+TEST(CsvReader, EarlyStop) {
   std::istringstream in("a\nb\nc\n");
+  CsvReader reader(in);
+  std::vector<std::string> fields;
   int seen = 0;
-  const std::size_t visited =
-      for_each_csv_record(in, [&](const std::vector<std::string>&) {
-        ++seen;
-        return seen < 2;
-      });
-  EXPECT_EQ(visited, 2u);
+  while (reader.next(fields)) {
+    if (++seen == 2) break;
+  }
+  EXPECT_EQ(reader.record_number(), 2u);
   EXPECT_EQ(seen, 2);
+  // Stopping consumed only the records read: the third is still there.
+  ASSERT_TRUE(reader.next(fields));
+  EXPECT_EQ(fields, std::vector<std::string>{"c"});
 }
 
 }  // namespace

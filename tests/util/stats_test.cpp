@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace cwgl::util {
 namespace {
 
@@ -165,7 +167,7 @@ TEST(DescribeWeighted, MatchesExpandedDescribeExactly) {
   const std::vector<double> values{4.0, 1.0, 7.5, 2.0, 3.0};
   const std::vector<std::uint64_t> weights{3, 1, 2, 5, 4};
   const Distribution expanded = describe(expand_weighted(values, weights));
-  const Distribution weighted = describe_weighted(values, weights);
+  const Distribution weighted = describe(values, weights);
   EXPECT_EQ(weighted.count, expanded.count);
   // Order statistics must be bit-identical: the weighted quantile mirrors
   // Quantiles::quantile on the expanded multiset.
@@ -182,7 +184,7 @@ TEST(DescribeWeighted, AllWeightsOneMatchesDescribe) {
   const std::vector<double> values{9.0, 2.0, 5.0, 5.0};
   const std::vector<std::uint64_t> ones(values.size(), 1);
   const Distribution plain = describe(values);
-  const Distribution weighted = describe_weighted(values, ones);
+  const Distribution weighted = describe(values, ones);
   EXPECT_EQ(weighted.count, plain.count);
   EXPECT_EQ(weighted.median, plain.median);
   EXPECT_EQ(weighted.p25, plain.p25);
@@ -193,17 +195,17 @@ TEST(DescribeWeighted, AllWeightsOneMatchesDescribe) {
 TEST(DescribeWeighted, IgnoresZeroWeights) {
   const std::vector<double> values{1.0, 100.0, 3.0};
   const std::vector<std::uint64_t> weights{2, 0, 2};
-  const Distribution d = describe_weighted(values, weights);
+  const Distribution d = describe(values, weights);
   EXPECT_EQ(d.count, 4u);
   EXPECT_EQ(d.max, 3.0);  // the zero-weight value never appears
   EXPECT_DOUBLE_EQ(d.mean, 2.0);
 }
 
 TEST(DescribeWeighted, EmptyAndAllZeroWeights) {
-  EXPECT_EQ(describe_weighted({}, {}).count, 0u);
+  EXPECT_EQ(describe({}, {}).count, 0u);
   const std::vector<double> values{1.0, 2.0};
   const std::vector<std::uint64_t> zeros{0, 0};
-  const Distribution d = describe_weighted(values, zeros);
+  const Distribution d = describe(values, zeros);
   EXPECT_EQ(d.count, 0u);
   EXPECT_EQ(d.mean, 0.0);
 }
@@ -211,12 +213,18 @@ TEST(DescribeWeighted, EmptyAndAllZeroWeights) {
 TEST(DescribeWeighted, SingleHeavyValue) {
   const std::vector<double> values{42.0};
   const std::vector<std::uint64_t> weights{1000};
-  const Distribution d = describe_weighted(values, weights);
+  const Distribution d = describe(values, weights);
   EXPECT_EQ(d.count, 1000u);
   EXPECT_DOUBLE_EQ(d.mean, 42.0);
   EXPECT_DOUBLE_EQ(d.median, 42.0);
   EXPECT_DOUBLE_EQ(d.min, 42.0);
   EXPECT_DOUBLE_EQ(d.max, 42.0);
+}
+
+TEST(DescribeWeighted, CountLengthMismatchThrows) {
+  const std::vector<double> values{1.0, 2.0, 3.0};
+  const std::vector<std::uint64_t> counts{1, 2};
+  EXPECT_THROW(describe(values, counts), InvalidArgument);
 }
 
 TEST(Pearson, PerfectPositiveCorrelation) {
