@@ -73,7 +73,7 @@ void run() {
   const trace::Trace incoming = make_trace(4000, kMasterSeed + 1);
   const std::vector<core::JobDag> jobs =
       core::build_all_dag_jobs(incoming, trace::SamplingCriteria{});
-  std::cout << "model: " << classifier.model().num_clusters()
+  std::cout << "model: " << classifier.num_clusters()
             << " clusters, " << classifier.dictionary_size()
             << " WL signatures, " << models.sampled.training_jobs()
             << " representatives (full fit: "

@@ -17,9 +17,10 @@
 #   scripts/bench_diff.py (deltas informational; a missing metric or broken
 #   schema fails the pass)
 # — plus the serve-smoke pass: cwgl fit -> predict -> serve-bench on the
-#   bundled example trace, and bench_serve diffed against
-#   bench/baselines/BENCH_serve.json with a --min-bar floor of 0.5 on the
-#   full-fit vs sampled-fit serial classify ratio
+#   bundled example trace (serve-bench's classify counters must show
+#   memo_hits + scans == jobs and postings > 0), and bench_serve diffed
+#   against bench/baselines/BENCH_serve.json with a --min-bar floor of 0.5
+#   on the full-fit vs sampled-fit serial classify ratio
 # — plus the serve-daemon-smoke pass: fit a snapshot, run the resident
 #   `cwgl serve` daemon on a unix socket, round-trip ping/classify through
 #   `cwgl client`, verify a corrupt reload is rejected while the old model
@@ -146,9 +147,11 @@ run_bench_smoke() {
 # Model store + serving smoke: fit a snapshot on the bundled example trace,
 # classify the committed probe jobs against it, and run the serving bench —
 # the full `cwgl fit -> predict -> serve-bench` sequence a deployment would
-# use. BENCH_serve.json is structurally diffed against the committed
-# baseline (timing deltas informational, like bench-smoke); a full-trace
-# model must classify at least half as fast as the sampled one.
+# use. serve-bench's metrics must account for every job as a memo hit or a
+# scan, and show the scans visiting postings. BENCH_serve.json is
+# structurally diffed against the committed baseline (timing deltas
+# informational, like bench-smoke); a full-trace model must classify at
+# least half as fast as the sampled one.
 run_serve_smoke() {
   local name="serve-smoke" build_dir="build-check-serve-smoke"
   echo
@@ -174,8 +177,23 @@ run_serve_smoke() {
     ok=0
   fi
   if ((ok)) && ! "${cwgl}" serve-bench --model "${out}/model.cwgl" \
-      --jobs 200 --repeat 1 --json > "${out}/serve_bench.json"; then
+      --jobs 200 --repeat 1 --metrics --json > "${out}/serve_bench.json"; then
     echo "serve-smoke: serve-bench failed" >&2
+    ok=0
+  fi
+  # Every classified job is a memo hit or a scan, and scans walk postings.
+  if ((ok)) && ! python3 -c '
+import json, sys
+counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
+jobs = counters["serve.classify.jobs"]
+hits = counters.get("serve.classify.memo_hits", 0)
+scans = counters.get("serve.classify.scans", 0)
+postings = counters.get("serve.classify.postings", 0)
+assert jobs > 0, "no jobs classified"
+assert hits + scans == jobs, f"memo_hits {hits} + scans {scans} != jobs {jobs}"
+assert postings > 0, f"serve.classify.postings is {postings}"
+' "${out}/serve_bench.json"; then
+    echo "serve-smoke: serve-bench classify counters inconsistent" >&2
     ok=0
   fi
   if ((ok)); then

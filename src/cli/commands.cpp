@@ -921,7 +921,7 @@ int cmd_classify(const Args& args, std::ostream& out, std::ostream& err) {
     j.begin_object();
     j.field("schema", "cwgl-predict-v1");
     j.field("model", model_path);
-    j.field("clusters", classifier.model().num_clusters());
+    j.field("clusters", classifier.num_clusters());
     j.key("jobs");
     j.begin_array();
     for (const core::JobDag& job : jobs) {
@@ -947,7 +947,7 @@ int cmd_classify(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   out << "classified " << jobs.size() << " DAG jobs against " << model_path
-      << " (" << classifier.model().num_clusters() << " clusters)\n";
+      << " (" << classifier.num_clusters() << " clusters)\n";
   out << util::pad_right("job", 14) << util::pad_left("tasks", 6)
       << util::pad_left("group", 6) << util::pad_left("similarity", 12)
       << util::pad_left("oov", 5) << "  nearest / forecast (cp, width)\n";
@@ -1175,7 +1175,7 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   auto classifier =
       std::make_shared<const serve::Classifier>(model::load_model(model_path));
   out << "loaded " << model_path << " ("
-      << classifier->model().num_clusters() << " clusters, "
+      << classifier->num_clusters() << " clusters, "
       << classifier->dictionary_size() << " WL signatures)\n";
   serve::Daemon daemon(std::move(classifier), cfg);
   daemon.start();

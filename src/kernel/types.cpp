@@ -53,8 +53,8 @@ double SparseVector::dot(const SparseVector& other) const noexcept {
   const std::size_t nb = other.items.size();
   if (na == 0 || nb == 0) return 0.0;
   // Skewed sizes: galloping costs O(short * log long) — a win once the long
-  // side is ~an order of magnitude larger (the serve scan's probe-vs-
-  // representative dots and the interned path's head shapes hit this).
+  // side is ~an order of magnitude larger (the interned path's head shapes
+  // hit this).
   // IEEE multiplication is commutative, so swapping operand roles cannot
   // change a product's bits, and both paths sum matches in ascending-id
   // order: every branch below returns the exact bits of dot_scalar.

@@ -445,7 +445,7 @@ FittedModel load_model(std::istream& in, std::string_view origin) {
   if (in.bad()) {
     throw ModelError("model '" + std::string(origin) + "': read failed");
   }
-  return deserialize_model(buffer.str(), origin);
+  return deserialize_model(buffer.view(), origin);
 }
 
 FittedModel load_model(const std::filesystem::path& path) {
@@ -453,7 +453,24 @@ FittedModel load_model(const std::filesystem::path& path) {
   if (!in) {
     throw ModelError("model '" + path.string() + "': cannot open for reading");
   }
-  return load_model(in, path.string());
+  CWGL_FAILPOINT("model.read");
+  // One buffer of exactly the file's size: a stream copy would grow by
+  // doubling and then copy again, briefly holding about twice the snapshot
+  // on every daemon start and reload.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    throw ModelError("model '" + path.string() + "': cannot size: " +
+                     ec.message());
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (static_cast<std::size_t>(in.gcount()) != bytes.size()) {
+    throw ModelError("model '" + path.string() + "': short read (" +
+                     std::to_string(in.gcount()) + " of " +
+                     std::to_string(bytes.size()) + " bytes)");
+  }
+  return deserialize_model(bytes, path.string());
 }
 
 }  // namespace cwgl::model

@@ -88,8 +88,10 @@ FittedModel deserialize_model(std::string_view bytes,
 /// ModelError when the file cannot be created, fully written, or renamed.
 void save_model(const FittedModel& m, const std::filesystem::path& path);
 
-/// Reads and strictly validates a snapshot from `path` (failpoint site
-/// "model.read" models an I/O fault at open time).
+/// Reads a snapshot from `path` into one buffer of exactly the file's size
+/// and strictly validates it (failpoint site "model.read" models an I/O
+/// fault at open time). Throws ModelError when the file cannot be opened,
+/// sized or fully read.
 FittedModel load_model(const std::filesystem::path& path);
 
 /// Stream variant of load_model() for already-open sources.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,6 +18,7 @@ struct ServeMetrics {
   obs::Counter* oov_jobs;
   obs::Counter* memo_hits;
   obs::Counter* scans;
+  obs::Counter* postings;
 
   static const ServeMetrics& get() {
     static const ServeMetrics m = [] {
@@ -24,7 +26,8 @@ struct ServeMetrics {
       return ServeMetrics{&reg.counter("serve.classify.jobs"),
                           &reg.counter("serve.classify.oov_jobs"),
                           &reg.counter("serve.classify.memo_hits"),
-                          &reg.counter("serve.classify.scans")};
+                          &reg.counter("serve.classify.scans"),
+                          &reg.counter("serve.classify.postings")};
     }();
     return m;
   }
@@ -47,18 +50,6 @@ std::uint64_t bit_hash(const kernel::SparseVector& v) noexcept {
   return util::hash_combine(h, v.items.size());
 }
 
-/// Bitwise equality: stricter than operator== (0.0 vs -0.0 differ), which
-/// is what makes a memo hit return exactly what a fresh scan would.
-bool bit_equal(const kernel::SparseVector& a,
-               const kernel::SparseVector& b) noexcept {
-  return std::equal(a.items.begin(), a.items.end(), b.items.begin(),
-                    b.items.end(), [](const auto& x, const auto& y) {
-                      return x.first == y.first &&
-                             std::bit_cast<std::uint64_t>(x.second) ==
-                                 std::bit_cast<std::uint64_t>(y.second);
-                    });
-}
-
 }  // namespace
 
 Classifier::Classifier(model::FittedModel m)
@@ -70,13 +61,40 @@ Classifier::Classifier(model::FittedModel m)
   // which is what makes this bijective.
   for (const std::string& signature : model_.dictionary) dict_.intern(signature);
   // Representative pointers are stable from here on: model_ is owned and
-  // never mutated after construction (the serving contract).
+  // never reshaped after construction (the serving contract). The vectors
+  // are inverted into the CSR index in O(total nnz): count each id's
+  // postings while flattening, prefix-sum the counts into offsets, then
+  // fill in scan order, which leaves every id's positions ascending.
   std::size_t reps = 0;
   for (const auto& cluster : model_.representatives) reps += cluster.size();
   scan_.reserve(reps);
+  postings_begin_.assign(model_.dictionary.size() + 1, 0);
+  std::size_t entries = 0;
   for (std::size_t c = 0; c < model_.representatives.size(); ++c) {
     for (const model::Representative& rep : model_.representatives[c]) {
-      scan_.push_back(ScanEntry{&rep, static_cast<int>(c)});
+      const std::size_t nnz = rep.features.items.size();
+      scan_.push_back(ScanEntry{&rep, static_cast<int>(c),
+                                static_cast<std::uint32_t>(nnz)});
+      entries += nnz;
+      for (const auto& [id, value] : rep.features.items) {
+        ++postings_begin_[static_cast<std::size_t>(id) + 1];
+      }
+    }
+  }
+  if (reps >= kNone || entries >= kNone) {
+    throw model::ModelError("model too large for the serving index");
+  }
+  std::partial_sum(postings_begin_.begin(), postings_begin_.end(),
+                   postings_begin_.begin());
+  postings_rep_.resize(entries);
+  postings_value_.resize(entries);
+  std::vector<std::uint32_t> next(postings_begin_.begin(),
+                                  postings_begin_.end() - 1);
+  for (std::size_t i = 0; i < scan_.size(); ++i) {
+    for (const auto& [id, value] : scan_[i].rep->features.items) {
+      const std::uint32_t at = next[static_cast<std::size_t>(id)]++;
+      postings_rep_[at] = static_cast<std::uint32_t>(i);
+      postings_value_[at] = value;
     }
   }
 
@@ -89,6 +107,13 @@ Classifier::Classifier(model::FittedModel m)
     if (memo_index_[at] != 0) continue;  // an earlier rep holds this vector
     memo_keys_.push_back(static_cast<std::uint32_t>(i));
     memo_index_[at] = static_cast<std::uint32_t>(memo_keys_.size());
+  }
+
+  // The index now holds every vector: free them, so a reloading daemon's
+  // two Classifiers do not each carry the representatives twice. The memo
+  // slots are allocated after, where they can reuse that memory.
+  for (auto& cluster : model_.representatives) {
+    for (model::Representative& rep : cluster) rep.features = {};
   }
   memo_ = std::vector<MemoSlot>(memo_keys_.size());
   memo_values_.assign(memo_keys_.size() * (model_.num_clusters() + 1), 0.0);
@@ -112,15 +137,56 @@ std::size_t Classifier::probe(const kernel::SparseVector& phi,
                               std::uint64_t h) const noexcept {
   const std::size_t mask = memo_index_.size() - 1;
   std::size_t i = h & mask;
-  while (memo_index_[i] != 0 &&
-         !bit_equal(scan_[memo_keys_[memo_index_[i] - 1]].rep->features, phi)) {
+  while (memo_index_[i] != 0 && !holds(memo_keys_[memo_index_[i] - 1], phi)) {
     i = (i + 1) & mask;
   }
   return i;
 }
 
+bool Classifier::holds(std::uint32_t r,
+                       const kernel::SparseVector& phi) const noexcept {
+  // Equal counts, and every entry of phi present at r with equal bits
+  // (stricter than operator==: 0.0 and -0.0 differ), is bitwise equality.
+  // Highest ids first: they are the rarest signatures, so their postings
+  // are short and a mismatching key is usually rejected there.
+  if (scan_[r].nnz != phi.items.size()) return false;
+  const std::size_t ids = postings_begin_.size() - 1;
+  for (auto entry = phi.items.rbegin(); entry != phi.items.rend(); ++entry) {
+    const auto& [id, value] = *entry;
+    if (static_cast<std::size_t>(id) >= ids) return false;  // the OOV id
+    const auto first = postings_rep_.begin() + postings_begin_[id];
+    const auto last = postings_rep_.begin() + postings_begin_[id + 1];
+    const auto at = std::lower_bound(first, last, r);
+    if (at == last || *at != r) return false;
+    const double held = postings_value_[static_cast<std::size_t>(
+        at - postings_rep_.begin())];
+    if (std::bit_cast<std::uint64_t>(held) !=
+        std::bit_cast<std::uint64_t>(value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::uint32_t Classifier::scan(const kernel::SparseVector& phi,
-                               Prediction& out) const {
+                               Prediction& out,
+                               std::uint64_t& postings) const {
+  // dots[i] = <phi, features of scan_[i]>. Each accumulator starts at 0.0
+  // and receives its products in ascending-id order (phi's entries are
+  // walked in order, each id once) — the order SparseVector::dot sums
+  // matched products in, so every dot has the exact bits it would have
+  // there. The OOV id sorts last and no representative holds it.
+  std::vector<double> dots(scan_.size(), 0.0);
+  const std::size_t ids = postings_begin_.size() - 1;
+  for (const auto& [id, value] : phi.items) {
+    if (static_cast<std::size_t>(id) >= ids) break;
+    const std::uint32_t end = postings_begin_[id + 1];
+    for (std::uint32_t p = postings_begin_[id]; p < end; ++p) {
+      dots[postings_rep_[p]] += value * postings_value_[p];
+    }
+    postings += end - postings_begin_[id];
+  }
+
   const double norm = phi.norm();
   out.scores.assign(model_.num_clusters(), 0.0);
   double best = -std::numeric_limits<double>::infinity();
@@ -128,14 +194,12 @@ std::uint32_t Classifier::scan(const kernel::SparseVector& phi,
   int best_cluster = 0;
   std::uint32_t nearest = kNone;
 
-  // Flat scan over every representative: each similarity is one sparse dot
-  // (the galloping fast path kicks in when probe and representative nnz
-  // are skewed), same visit order and arithmetic as the nested loop this
-  // replaced, so predictions — including ties — are unchanged.
+  // Ties go to the lowest training index, so the answer does not depend on
+  // the scan order.
   for (std::size_t i = 0; i < scan_.size(); ++i) {
     const model::Representative& rep = *scan_[i].rep;
     const auto c = static_cast<std::size_t>(scan_[i].cluster);
-    double sim = phi.dot(rep.features);
+    double sim = dots[i];
     if (model_.normalize) {
       const double denom = norm * rep.self_norm;
       sim = denom > 0.0 ? sim / denom : 0.0;
@@ -177,8 +241,10 @@ Prediction Classifier::classify_graph(const kernel::LabeledGraph& g) const {
     out.scores.assign(values + 1, values + stride);
     metrics.memo_hits->add();
   } else {
-    nearest = scan(phi, out);
+    std::uint64_t postings = 0;
+    nearest = scan(phi, out, postings);
     metrics.scans->add();
+    metrics.postings->add(postings);
     std::uint32_t expected = kSlotEmpty;
     // Racing writers scanned the same key and so hold the same bits; the
     // CAS winner publishes, the others just return their own copy.

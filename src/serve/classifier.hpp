@@ -51,12 +51,33 @@ struct Prediction {
 /// toward the representative with the lowest training index, making
 /// results independent of iteration order.
 ///
+/// Representative index: the constructor inverts the representatives'
+/// feature vectors into a feature-major (CSR) index keyed by dictionary id —
+/// for each id, the scan positions of the representatives that hold it
+/// (ascending) and their values. A scan walks the job's own entries in
+/// ascending id and adds each product into one accumulator per
+/// representative, so its cost is the postings those ids carry
+/// (`serve.classify.postings`) plus one pass over the accumulators, not
+/// representatives × a sparse merge; the OOV id has no postings. *Exactness:* every accumulator starts at 0.0 and
+/// receives its products in ascending-id order, the order
+/// kernel::SparseVector::dot sums them in, so each similarity, score,
+/// nearest representative and tie has the bits a per-representative dot
+/// would give. *Memory:* the index replaces the vectors instead of sitting
+/// beside them — the constructor releases every Representative::features
+/// once the index is built, and 12 bytes per posting plus 4 per dictionary
+/// id undercut the 16 bytes per entry (and one allocation per vector) the
+/// vectors held. This matters because a reloading daemon holds two
+/// Classifiers at once.
+///
 /// Answer memo: the scan is a pure function of the job's feature vector,
 /// so a job whose vector bitwise-equals some representative's gets the
 /// answer an earlier such job already paid for. There is one slot per
 /// distinct representative vector, filled by the first scan that matches
-/// it; memory is bounded by the model, not by traffic, and a hit returns
-/// exactly the bits a fresh scan would (DESIGN.md §12 "Answer memo").
+/// it; a job's vector is matched against a slot's key through the index
+/// (equal entry count, and every entry present at that representative with
+/// equal bits). Memory is bounded by the model, not by traffic, and a hit
+/// returns exactly the bits a fresh scan would (DESIGN.md §12 "Answer
+/// memo").
 class Classifier {
  public:
   /// Takes ownership of the snapshot. Throws model::ModelError if the model
@@ -75,7 +96,8 @@ class Classifier {
   /// classify(); exposed for kernel-level tests). Thread-safe.
   Prediction classify_graph(const kernel::LabeledGraph& g) const;
 
-  const model::FittedModel& model() const noexcept { return model_; }
+  /// Number of clusters a prediction can name (0 = 'A').
+  std::size_t num_clusters() const noexcept { return model_.num_clusters(); }
 
   /// Size of the frozen dictionary — by the serving contract this value
   /// never changes after construction; tests assert it across heavy
@@ -88,10 +110,16 @@ class Classifier {
 
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// Scores `phi` against every representative, filling out.scores,
-  /// out.similarity and out.cluster. Returns the scan_ index of the nearest
-  /// representative, or kNone when nothing beat -infinity.
-  std::uint32_t scan(const kernel::SparseVector& phi, Prediction& out) const;
+  /// Scores `phi` against every representative through the index, filling
+  /// out.scores, out.similarity and out.cluster, and adds the number of
+  /// postings it visited to `postings`. Returns the scan_ index of the
+  /// nearest representative, or kNone when nothing beat -infinity.
+  std::uint32_t scan(const kernel::SparseVector& phi, Prediction& out,
+                     std::uint64_t& postings) const;
+
+  /// True when `phi` bitwise-equals the feature vector of the representative
+  /// at scan position `r`, as the index holds it.
+  bool holds(std::uint32_t r, const kernel::SparseVector& phi) const noexcept;
 
   /// Position in memo_index_ of the slot whose key bitwise-equals `phi`
   /// (hash `h`), or of the empty entry where that slot would go. Requires a
@@ -101,20 +129,28 @@ class Classifier {
 
   /// One representative in the flattened scan order (clusters ascending,
   /// then each cluster's reps in model order — exactly the order the old
-  /// nested loop visited, so the tie-break outcome is unchanged).
+  /// nested loop visited, so the tie-break outcome is unchanged). `rep`'s
+  /// features are released after construction; `nnz` keeps their count.
   struct ScanEntry {
     const model::Representative* rep;
     int cluster;
+    std::uint32_t nnz;
   };
 
   model::FittedModel model_;
   kernel::ShardedSignatureDictionary dict_;
   kernel::FrozenWlFeaturizer featurizer_;
-  /// Flattened over model_.representatives at construction: the classify
-  /// hot loop walks one contiguous array instead of a vector-of-vectors,
-  /// and every similarity is a sparse dot through the shared galloping
-  /// fast path (kernel::SparseVector::dot).
+  /// Flattened over model_.representatives at construction; accumulator i
+  /// of a scan belongs to scan_[i].
   std::vector<ScanEntry> scan_;
+
+  /// The representative index in CSR form: the postings of dictionary id d
+  /// are positions [postings_begin_[d], postings_begin_[d + 1]) of
+  /// postings_rep_ (scan_ indices, ascending) and postings_value_ (that
+  /// representative's feature value for d).
+  std::vector<std::uint32_t> postings_begin_;
+  std::vector<std::uint32_t> postings_rep_;
+  std::vector<double> postings_value_;
 
   /// A memo slot's answer. `state` goes empty -> busy (the one CAS, won by
   /// a single writer) -> ready (release store after the payload is written);
@@ -124,8 +160,9 @@ class Classifier {
     std::uint32_t nearest = kNone;  ///< scan_ index of the nearest rep
     int cluster = 0;
   };
-  /// Slot s's key is scan_[memo_keys_[s]].rep->features, the first of the
-  /// representatives sharing that bitwise-identical vector.
+  /// Slot s's key is the feature vector of representative
+  /// scan_[memo_keys_[s]], the first of the representatives sharing that
+  /// bitwise-identical vector.
   std::vector<std::uint32_t> memo_keys_;
   /// Open-addressing index over the slots (slot + 1; 0 = empty), at most
   /// two-thirds full, so every probe sequence ends at an empty entry.

@@ -60,7 +60,7 @@ BatchStats classify_batch(const Classifier& classifier,
       stats.wall_seconds > 0.0
           ? static_cast<double>(jobs.size()) / stats.wall_seconds
           : 0.0;
-  stats.cluster_counts.assign(classifier.model().num_clusters(), 0);
+  stats.cluster_counts.assign(classifier.num_clusters(), 0);
   for (const Prediction& p : predictions) {
     if (p.oov_hits > 0) ++stats.oov_jobs;
     ++stats.cluster_counts[static_cast<std::size_t>(p.cluster)];

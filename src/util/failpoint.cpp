@@ -1,6 +1,7 @@
 #include "util/failpoint.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
@@ -31,7 +32,9 @@ struct Site {
 struct Registry {
   std::mutex mutex;
   std::unordered_map<std::string, Site> sites;
-  bool active = false;          ///< mirrors !sites.empty(), checked unlocked
+  /// Mirrors !sites.empty(): written under the mutex, read without it as
+  /// the fast path of visit().
+  std::atomic<bool> active{false};
   bool env_checked = false;
 };
 

@@ -158,6 +158,25 @@ TEST(ModelFormatTest, LoadOfMissingFileIsTypedError) {
   EXPECT_THROW(load_model("/nonexistent/cwgl/model.cwgl"), ModelError);
 }
 
+TEST(ModelFormatTest, LoadOfDirectoryIsTypedError) {
+  EXPECT_THROW(load_model(std::filesystem::temp_directory_path()), ModelError);
+}
+
+TEST(ModelFormatTest, PathAndStreamLoadsAgreeAndRejectTruncation) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    "cwgl_format_test_truncated.cwgl";
+  const FittedModel m = tiny_model();
+  save_model(m, path);
+  {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(load_model(in, path.string()), m);
+  }
+  EXPECT_EQ(load_model(path), m);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  EXPECT_THROW(load_model(path), ModelError);
+  std::filesystem::remove(path);
+}
+
 // ---------------------------------------------------------------------------
 // SHPC (shape multiplicity) section — the v2 addition. Corruptions here must
 // keep valid CRCs so the decoder reaches the structural/semantic checks the

@@ -1,19 +1,22 @@
 // Serving contract: classification never grows the frozen dictionary
 // (unseen structure lands in the OOV bucket), is thread-safe, and is
-// deterministic (concurrent predictions equal serial ones). The answer memo
-// is held to the same bar: a memoized answer equals, bit for bit, what a
-// fresh Classifier (whose memo is cold, so it always scans) returns.
+// deterministic (concurrent predictions equal serial ones). Every answer —
+// scanned through the representative index or served from the answer
+// memo — equals, bit for bit, an independent reference scan that visits
+// every representative of the FittedModel with the scalar sparse dot.
 
 #include "serve/classifier.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <barrier>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +24,8 @@
 
 #include "core/pipeline.hpp"
 #include "graph/digraph.hpp"
+#include "kernel/label_dict.hpp"
+#include "kernel/wl.hpp"
 #include "model/fit.hpp"
 #include "model/format.hpp"
 #include "obs/metrics.hpp"
@@ -159,7 +164,70 @@ TEST(ClassifierTest, InvalidModelIsRejectedAtConstruction) {
   EXPECT_THROW(Classifier rejected(std::move(f.model)), model::ModelError);
 }
 
-// ---- Answer memo -----------------------------------------------------------
+// ---- Reference scan ------------------------------------------------------
+
+/// The oracle for every answer below. It shares no scan code with the
+/// Classifier: it featurizes with the model's recipe over its own rehydrated
+/// dictionary, then visits every representative of the FittedModel (before
+/// any Classifier releases its vectors) with SparseVector::dot_scalar, the
+/// same normalization and the lowest-training-index tie-break.
+class ReferenceScan {
+ public:
+  explicit ReferenceScan(model::FittedModel m)
+      : m_(std::move(m)), featurizer_(m_.wl, dict_, m_.oov_id()) {
+    for (const std::string& signature : m_.dictionary) dict_.intern(signature);
+  }
+
+  kernel::SparseVector features(const core::JobDag& job,
+                                std::size_t* oov_hits = nullptr) const {
+    const core::JobDag dag = m_.conflated ? core::conflate_job(job) : job;
+    kernel::LabeledGraph g;
+    g.graph = dag.dag;
+    if (m_.use_type_labels) g.labels = dag.type_labels();
+    return featurizer_.featurize(g, oov_hits);
+  }
+
+  Prediction classify(const core::JobDag& job) const {
+    Prediction out;
+    const kernel::SparseVector phi = features(job, &out.oov_hits);
+    const double norm = phi.norm();
+    out.scores.assign(m_.num_clusters(), 0.0);
+    out.similarity = -std::numeric_limits<double>::infinity();
+    const model::Representative* nearest = nullptr;
+    for (std::size_t c = 0; c < m_.num_clusters(); ++c) {
+      for (const model::Representative& rep : m_.representatives[c]) {
+        double sim = phi.dot_scalar(rep.features);
+        if (m_.normalize) {
+          const double denom = norm * rep.self_norm;
+          sim = denom > 0.0 ? sim / denom : 0.0;
+        }
+        if (sim > out.scores[c]) out.scores[c] = sim;
+        if (sim > out.similarity ||
+            (sim == out.similarity &&
+             rep.training_index < nearest->training_index)) {
+          out.similarity = sim;
+          out.cluster = static_cast<int>(c);
+          nearest = &rep;
+        }
+      }
+    }
+    out.cluster_letter =
+        model::FittedModel::letter(static_cast<std::size_t>(out.cluster));
+    out.nearest_job = nearest->job_name;
+    const model::ClusterProfile& profile =
+        m_.profiles[static_cast<std::size_t>(out.cluster)];
+    out.predicted_critical_path = profile.median_critical_path;
+    out.predicted_width = profile.median_width;
+    return out;
+  }
+
+ private:
+  model::FittedModel m_;
+  kernel::ShardedSignatureDictionary dict_;
+  kernel::FrozenWlFeaturizer featurizer_;
+};
+
+// ---- Index and answer memo against the reference ---------------------------
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -179,12 +247,13 @@ void expect_bit_identical(const Prediction& got, const Prediction& want,
   EXPECT_EQ(bits(got.predicted_width), bits(want.predicted_width)) << job;
 }
 
-/// Every answer from a fresh Classifier, whose memo is necessarily cold.
+/// Every answer from the reference scan.
 std::vector<Prediction> oracle(const model::FittedModel& m,
                                const std::vector<core::JobDag>& jobs) {
+  const ReferenceScan reference(m);
   std::vector<Prediction> out;
   out.reserve(jobs.size());
-  for (const core::JobDag& job : jobs) out.push_back(Classifier(m).classify(job));
+  for (const core::JobDag& job : jobs) out.push_back(reference.classify(job));
   return out;
 }
 
@@ -322,6 +391,133 @@ TEST(ClassifierMemoTest, ConcurrentColdMemoMatchesOracle) {
       expect_bit_identical(per_thread[t][i], want[i], jobs[i].job_name);
     }
   }
+}
+
+// ---- Representative index edge cases --------------------------------------
+
+/// Non-unit iteration weights scale features by sqrt(w), so values are not
+/// integers and only the dot's own ascending-id summation order reproduces
+/// its bits.
+TEST(ClassifierIndexTest, WeightedIterationsMatchReference) {
+  const Fixture f = fit_small([](core::PipelineConfig& c) {
+    c.similarity.wl.iteration_weights = {0.3, 1.7};
+  });
+  ASSERT_EQ(f.model.wl.iteration_weights, (std::vector<double>{0.3, 1.7}));
+  expect_memo_matches_oracle(f.model, memo_inputs(f.result.sample));
+}
+
+/// A job that shares no feature with any representative: the scan visits no
+/// posting, every accumulator stays 0.0, every score is +0.0, and the tie
+/// over all representatives goes to the lowest training index.
+void expect_shares_nothing(const model::FittedModel& m,
+                           const core::JobDag& job) {
+  const model::Representative* lowest = nullptr;
+  for (const auto& cluster : m.representatives) {
+    for (const model::Representative& rep : cluster) {
+      if (lowest == nullptr || rep.training_index < lowest->training_index) {
+        lowest = &rep;
+      }
+    }
+  }
+  const std::vector<Prediction> want = oracle(m, {job});
+  const Classifier classifier(m);
+  const std::uint64_t postings0 = counter("serve.classify.postings");
+  for (const char* pass : {"cold", "warm"}) {
+    const Prediction got = classifier.classify(job);
+    expect_bit_identical(got, want[0], pass);
+    EXPECT_EQ(got.nearest_job, lowest->job_name) << pass;
+    EXPECT_EQ(bits(got.similarity), bits(0.0)) << pass;
+    for (double score : got.scores) EXPECT_EQ(bits(score), bits(0.0)) << pass;
+  }
+  EXPECT_EQ(counter("serve.classify.postings"), postings0);
+}
+
+/// Fully in-vocabulary, but every id it holds is dropped from every
+/// representative.
+TEST(ClassifierIndexTest, JobSharingNoFeatureTiesToLowestTrainingIndex) {
+  Fixture f = fit_small();
+  const core::JobDag& job = f.result.sample.front();
+  std::size_t oov = 0;
+  const kernel::SparseVector phi = ReferenceScan(f.model).features(job, &oov);
+  ASSERT_EQ(oov, 0u);
+  for (auto& cluster : f.model.representatives) {
+    for (model::Representative& rep : cluster) {
+      std::erase_if(rep.features.items, [&](const auto& entry) {
+        return std::any_of(phi.items.begin(), phi.items.end(),
+                           [&](const auto& e) { return e.first == entry.first; });
+      });
+      rep.self_norm = rep.features.norm();
+    }
+  }
+  expect_shares_nothing(f.model, job);
+}
+
+/// Every id of the all-OOV job is the OOV id, which has no postings.
+TEST(ClassifierIndexTest, AllOovJobTiesToLowestTrainingIndex) {
+  const Fixture f = fit_small();
+  std::size_t oov = 0;
+  const kernel::SparseVector phi =
+      ReferenceScan(f.model).features(alien_job(), &oov);
+  ASSERT_GT(oov, 0u);
+  for (const auto& [id, value] : phi.items) ASSERT_EQ(id, f.model.oov_id());
+  expect_shares_nothing(f.model, alien_job());
+}
+
+/// Two clusters hold bitwise-identical vectors, the copy in the LATER
+/// cluster carrying the lowest training index of the model: the tie must go
+/// to it, not to the representative the scan visits first.
+TEST(ClassifierIndexTest, TieAcrossClustersBreaksToLowestTrainingIndex) {
+  Fixture f = fit_small();
+  ASSERT_GE(f.model.num_clusters(), 2u);
+  model::Representative& first = f.model.representatives[0].front();
+  model::Representative& copy = f.model.representatives[1].front();
+  model::Representative* lowest = &copy;
+  for (auto& cluster : f.model.representatives) {
+    for (model::Representative& rep : cluster) {
+      if (rep.training_index < lowest->training_index) lowest = &rep;
+    }
+  }
+  std::swap(lowest->training_index, copy.training_index);
+  copy.features = first.features;
+  copy.self_norm = first.self_norm;
+
+  std::vector<core::JobDag> jobs = memo_inputs(f.result.sample);
+  const auto job = std::find_if(
+      jobs.begin(), jobs.end(),
+      [&](const core::JobDag& j) { return j.job_name == first.job_name; });
+  ASSERT_NE(job, jobs.end());
+  const Prediction want = oracle(f.model, {*job})[0];
+  EXPECT_EQ(want.nearest_job, copy.job_name);
+  EXPECT_EQ(want.cluster, 1);
+  expect_memo_matches_oracle(f.model, jobs);
+}
+
+/// serve.classify.postings counts, per scan, the postings of the job's
+/// in-vocabulary ids: the sum over representatives of the ids they share
+/// with the job.
+TEST(ClassifierIndexTest, ScanCountsThePostingsOfTheJobsFeatures) {
+  const Fixture f = fit_small();
+  const std::vector<core::JobDag> held_out = held_out_jobs(50, 8);
+  const core::JobDag& job = held_out.front();
+  const kernel::SparseVector phi = ReferenceScan(f.model).features(job);
+  std::uint64_t shared = 0;
+  for (const auto& cluster : f.model.representatives) {
+    for (const model::Representative& rep : cluster) {
+      for (const auto& [id, value] : rep.features.items) {
+        if (std::any_of(phi.items.begin(), phi.items.end(),
+                        [&](const auto& e) { return e.first == id; })) {
+          ++shared;
+        }
+      }
+    }
+  }
+  ASSERT_GT(shared, 0u);
+  const Classifier classifier(f.model);  // cold memo: the first call scans
+  const std::uint64_t scans0 = counter("serve.classify.scans");
+  const std::uint64_t postings0 = counter("serve.classify.postings");
+  classifier.classify(job);
+  EXPECT_EQ(counter("serve.classify.scans") - scans0, 1u);
+  EXPECT_EQ(counter("serve.classify.postings") - postings0, shared);
 }
 
 }  // namespace

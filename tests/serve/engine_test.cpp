@@ -76,7 +76,7 @@ TEST(EngineTest, StatsAreInternallyConsistent) {
   EXPECT_LE(stats.p90_latency_us, stats.p99_latency_us);
   EXPECT_LE(stats.p99_latency_us, stats.max_latency_us);
   EXPECT_LE(stats.oov_jobs, stats.jobs);
-  ASSERT_EQ(stats.cluster_counts.size(), classifier.model().num_clusters());
+  ASSERT_EQ(stats.cluster_counts.size(), classifier.num_clusters());
   const std::size_t assigned = std::accumulate(
       stats.cluster_counts.begin(), stats.cluster_counts.end(), std::size_t{0});
   EXPECT_EQ(assigned, stats.jobs);

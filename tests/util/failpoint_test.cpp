@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <latch>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -122,6 +125,38 @@ TEST_F(FailpointTest, EmptySpecDeactivates) {
   failpoint::configure("x.y=error");
   failpoint::configure("");
   failpoint::hit("x.y");  // no throw
+}
+
+TEST_F(FailpointTest, HitRacesConfigureAndClear) {
+  // hit() checks the registry's active flag without taking its lock while
+  // configure() and clear() rewrite the flag under the lock: the TSan pass
+  // flags any unsynchronized access between the two sides.
+  constexpr int kThreads = 4;
+  std::latch running(kThreads + 1);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      running.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) {
+        try {
+          failpoint::hit("race.site");
+        } catch (const FailpointError&) {
+          // fired while configured; the point is the concurrent access
+        }
+      }
+    });
+  }
+  running.arrive_and_wait();
+  for (int i = 0; i < 20000; ++i) {
+    failpoint::configure("race.site=error");
+    failpoint::clear();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& thread : threads) thread.join();
+  failpoint::hit("race.site");  // cleared: no throw
+  EXPECT_TRUE(failpoint::report().empty());
 }
 
 TEST_F(FailpointTest, CompiledInReflectsBuildFlag) {
