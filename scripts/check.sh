@@ -41,6 +41,10 @@
 #   generation the endpoints report, the exported .prom file carries the
 #   request counter, every structured log line parses as JSON, and drain
 #   exits 0.
+# — plus the bench-contract pass: the end-to-end benchmark package
+#   (cwgl_bench/) built in Release and its four bench_smoke_* ctests, which
+#   drive `cwgl fit`, `cwgl predict` and `cwgl serve` with the benchmark's
+#   own command lines — a CLI change that breaks them fails here first.
 #
 # Usage: scripts/check.sh [jobs]
 # Build dirs are build-check-<name>; set CWGL_CHECK_KEEP=1 to keep them.
@@ -561,6 +565,26 @@ for line in lines:
   fi
 }
 
+# End-to-end benchmark contract: the cwgl_bench package builds the library,
+# the `cwgl` CLI and its driver from this tree, and its smoke ctests run
+# every workload (traced and untraced) for 2 s, calling the CLI exactly as
+# a benchmark run does.
+run_bench_contract() {
+  local name="bench-contract" build_dir="build-check-bench"
+  echo
+  echo "=== [${name}] configure (cwgl_bench, Release) ==="
+  cmake -S cwgl_bench -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
+  echo "=== [${name}] build ==="
+  cmake --build "${build_dir}" -j "${JOBS}" --target cwgl_bench
+  echo "=== [${name}] smoke ctests ==="
+  if ! ctest --test-dir "${build_dir}" --output-on-failure -R '^bench_smoke_'; then
+    FAILED+=("${name}")
+  fi
+  if [[ "${CWGL_CHECK_KEEP:-0}" != "1" ]]; then
+    rm -rf "${build_dir}"
+  fi
+}
+
 run_config plain ""
 run_config asan-ubsan "address,undefined"
 run_config tsan "thread"
@@ -572,10 +596,11 @@ run_serve_smoke
 run_serve_daemon_smoke
 run_fulltrace_smoke
 run_telemetry_smoke
+run_bench_contract
 
 echo
 if ((${#FAILED[@]})); then
   echo "check.sh: FAILED configurations: ${FAILED[*]}"
   exit 1
 fi
-echo "check.sh: all configurations passed (plain, asan-ubsan, tsan, faults, faults-asan, faults-tsan, bench-smoke, serve-smoke, serve-daemon-smoke, fulltrace-smoke, telemetry-smoke)"
+echo "check.sh: all configurations passed (plain, asan-ubsan, tsan, faults, faults-asan, faults-tsan, bench-smoke, serve-smoke, serve-daemon-smoke, fulltrace-smoke, telemetry-smoke, bench-contract)"

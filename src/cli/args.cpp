@@ -1,13 +1,12 @@
 #include "cli/args.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace cwgl::cli {
 
-Args Args::parse(int argc, const char* const* argv, int start_index) {
+Args Args::parse(int argc, const char* const* argv, int start_index,
+                 const FlagSet& flags) {
   Args args;
   for (int i = start_index; i < argc; ++i) {
     std::string_view token = argv[i];
@@ -25,7 +24,8 @@ Args Args::parse(int argc, const char* const* argv, int start_index) {
       continue;
     }
     const std::string key(body);
-    if (i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+    if (!flags.count(key) && i + 1 < argc &&
+        std::string_view(argv[i + 1]).substr(0, 2) != "--") {
       args.values_[key] = argv[++i];
     } else {
       args.values_[key] = "";  // boolean flag
@@ -35,19 +35,16 @@ Args Args::parse(int argc, const char* const* argv, int start_index) {
 }
 
 std::string Args::positional(std::size_t index, std::string_view fallback) const {
-  positionals_claimed_ = std::max(positionals_claimed_, index + 1);
   return index < positionals_.size() ? positionals_[index]
                                      : std::string(fallback);
 }
 
 std::string Args::get(std::string_view key, std::string_view fallback) const {
-  touched_.insert(std::string(key));
   const auto it = values_.find(key);
   return it == values_.end() ? std::string(fallback) : it->second;
 }
 
 std::optional<long long> Args::get_int(std::string_view key) const {
-  touched_.insert(std::string(key));
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   const auto value = util::to_int(it->second);
@@ -59,7 +56,6 @@ std::optional<long long> Args::get_int(std::string_view key) const {
 }
 
 std::optional<double> Args::get_double(std::string_view key) const {
-  touched_.insert(std::string(key));
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   const auto value = util::to_double(it->second);
@@ -71,19 +67,7 @@ std::optional<double> Args::get_double(std::string_view key) const {
 }
 
 bool Args::has(std::string_view key) const {
-  touched_.insert(std::string(key));
   return values_.find(key) != values_.end();
-}
-
-std::vector<std::string> Args::unused() const {
-  std::vector<std::string> out;
-  for (const auto& [key, value] : values_) {
-    if (!touched_.count(key)) out.push_back(key);
-  }
-  for (std::size_t i = positionals_claimed_; i < positionals_.size(); ++i) {
-    out.push_back(positionals_[i]);
-  }
-  return out;
 }
 
 }  // namespace cwgl::cli

@@ -13,18 +13,20 @@ namespace cwgl::cli {
 /// the cwgl tool.
 ///
 /// Grammar: `cwgl <command> [--key value | --key=value | --flag | operand]...`.
-/// Keys start with "--"; a key followed by another key (or end of input) is a
-/// boolean flag; `--key=` supplies an explicit empty value. A bare token not
-/// consumed as some key's value is a positional operand (`cwgl predict
-/// --model m.cwgl jobs.csv`), kept in appearance order. Note the one
-/// ambiguity this grammar has: a bare token right after a value-less flag is
-/// taken as that flag's value — put positionals first or use `--flag=`
-/// when mixing. Unknown keys and unclaimed positionals are collected so
-/// commands can reject typos and stray operands explicitly.
+/// Keys start with "--". A key named in `flags` never takes a value from the
+/// next token; any other key takes the next token as its value unless that
+/// token is another key or there is none. `--key=` supplies an explicit
+/// (possibly empty) value. Every other bare token is a positional operand
+/// (`cwgl predict --model m.cwgl --json jobs.csv`), kept in appearance order.
+/// Which keys and how many operands a command accepts is checked by the
+/// dispatcher, not here.
 class Args {
  public:
+  using FlagSet = std::set<std::string, std::less<>>;
+
   /// Parses everything after the command word.
-  static Args parse(int argc, const char* const* argv, int start_index);
+  static Args parse(int argc, const char* const* argv, int start_index,
+                    const FlagSet& flags);
 
   /// Positional operand by position, or `fallback` when there are fewer.
   std::string positional(std::size_t index, std::string_view fallback = "") const;
@@ -43,17 +45,14 @@ class Args {
   /// True if `--key` appeared (with or without a value).
   bool has(std::string_view key) const;
 
-  /// Keys that were parsed but never queried by the command, plus
-  /// positionals beyond every index the command asked for — typo/stray-
-  /// operand guard. Call after all get()/has()/positional() lookups.
-  std::vector<std::string> unused() const;
+  /// Every key that appeared, in name order, with its value.
+  const std::map<std::string, std::string, std::less<>>& values() const {
+    return values_;
+  }
 
  private:
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positionals_;
-  mutable std::set<std::string, std::less<>> touched_;
-  /// One past the highest positional index the command queried.
-  mutable std::size_t positionals_claimed_ = 0;
 };
 
 }  // namespace cwgl::cli

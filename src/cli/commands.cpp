@@ -1,5 +1,7 @@
 #include "cli/commands.hpp"
 
+#include "cli/args.hpp"
+
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -47,123 +49,37 @@ namespace cwgl::cli {
 
 namespace {
 
-constexpr std::string_view kUsage = R"(cwgl — cloud workload graph learning (IPPS'21 reproduction)
+/// A command line that passed the table's checks but names a combination
+/// the command cannot honor; run_cli prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-usage: cwgl <command> [options]
+/// The synthetic trace that --jobs N and --seed S configure, with the
+/// calling command's defaults; instance rows are off.
+trace::GeneratorConfig generator_config(const Args& args, long long jobs,
+                                        long long seed = 42) {
+  trace::GeneratorConfig cfg;
+  cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(jobs));
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(seed));
+  cfg.emit_instances = false;
+  return cfg;
+}
 
-commands:
-  generate      write a synthetic Alibaba-v2018 trace to disk
-                  --out DIR [--jobs N] [--seed S] [--no-instances]
-  census        whole-trace statistics (DAG share, resources, shapes)
-                  (--trace DIR | [--jobs N]) [--seed S]
-  characterize  the full paper pipeline, printing every figure's data
-                (alias: pipeline). --intern deduplicates the sample by DAG
-                shape (core::ShapeStore) and runs the expensive stages once
-                per distinct shape, count-weighted — same results, and the
-                --json report gains an "intern" member with the table stats.
-                --json embeds "timings" and, with --metrics, a "metrics"
-                snapshot.
-                --full[=minibatch|landmark] clusters EVERY eligible job (no
-                sampling): shapes are interned, featurized once each, and
-                clustered count-weighted by mini-batch k-means (default) or
-                a landmark/Nystrom spectral embedding — no n x n Gram, so
-                100k+ jobs run in seconds. Prints the per-group table plus
-                an agreement report (ARI/NMI) validating the full-trace
-                labels against the exact spectral pipeline on a shared job
-                subsample (--json emits schema cwgl-full-v1)
-                  (--trace DIR | [--jobs N]) [--sample K] [--natural]
-                  [--clusters K] [--wl-iterations H] [--seed S] [--intern]
-                  [--full[=METHOD]] [--json] [--metrics[=FILE]]
-                  [--trace-out FILE]
-  cluster       similarity map + spectral groups + medoid .dot files
-                  (--trace DIR | [--jobs N]) [--sample K] [--clusters K]
-                  [--out DIR] [--seed S]
-  similarity    WL similarity summary (add --matrix for the full CSV)
-                  (--trace DIR | [--jobs N]) [--sample K]
-  ingest        streaming ingest throughput: batch_task.csv -> DAG jobs,
-                reporting rows/s and MB/s (serial scanner vs pooled overlap).
-                Lenient by default: damaged records are quarantined and
-                reported; --strict fails on the first corrupt record instead
-                With --json the whole report is one JSON document (schema
-                cwgl-ingest-v1: elapsed_ms, throughput.rows_per_s, ...).
-                --intern interns each built DAG into a shape table instead of
-                materializing it, reporting distinct shapes and hit rate.
-                --metrics[=FILE] snapshots pipeline metrics; --trace-out FILE
-                writes Chrome trace-event JSON (Perfetto-loadable)
-                  (--trace DIR | [--jobs N]) [--threads T] [--serial]
-                  [--strict] [--intern] [--json] [--seed S]
-                  [--metrics[=FILE]] [--trace-out FILE]
-  compare       workload drift between two traces (JS divergence)
-                  (--trace DIR --trace-b DIR | [--jobs N] [--seed S] [--seed-b S])
-  fit           run the pipeline and persist the fitted WL/cluster model as a
-                cwgl-model-v2 snapshot, then self-check that the snapshot
-                reproduces the pipeline's own cluster assignments. With
-                --intern the snapshot stores one representative per distinct
-                DAG shape (carrying its multiplicity) instead of one per job.
-                --full[=minibatch|landmark] fits on EVERY eligible job via
-                the scalable full-trace path (one representative per distinct
-                shape of the whole workload). --json emits schema
-                cwgl-fit-v1 with the snapshot's total and per-section byte
-                sizes (CONF/DICT/PROF/REPS/SHPC) and the self-check verdict
-                  (--trace DIR | [--jobs N]) [--out FILE] [--sample K]
-                  [--clusters K] [--wl-iterations H] [--seed S] [--natural]
-                  [--conflated] [--intern] [--full[=METHOD]] [--json]
-  predict       with --model: classify the DAG jobs of a batch_task.csv
-                against a fitted snapshot (cluster, similarity, structure
-                forecast; --json emits schema cwgl-predict-v1).
-                Without --model: fit/evaluate the completion-time predictor
-                  --model FILE TASK_CSV [--json]
-                  (--trace DIR | [--jobs N]) [--sample K] [--seed S]
-  serve-bench   batched multithreaded classification throughput against a
-                fitted snapshot (--json emits schema cwgl-serve-bench-v1)
-                  --model FILE [--jobs N] [--threads T] [--repeat R]
-                  [--seed S] [--json] [--metrics[=FILE]] [--trace-out FILE]
-  schedule      simulate scheduling policies on a characterized workload
-                  [--jobs N] [--sample K] [--machines M] [--online F]
-                  [--inter-arrival S] [--seed S]
-  serve         resident classification daemon: accepts cwgl-serve-v1 frames
-                (u32-length-prefixed JSON) over a unix or loopback-tcp
-                socket. Bounded admission queue sheds overload with typed
-                responses, every request carries a deadline, SIGHUP (or a
-                `reload` request) hot-swaps the model snapshot without
-                dropping in-flight work, SIGTERM/SIGINT drains gracefully.
-                Prints a `serving on ...` line once ready; --port 0 picks an
-                ephemeral port and prints it.
-                Telemetry plane: --telemetry-out FILE exports a Prometheus
-                text file every --telemetry-interval SEC (atomic tmp+rename);
-                --log[=FILE] enables structured logging (stderr or FILE) at
-                --log-level LVL (debug|info|warn|error), --log-json switches
-                to JSON lines; --trace-buffer N arms a bounded span buffer
-                drained by `client --trace` (0 disables)
-                  --model FILE (--socket PATH | --port N) [--threads T]
-                  [--max-inflight N] [--max-batch N] [--deadline-ms D]
-                  [--admission-wait-ms W] [--drain-timeout-ms D]
-                  [--service-delay-us U] [--metrics[=FILE]]
-                  [--telemetry-out FILE] [--telemetry-interval SEC]
-                  [--log[=FILE]] [--log-level LVL] [--log-json]
-                  [--trace-buffer N]
-  client        one-shot client for a running daemon: sends one request,
-                prints the typed response, exits 0 only on `ok` (non-ok
-                statuses go to stderr). --ping reports daemon version and
-                model generation; --stats dumps counters plus the full
-                telemetry payload (--prometheus renders the metrics snapshot
-                as Prometheus text exposition); --health prints the readiness
-                document; --trace drains the daemon's span buffer;
-                --watch=SEC re-polls every SEC seconds until interrupted
-                  (--socket PATH | --port N)
-                  (--ping | --stats [--prometheus] | --health | --trace |
-                   --reload[=FILE] | --drain |
-                   --job NAME --tasks M1,R2_1,... [--deadline-ms D])
-                  [--watch=SEC]
-  help          this text
-
-Traces are directories holding batch_task.csv (and optionally
-batch_instance.csv) in the cluster-trace-v2018 column layout.
-)";
+/// --trace DIR, or "" when the command generates its trace. Naming
+/// --jobs or --seed next to --trace is a UsageError.
+std::string trace_dir(const Args& args) {
+  std::string dir = args.get("trace");
+  if (!dir.empty() && (args.has("jobs") || args.has("seed"))) {
+    throw UsageError("--trace cannot be combined with --jobs/--seed, which "
+                     "configure a generated trace");
+  }
+  return dir;
+}
 
 /// Loads --trace DIR, or generates --jobs N (default 20000) with --seed.
 trace::Trace load_or_generate(const Args& args, std::ostream& out) {
-  const std::string dir = args.get("trace");
+  const std::string dir = trace_dir(args);
   if (!dir.empty()) {
     std::size_t skipped = 0;
     obs::Stopwatch timer;
@@ -173,10 +89,7 @@ trace::Trace load_or_generate(const Args& args, std::ostream& out) {
         << util::format_double(timer.millis(), 1) << " ms\n";
     return data;
   }
-  trace::GeneratorConfig cfg;
-  cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(20000));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
-  cfg.emit_instances = false;
+  const trace::GeneratorConfig cfg = generator_config(args, 20000);
   obs::Stopwatch timer;
   trace::Trace data = trace::TraceGenerator(cfg).generate();
   out << "generated " << data.tasks.size() << " task rows (" << cfg.num_jobs
@@ -382,26 +295,14 @@ void write_full_trace_json(std::ostream& out,
   out << "\n";
 }
 
-int reject_unknown(const Args& args, std::ostream& err) {
-  const auto unknown = args.unused();
-  if (unknown.empty()) return 0;
-  err << "unknown option(s):";
-  for (const auto& key : unknown) err << " --" << key;
-  err << "\n";
-  return 2;
-}
-
 int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string dir = args.get("out");
   if (dir.empty()) {
     err << "generate: --out DIR is required\n";
     return 2;
   }
-  trace::GeneratorConfig cfg;
-  cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(10000));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
+  trace::GeneratorConfig cfg = generator_config(args, 10000);
   cfg.emit_instances = !args.has("no-instances");
-  if (const int rc = reject_unknown(args, err)) return rc;
   obs::Stopwatch timer;
   const trace::Trace data = trace::TraceGenerator(cfg).generate();
   trace::write_trace(data, dir);
@@ -411,9 +312,8 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_census(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_census(const Args& args, std::ostream& out, std::ostream&) {
   const trace::Trace data = load_or_generate(args, out);
-  if (const int rc = reject_unknown(args, err)) return rc;
   core::print_trace_census(out, core::TraceCensus::compute(data));
   const auto jobs = core::build_all_dag_jobs(data, trace::SamplingCriteria{});
   out << "\nfiltered DAG jobs: " << jobs.size() << "\n";
@@ -447,7 +347,6 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   const double load_ms = load_timer.millis();
   core::PipelineConfig cfg = pipeline_config(args);
   if (full && !parse_full_method(args, "characterize", cfg, err)) return 2;
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   if (full) {
     // Full-trace path: cluster EVERY eligible job (no sampling) via the
@@ -520,11 +419,10 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_cluster(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_cluster(const Args& args, std::ostream& out, std::ostream&) {
   const trace::Trace data = load_or_generate(args, out);
   const core::PipelineConfig cfg = pipeline_config(args);
   const std::string out_dir = args.get("out");
-  if (const int rc = reject_unknown(args, err)) return rc;
   util::ThreadPool pool;
   const core::CharacterizationPipeline pipeline(cfg);
   const auto sample = pipeline.build_sample(data);
@@ -549,11 +447,10 @@ int cmd_cluster(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_similarity(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_similarity(const Args& args, std::ostream& out, std::ostream&) {
   const trace::Trace data = load_or_generate(args, out);
   const core::PipelineConfig cfg = pipeline_config(args);
   const bool want_matrix = args.has("matrix");
-  if (const int rc = reject_unknown(args, err)) return rc;
   util::ThreadPool pool;
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
   const auto similarity =
@@ -567,7 +464,7 @@ int cmd_similarity(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
-  const std::string dir = args.get("trace");
+  const std::string dir = trace_dir(args);
   const bool serial = args.has("serial");
   const bool strict = args.has("strict");
   const bool intern = args.has("intern");
@@ -592,17 +489,12 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
     input_bytes = std::filesystem::file_size(path, ec);
     in = &file;
   } else {
-    trace::GeneratorConfig cfg;
-    cfg.num_jobs =
-        static_cast<std::size_t>(args.get_int("jobs").value_or(20000));
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
-    cfg.emit_instances = false;
-    const trace::Trace data = trace::TraceGenerator(cfg).generate();
+    const trace::Trace data =
+        trace::TraceGenerator(generator_config(args, 20000)).generate();
     trace::write_batch_task_csv(generated, data.tasks);
     input_bytes = generated.str().size();
     in = &generated;
   }
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   std::optional<util::ThreadPool> pool;
   if (!serial) pool.emplace(threads);
@@ -722,24 +614,27 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_compare(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_compare(const Args& args, std::ostream& out, std::ostream&) {
   const std::string dir_a = args.get("trace");
   const std::string dir_b = args.get("trace-b");
   trace::Trace a, b;
-  if (!dir_a.empty() && !dir_b.empty()) {
+  if (!dir_a.empty() || !dir_b.empty()) {
+    if (dir_a.empty() || dir_b.empty()) {
+      throw UsageError(std::string(dir_a.empty() ? "--trace" : "--trace-b") +
+                       " DIR is missing (give both traces, or neither)");
+    }
+    if (args.has("jobs") || args.has("seed") || args.has("seed-b")) {
+      throw UsageError("--jobs/--seed/--seed-b cannot be used with traces");
+    }
     a = trace::read_trace(dir_a);
     b = trace::read_trace(dir_b);
   } else {
     // Without traces, compare two generated "days" (different seeds).
-    trace::GeneratorConfig cfg;
-    cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(5000));
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
-    cfg.emit_instances = false;
+    trace::GeneratorConfig cfg = generator_config(args, 5000);
     a = trace::TraceGenerator(cfg).generate();
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed-b").value_or(43));
     b = trace::TraceGenerator(cfg).generate();
   }
-  if (const int rc = reject_unknown(args, err)) return rc;
   const auto cmp = core::TraceComparison::compute(a, b);
   out << "workload drift (Jensen-Shannon divergence, 0 = identical, 0.693 = disjoint)\n";
   out << "  DAG jobs analyzed:      " << cmp.jobs_a << " vs " << cmp.jobs_b << "\n";
@@ -763,7 +658,6 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   core::PipelineConfig cfg = pipeline_config(args);
   if (args.has("conflated")) cfg.analyze_conflated = true;
   if (full && !parse_full_method(args, "fit", cfg, err)) return 2;
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   util::ThreadPool pool;
   obs::Stopwatch timer;
@@ -852,34 +746,29 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
     j.end_object();
     j.end_object();
     out << "\n";
-    if (!self_check_ok) {
-      err << "fit: self-check FAILED — snapshot disagrees with the pipeline\n";
-      return 1;
+  } else {
+    out << "fitted " << snapshot.num_clusters() << " clusters over "
+        << snapshot.training_weight() << " jobs ("
+        << snapshot.training_jobs() << " representatives, "
+        << snapshot.dictionary.size() << " WL signatures) in "
+        << util::format_double(elapsed_ms, 1) << " ms\n";
+    if (full) {
+      out << "full-trace fit (" << full_method
+          << (full_degraded ? ", degraded" : "") << ")";
+      if (agreement.items > 0) {
+        out << ": agreement vs exact sample ARI "
+            << util::format_double(agreement.ari, 3) << ", NMI "
+            << util::format_double(agreement.nmi, 3);
+      }
+      out << "\n";
     }
-    return 0;
+    out << "wrote " << out_path << " (" << bytes
+        << " bytes; sections conf=" << sections.conf
+        << " dict=" << sections.dict << " prof=" << sections.prof
+        << " reps=" << sections.reps << " shpc=" << sections.shpc << ")\n";
+    out << "self-check: " << agree << "/" << check_jobs.size()
+        << " training jobs reproduce their cluster\n";
   }
-
-  out << "fitted " << snapshot.num_clusters() << " clusters over "
-      << snapshot.training_weight() << " jobs ("
-      << snapshot.training_jobs() << " representatives, "
-      << snapshot.dictionary.size() << " WL signatures) in "
-      << util::format_double(elapsed_ms, 1) << " ms\n";
-  if (full) {
-    out << "full-trace fit (" << full_method
-        << (full_degraded ? ", degraded" : "") << ")";
-    if (agreement.items > 0) {
-      out << ": agreement vs exact sample ARI "
-          << util::format_double(agreement.ari, 3) << ", NMI "
-          << util::format_double(agreement.nmi, 3);
-    }
-    out << "\n";
-  }
-  out << "wrote " << out_path << " (" << bytes
-      << " bytes; sections conf=" << sections.conf
-      << " dict=" << sections.dict << " prof=" << sections.prof
-      << " reps=" << sections.reps << " shpc=" << sections.shpc << ")\n";
-  out << "self-check: " << agree << "/" << check_jobs.size()
-      << " training jobs reproduce their cluster\n";
   if (!self_check_ok) {
     err << "fit: self-check FAILED — snapshot disagrees with the pipeline\n";
     return 1;
@@ -887,17 +776,17 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// `predict --model`: classify incoming jobs against a fitted snapshot.
-int cmd_classify(const Args& args, std::ostream& out, std::ostream& err) {
+/// `predict`: classify incoming jobs against a fitted snapshot.
+int cmd_predict(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string model_path = args.get("model");
-  const std::string input = args.positional(0, args.get("input"));
+  const std::string input = args.positional(0);
   const bool as_json = args.has("json");
   if (model_path.empty() || input.empty()) {
     err << "predict: classification needs a snapshot and a task CSV "
-           "(cwgl predict --model FILE TASK_CSV)\n";
+           "(cwgl predict --model FILE TASK_CSV); the completion-time "
+           "regression is `cwgl jct`\n";
     return 2;
   }
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   const serve::Classifier classifier(model::load_model(model_path));
   std::ifstream file(input);
@@ -968,24 +857,17 @@ int cmd_classify(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string model_path = args.get("model");
   const bool as_json = args.has("json");
-  const auto num_jobs =
-      static_cast<std::size_t>(args.get_int("jobs").value_or(2000));
+  const trace::GeneratorConfig gcfg = generator_config(args, 2000, 99);
   const auto threads =
       static_cast<unsigned>(args.get_int("threads").value_or(0));
   const auto repeat = static_cast<int>(args.get_int("repeat").value_or(3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(99));
   const ObsOptions obs_opts = start_observation(args);
   if (model_path.empty()) {
     err << "serve-bench: --model FILE is required\n";
     return 2;
   }
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   const serve::Classifier classifier(model::load_model(model_path));
-  trace::GeneratorConfig gcfg;
-  gcfg.num_jobs = num_jobs;
-  gcfg.seed = seed;
-  gcfg.emit_instances = false;
   const trace::Trace data = trace::TraceGenerator(gcfg).generate();
   const auto jobs =
       core::build_all_dag_jobs(data, trace::SamplingCriteria{});
@@ -1055,19 +937,16 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_predict(const Args& args, std::ostream& out, std::ostream& err) {
-  if (args.has("model") || args.positional_count() > 0) {
-    return cmd_classify(args, out, err);
-  }
+/// `jct`: fit and evaluate the completion-time regression on a sample.
+int cmd_jct(const Args& args, std::ostream& out, std::ostream& err) {
   const trace::Trace data = load_or_generate(args, out);
-  core::PipelineConfig cfg = pipeline_config(args);
-  if (const int rc = reject_unknown(args, err)) return rc;
+  const core::PipelineConfig cfg = pipeline_config(args);
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
   const std::size_t split = sample.size() / 2;
   const std::vector<core::JobDag> train(sample.begin(), sample.begin() + split);
   const std::vector<core::JobDag> test(sample.begin() + split, sample.end());
   if (train.empty() || test.empty()) {
-    err << "predict: sample too small\n";
+    err << "jct: sample too small\n";
     return 2;
   }
   const auto model = core::JctPredictor::fit(train, {}, core::PredictorConfig{});
@@ -1141,6 +1020,8 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
     }
     cfg.telemetry_interval =
         std::chrono::milliseconds(static_cast<long>(interval_s * 1000.0));
+  } else if (args.has("telemetry-interval")) {
+    throw UsageError("--telemetry-interval needs --telemetry-out FILE");
   }
   cfg.trace_buffer =
       static_cast<std::size_t>(args.get_int("trace-buffer").value_or(0));
@@ -1170,7 +1051,6 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   cfg.logger = &obs::Logger::global();
 
   const ObsOptions obs = start_observation(args);
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   auto classifier =
       std::make_shared<const serve::Classifier>(model::load_model(model_path));
@@ -1309,39 +1189,42 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
   req.id = 1;
   const std::string tasks = args.get("tasks");
   const bool prometheus = args.has("prometheus");
-  if (args.has("ping")) {
-    req.type = serve::RequestType::Ping;
-  } else if (args.has("stats")) {
-    req.type = serve::RequestType::Stats;
-  } else if (args.has("health")) {
-    req.type = serve::RequestType::Health;
-  } else if (args.has("trace")) {
-    req.type = serve::RequestType::Trace;
-  } else if (args.has("reload")) {
-    req.type = serve::RequestType::Reload;
-    req.model_path = args.get("reload");
-  } else if (args.has("drain")) {
-    req.type = serve::RequestType::Drain;
-  } else if (!tasks.empty()) {
-    req.type = serve::RequestType::Classify;
+  using Type = serve::RequestType;
+  constexpr std::pair<std::string_view, Type> kRequests[] = {
+      {"ping", Type::Ping},   {"stats", Type::Stats},   {"health", Type::Health},
+      {"trace", Type::Trace}, {"reload", Type::Reload}, {"drain", Type::Drain}};
+  int picked = 0;
+  for (const auto& [flag, type] : kRequests) {
+    if (args.has(flag)) {
+      req.type = type;
+      ++picked;
+    }
+  }
+  if (picked > 1) {
+    throw UsageError("--ping, --stats, --health, --trace, --reload and "
+                     "--drain are separate requests; give one");
+  }
+  if (picked == 0 && !tasks.empty()) {
+    req.type = Type::Classify;
     req.job_name = args.get("job", "job");
     for (const auto part : util::split(tasks, ',')) {
       if (!part.empty()) req.tasks.emplace_back(part);
     }
     if (const auto d = args.get_double("deadline-ms")) req.deadline_ms = *d;
-  } else {
+  } else if (picked == 0) {
     err << "client: pick one of --ping, --stats, --health, --trace, "
            "--reload[=FILE], --drain, or --job NAME --tasks M1,R2_1,...\n";
     return 2;
+  } else if (args.has("job") || args.has("deadline-ms")) {
+    throw UsageError("--job and --deadline-ms need a --tasks request");
   }
+  req.model_path = args.get("reload");
   if (!ep.valid()) {
     err << "client: need an endpoint (--socket PATH | --port N)\n";
     return 2;
   }
   const double watch_s = args.get_double("watch").value_or(0.0);
-  // Undocumented test hook: bound the number of --watch polls.
   const long watch_count = args.get_int("watch-count").value_or(0);
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   if (watch_s <= 0.0) return client_round_trip(ep, req, prometheus, out, err);
 
@@ -1360,7 +1243,7 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
   }
 }
 
-int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err) {
+int cmd_schedule(const Args& args, std::ostream& out, std::ostream&) {
   const trace::Trace data = load_or_generate(args, out);
   core::PipelineConfig cfg = pipeline_config(args);
   cfg.sampling = core::SamplingMode::Natural;
@@ -1374,7 +1257,6 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err) {
     sim_cfg.online.amplitude = std::min(0.2, 0.9 - online);
   }
   const double inter_arrival = args.get_double("inter-arrival").value_or(1.0);
-  if (const int rc = reject_unknown(args, err)) return rc;
 
   util::ThreadPool pool;
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
@@ -1409,52 +1291,200 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// One `cwgl` command. Its synopsis is the declaration run_cli checks a
+/// command line against: the flags it names, no others, and at most
+/// `operands` bare operands. A flag written without a value (`--json`)
+/// never takes the next word as one.
+struct Command {
+  std::string_view name;
+  std::string_view alias;     ///< a second name, or empty
+  std::string_view summary;   ///< `cwgl help` text, lines split by '\n'
+  std::string_view synopsis;  ///< lines split by '\n'
+  std::size_t operands;
+  int (*run)(const Args&, std::ostream& out, std::ostream& err);
+};
+
+constexpr Command kCommands[] = {
+    {"generate", "", "write a synthetic Alibaba-v2018 trace to disk",
+     "--out DIR [--jobs N] [--seed S] [--no-instances]", 0, cmd_generate},
+    {"census", "", "whole-trace statistics (DAG share, resources, shapes)",
+     "(--trace DIR | [--jobs N] [--seed S])", 0, cmd_census},
+    {"characterize", "pipeline",
+     "the full paper pipeline, printing every figure's data; --json\n"
+     "adds \"timings\" and, with --metrics, a \"metrics\" snapshot.\n"
+     "--intern runs the costly stages once per distinct DAG shape;\n"
+     "the figures match, but Fig. 6 has a row per shape and Fig. 9's\n"
+     "groups can differ (its k-means seeds are drawn by count).\n"
+     "--full[=METHOD] clusters EVERY eligible job (minibatch or\n"
+     "landmark), checked by ARI/NMI against the exact pipeline",
+     "(--trace DIR | [--jobs N] [--seed S]) [--sample K] [--natural]\n"
+     "[--clusters K] [--wl-iterations H] [--intern] [--json]\n"
+     "[--full[=METHOD]] [--metrics[=FILE]] [--trace-out FILE]", 0,
+     cmd_characterize},
+    {"cluster", "", "similarity map + spectral groups + medoid .dot files",
+     "(--trace DIR | [--jobs N] [--seed S]) [--sample K] [--natural]\n"
+     "[--clusters K] [--wl-iterations H] [--out DIR]", 0, cmd_cluster},
+    {"similarity", "", "WL similarity summary (add --matrix for the full CSV)",
+     "(--trace DIR | [--jobs N] [--seed S]) [--sample K] [--natural]\n"
+     "[--wl-iterations H] [--matrix]", 0, cmd_similarity},
+    {"ingest", "",
+     "streaming ingest throughput, batch_task.csv -> DAG jobs, in\n"
+     "rows/s and MB/s. Damaged records are quarantined and reported;\n"
+     "--strict fails on the first. --intern counts distinct shapes;\n"
+     "--json: schema cwgl-ingest-v1; --metrics snapshots metrics;\n"
+     "--trace-out writes Chrome trace-event JSON",
+     "(--trace DIR | [--jobs N] [--seed S]) [--threads T] [--json]\n"
+     "[--serial] [--strict] [--intern] [--metrics[=FILE]]\n"
+     "[--trace-out FILE]", 0, cmd_ingest},
+    {"compare", "", "workload drift between two traces (JS divergence)",
+     "(--trace DIR --trace-b DIR |\n"
+     " [--jobs N] [--seed S] [--seed-b S])", 0, cmd_compare},
+    {"fit", "",
+     "run the pipeline, save the fitted WL/cluster model as a\n"
+     "cwgl-model-v2 snapshot, and self-check that it reproduces the\n"
+     "pipeline's clusters. --intern keeps one representative per\n"
+     "shape with its count; --full[=METHOD] fits EVERY eligible job;\n"
+     "--json: schema cwgl-fit-v1 with section sizes and self-check",
+     "(--trace DIR | [--jobs N] [--seed S]) [--out FILE] [--json]\n"
+     "[--sample K] [--natural] [--clusters K] [--wl-iterations H]\n"
+     "[--conflated] [--intern] [--full[=METHOD]]", 0, cmd_fit},
+    {"predict", "",
+     "classify the DAG jobs of a task CSV against a fitted snapshot\n"
+     "(cluster, similarity, forecast; --json: cwgl-predict-v1). The\n"
+     "completion-time regression is `cwgl jct`",
+     "--model FILE TASK_CSV [--json]", 1, cmd_predict},
+    {"jct", "", "completion-time regression, R^2/MAE on a held-out half",
+     "(--trace DIR | [--jobs N] [--seed S]) [--sample K] [--natural]", 0,
+     cmd_jct},
+    {"serve-bench", "",
+     "batched multithreaded classification throughput against a\n"
+     "fitted snapshot (--json: schema cwgl-serve-bench-v1)",
+     "--model FILE [--jobs N] [--seed S] [--threads T] [--repeat R]\n"
+     "[--json] [--metrics[=FILE]] [--trace-out FILE]", 0, cmd_serve_bench},
+    {"schedule", "",
+     "simulate scheduling policies on a naturally sampled workload",
+     "(--trace DIR | [--jobs N] [--seed S]) [--sample K]\n"
+     "[--clusters K] [--wl-iterations H] [--machines M] [--online F]\n"
+     "[--inter-arrival S]", 0, cmd_schedule},
+    {"serve", "",
+     "classification daemon on a unix or loopback-tcp socket; prints\n"
+     "`serving on ...` when ready, sheds overload, keeps deadlines,\n"
+     "reloads the model on SIGHUP or `reload`, drains on SIGTERM.\n"
+     "Every --telemetry-interval SEC --telemetry-out gets Prometheus\n"
+     "text; --log[=FILE] logs at --log-level debug|info|warn|error,\n"
+     "--log-json as JSON lines; --trace-buffer N keeps trace spans",
+     "--model FILE (--socket PATH | --port N) [--threads T]\n"
+     "[--max-inflight N] [--max-batch N] [--deadline-ms D]\n"
+     "[--admission-wait-ms W] [--drain-timeout-ms D] [--log-json]\n"
+     "[--service-delay-us U] [--metrics[=FILE]] [--trace-out FILE]\n"
+     "[--telemetry-out FILE [--telemetry-interval SEC]]\n"
+     "[--log[=FILE]] [--log-level LVL] [--trace-buffer N]", 0, cmd_serve},
+    {"client", "",
+     "send one request to a running daemon and print the typed\n"
+     "response; exits 0 only on `ok` (other statuses go to stderr).\n"
+     "--stats dumps counters and telemetry (--prometheus: text\n"
+     "exposition); --trace drains the span buffer; --watch=SEC polls\n"
+     "every SEC seconds, forever or --watch-count N times",
+     "(--socket PATH | --port N)\n"
+     "(--ping | --stats [--prometheus] | --health | --trace |\n"
+     " --reload[=FILE] | --drain |\n"
+     " --tasks M1,R2_1,... [--job NAME] [--deadline-ms D])\n"
+     "[--watch=SEC [--watch-count N]]", 0, cmd_client},
+};
+
+/// Writes `text` line by line; lines after the first start with `indent`.
+void print_lines(std::ostream& out, std::string_view text, std::size_t indent) {
+  for (std::size_t start = 0;;) {
+    const std::size_t end = text.find('\n', start);
+    out << text.substr(start, end - start) << "\n";
+    if (end == std::string_view::npos) return;
+    out << std::string(indent, ' ');
+    start = end + 1;
+  }
+}
+
+/// One command's block of `cwgl help`.
+void print_command(std::ostream& out, const Command& c) {
+  out << "  " << util::pad_right(c.name, 14);
+  print_lines(out, c.summary, 16);
+  if (!c.alias.empty()) {
+    out << std::string(16, ' ') << "(alias: " << c.alias << ")\n";
+  }
+  out << std::string(18, ' ');
+  print_lines(out, c.synopsis, 18);
+}
+
+void print_usage(std::ostream& out) {
+  out << "cwgl — cloud workload graph learning (IPPS'21 reproduction)\n\n"
+         "usage: cwgl <command> [options]\n\ncommands:\n";
+  for (const Command& c : kCommands) print_command(out, c);
+  out << "  help          this text\n\n"
+         "Traces are directories holding batch_task.csv (and optionally\n"
+         "batch_instance.csv) in the cluster-trace-v2018 column layout.\n";
+}
+
+/// Adds each flag `synopsis` names to `declared`, and to `value_less` unless
+/// it is written with a value: `--key VALUE`, `--key=VALUE`, `--key[=VALUE]`.
+void scan_flags(std::string_view synopsis, Args::FlagSet& declared,
+                Args::FlagSet& value_less) {
+  for (std::size_t at = synopsis.find("--"); at != std::string_view::npos;
+       at = synopsis.find("--", at)) {
+    const std::size_t end = std::min(
+        synopsis.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2),
+        synopsis.size());
+    const std::string name(synopsis.substr(at + 2, end - at - 2));
+    const std::string_view rest = synopsis.substr(end);
+    declared.insert(name);
+    const bool takes_value = rest.starts_with('=') || rest.starts_with("[=") ||
+                             (rest.size() > 1 && rest[0] == ' ' &&
+                              rest[1] >= 'A' && rest[1] <= 'Z');
+    if (!takes_value) value_less.insert(name);
+    at = end;
+  }
+}
+
 }  // namespace
 
-std::string_view usage() { return kUsage; }
-
-int run_command(std::string_view command, const Args& args, std::ostream& out,
-                std::ostream& err) {
+int run_cli(int argc, const char* const* argv, std::ostream& out,
+            std::ostream& err) {
+  const std::string_view name = argc < 2 ? "" : argv[1];
+  if (name == "help" || name == "--help" || name == "-h") {
+    print_usage(out);
+    return 0;
+  }
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (c.name == name || (!c.alias.empty() && c.alias == name)) command = &c;
+  }
+  if (command == nullptr) {
+    if (argc >= 2) err << "unknown command: " << name << "\n\n";
+    print_usage(err);
+    return 2;
+  }
+  Args::FlagSet declared, value_less;
+  scan_flags(command->synopsis, declared, value_less);
+  const Args args = Args::parse(argc, argv, 2, value_less);
+  std::string undeclared;
+  for (const auto& [key, value] : args.values()) {
+    if (!declared.count(key)) undeclared.append(" --").append(key);
+  }
+  for (std::size_t i = command->operands; i < args.positional_count(); ++i) {
+    undeclared.append(" ").append(args.positional(i));
+  }
+  if (!undeclared.empty()) {
+    err << "cwgl " << command->name << ": unknown option or operand:"
+        << undeclared << "\n\n";
+    print_command(err, *command);
+    return 2;
+  }
   try {
-    if (command == "generate") return cmd_generate(args, out, err);
-    if (command == "census") return cmd_census(args, out, err);
-    if (command == "characterize" || command == "pipeline") {
-      return cmd_characterize(args, out, err);
-    }
-    if (command == "cluster") return cmd_cluster(args, out, err);
-    if (command == "similarity") return cmd_similarity(args, out, err);
-    if (command == "ingest") return cmd_ingest(args, out, err);
-    if (command == "compare") return cmd_compare(args, out, err);
-    if (command == "fit") return cmd_fit(args, out, err);
-    if (command == "predict") return cmd_predict(args, out, err);
-    if (command == "serve-bench") return cmd_serve_bench(args, out, err);
-    if (command == "schedule") return cmd_schedule(args, out, err);
-    if (command == "serve") return cmd_serve(args, out, err);
-    if (command == "client") return cmd_client(args, out, err);
-    if (command == "help" || command == "--help" || command == "-h") {
-      out << kUsage;
-      return 0;
-    }
-    err << "unknown command: " << command << "\n\n" << kUsage;
+    return command->run(args, out, err);
+  } catch (const UsageError& e) {
+    err << "cwgl " << command->name << ": " << e.what() << "\n";
     return 2;
   } catch (const util::Error& e) {
     err << "error: " << e.what() << "\n";
     return 1;
-  }
-}
-
-int run_cli(int argc, const char* const* argv, std::ostream& out,
-            std::ostream& err) {
-  if (argc < 2) {
-    err << kUsage;
-    return 2;
-  }
-  try {
-    const Args args = Args::parse(argc, argv, 2);
-    return run_command(argv[1], args, out, err);
-  } catch (const util::Error& e) {
-    err << "error: " << e.what() << "\n";
-    return 2;
   }
 }
 

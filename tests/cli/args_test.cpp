@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace cwgl::cli {
 namespace {
 
-Args parse(std::initializer_list<const char*> tokens) {
+Args parse(std::initializer_list<const char*> tokens,
+           const Args::FlagSet& flags = {}) {
   std::vector<const char*> argv{"cwgl", "cmd"};
   argv.insert(argv.end(), tokens.begin(), tokens.end());
-  return Args::parse(static_cast<int>(argv.size()), argv.data(), 2);
+  return Args::parse(static_cast<int>(argv.size()), argv.data(), 2, flags);
 }
 
 TEST(Args, KeyValuePairs) {
@@ -84,33 +88,41 @@ TEST(Args, PositionalFallbackWhenAbsent) {
   EXPECT_EQ(args.positional(0, "default.csv"), "default.csv");
 }
 
-TEST(Args, UnclaimedPositionalsAreUnused) {
-  const Args args = parse({"a.csv", "b.csv"});
-  args.positional(0);  // claims index 0 only
-  const auto unused = args.unused();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "b.csv");
+TEST(Args, ValueLessFlagNeverTakesTheNextToken) {
+  const Args args = parse({"--json", "jobs.csv"}, {"json"});
+  EXPECT_EQ(args.get("json", "fallback"), "");
+  ASSERT_EQ(args.positional_count(), 1u);
+  EXPECT_EQ(args.positional(0), "jobs.csv");
 }
 
-TEST(Args, ClaimedPositionalsAreNotUnused) {
-  const Args args = parse({"a.csv", "--jobs", "5"});
-  args.get_int("jobs");
-  args.positional(0);
-  EXPECT_TRUE(args.unused().empty());
+TEST(Args, UndeclaredFlagTakesTheNextToken) {
+  const Args args = parse({"--json", "jobs.csv"});
+  EXPECT_EQ(args.get("json"), "jobs.csv");
+  EXPECT_EQ(args.positional_count(), 0u);
 }
 
-TEST(Args, UnusedTracksUntouchedKeys) {
-  const Args args = parse({"--jobs", "5", "--typo", "x"});
+TEST(Args, ShortDashTokensArePositionals) {
+  const Args args = parse({"-", "--", "-x", "--jobs", "5"});
   EXPECT_EQ(args.get_int("jobs").value(), 5);
-  const auto unused = args.unused();
-  ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "typo");
+  ASSERT_EQ(args.positional_count(), 3u);
+  EXPECT_EQ(args.positional(0), "-");
+  EXPECT_EQ(args.positional(1), "--");
+  EXPECT_EQ(args.positional(2), "-x");
 }
 
-TEST(Args, UnusedEmptyWhenAllTouched) {
-  const Args args = parse({"--jobs", "5"});
-  args.get_int("jobs");
-  EXPECT_TRUE(args.unused().empty());
+TEST(Args, RepeatedKeyKeepsTheLastValue) {
+  const Args args = parse({"--jobs", "5", "--jobs=7", "--json", "--json"},
+                          {"json"});
+  EXPECT_EQ(args.get_int("jobs").value(), 7);
+  EXPECT_TRUE(args.has("json"));
+  EXPECT_EQ(args.values().size(), 2u);
+}
+
+TEST(Args, ValuesListEveryKeyInNameOrder) {
+  const Args args = parse({"--seed", "3", "--json", "--jobs=5"});
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : args.values()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"jobs", "json", "seed"}));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "model/format.hpp"
 #include "serve/classifier.hpp"
@@ -23,9 +25,9 @@ struct CliResult {
   std::string err;
 };
 
-CliResult run(std::initializer_list<const char*> tokens) {
+CliResult run(const std::vector<std::string>& tokens) {
   std::vector<const char*> argv{"cwgl"};
-  argv.insert(argv.end(), tokens.begin(), tokens.end());
+  for (const std::string& token : tokens) argv.push_back(token.c_str());
   std::ostringstream out, err;
   CliResult r;
   r.code = run_cli(static_cast<int>(argv.size()), argv.data(), out, err);
@@ -182,8 +184,8 @@ TEST(Cli, CharacterizeJsonIsParseable) {
   EXPECT_NE(r.out.find("\"fig3\""), std::string::npos);
 }
 
-TEST(Cli, PredictReportsHeldOutQuality) {
-  const auto r = run({"predict", "--jobs", "1500", "--sample", "120"});
+TEST(Cli, JctReportsHeldOutQuality) {
+  const auto r = run({"jct", "--jobs", "1500", "--sample", "120"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("R^2"), std::string::npos);
   EXPECT_NE(r.out.find("held-out"), std::string::npos);
@@ -390,13 +392,6 @@ TEST(Cli, FitInternSelfCheckHolds) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Cli, PredictWithoutModelPathStillRunsPredictor) {
-  // Backwards compatibility: bare `predict` keeps the completion-time
-  // predictor behavior (no --model, no positional).
-  const auto r = run({"predict", "--jobs", "300", "--sample", "30"});
-  EXPECT_EQ(r.code, 0) << r.err;
-}
-
 TEST(Cli, PredictAgainstCorruptModelIsCleanError) {
   const auto dir =
       std::filesystem::temp_directory_path() / "cwgl_cli_badmodel_test";
@@ -422,6 +417,288 @@ TEST(Cli, ServeBenchRequiresModel) {
   const auto r = run({"serve-bench", "--jobs", "50"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--model"), std::string::npos);
+}
+
+// Every command `help` lists is checked against its synopsis before it
+// runs: an undeclared flag exits 2, names the flag and prints nothing on
+// stdout (no "generated ..." progress line, no partial report).
+TEST(CliTable, EveryCommandRejectsAnUndeclaredFlagBeforeRunning) {
+  const auto help = run({"help"});
+  ASSERT_EQ(help.code, 0);
+  std::vector<std::string> commands{"pipeline"};
+  std::istringstream lines(help.out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() > 2 && line.compare(0, 2, "  ") == 0 && line[2] != ' ') {
+      commands.push_back(line.substr(2, line.find(' ', 2) - 2));
+    }
+  }
+  ASSERT_GE(commands.size(), 15u) << help.out;
+  for (const std::string& command : commands) {
+    if (command == "help") continue;
+    const auto r = run({command, "--bogus"});
+    EXPECT_EQ(r.code, 2) << command;
+    EXPECT_NE(r.err.find("--bogus"), std::string::npos) << command << r.err;
+    EXPECT_EQ(r.out, "") << command;
+  }
+}
+
+// A flag that would change nothing for a command is not in its synopsis.
+TEST(CliTable, IgnoredFlagsAreRejected) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"similarity", "--jobs", "300", "--clusters", "9"}, "--clusters"},
+      {{"jct", "--jobs", "300", "--clusters", "3"}, "--clusters"},
+      {{"jct", "--jobs", "300", "--wl-iterations", "7"}, "--wl-iterations"},
+      {{"jct", "--jobs", "300", "--intern"}, "--intern"},
+      {{"cluster", "--jobs", "300", "--intern"}, "--intern"},
+      {{"similarity", "--jobs", "300", "--intern"}, "--intern"},
+      {{"schedule", "--jobs", "300", "--intern"}, "--intern"},
+      {{"schedule", "--jobs", "300", "--natural"}, "--natural"},
+      {{"predict", "--model", "m.cwgl", "--input", "jobs.csv"}, "--input"},
+  };
+  for (const auto& [argv, flag] : cases) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 2) << argv[0] << " " << flag;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "");
+  }
+}
+
+// A value-less flag never swallows the word after it: that word is the
+// command's operand, or a surplus operand the command rejects.
+TEST(CliTable, ValueLessFlagLeavesTheOperandAlone) {
+  const std::string model =
+      std::string(CWGL_TEST_DATA_DIR) + "/example_model.cwgl";
+  const std::string csv = std::string(CWGL_TEST_DATA_DIR) + "/probe_jobs.csv";
+  const auto before = run({"predict", "--model", model, "--json", csv});
+  EXPECT_EQ(before.code, 0) << before.err;
+  const auto after = run({"predict", "--model", model, csv, "--json"});
+  EXPECT_EQ(after.code, 0) << after.err;
+  EXPECT_EQ(before.out, after.out);
+  EXPECT_EQ(util::parse_json(before.out).at("schema").as_string(),
+            "cwgl-predict-v1");
+
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"characterize", "--jobs", "300", "--natural", "5"}, "5"},
+      {{"census", "extra"}, "extra"},
+      {{"predict", "--model", model, csv, "second.csv"}, "second.csv"},
+  };
+  for (const auto& [argv, operand] : cases) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 2) << argv[0];
+    EXPECT_NE(r.err.find(operand), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "");
+  }
+}
+
+// Combinations the handlers cannot honor exit 2 with a message that names
+// the conflict, before any trace is read or generated.
+TEST(CliTable, ConflictingFlagsAreRejected) {
+  const std::string trace = std::string(CWGL_TEST_DATA_DIR) + "/example_trace";
+  const std::vector<std::vector<std::string>> cases = {
+      {"census", "--trace", trace, "--jobs", "50"},
+      {"characterize", "--trace", trace, "--seed", "3"},
+      {"cluster", "--trace", trace, "--jobs", "50"},
+      {"similarity", "--trace", trace, "--seed", "3"},
+      {"fit", "--trace", trace, "--jobs", "50", "--out", "unused.cwgl"},
+      {"jct", "--trace", trace, "--seed", "3"},
+      {"schedule", "--trace", trace, "--jobs", "50"},
+      {"ingest", "--trace", trace, "--seed", "3"},
+      {"compare", "--trace", trace, "--trace-b", trace, "--jobs", "50"},
+      {"compare", "--trace", trace, "--trace-b", trace, "--seed", "3"},
+      {"compare", "--trace", trace, "--trace-b", trace, "--seed-b", "4"},
+      {"client", "--port", "1", "--ping", "--stats"},
+      {"client", "--port", "1", "--drain", "--reload"},
+      {"client", "--port", "1", "--ping", "--job", "j"},
+      {"client", "--port", "1", "--stats", "--deadline-ms", "5"},
+      {"client", "--port", "1", "--ping", "--tasks", "M1", "--job", "j"},
+      {"serve", "--model", "m.cwgl", "--port", "0", "--telemetry-interval",
+       "1"},
+  };
+  for (const auto& argv : cases) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 2) << argv[0] << " " << argv.back();
+    EXPECT_EQ(r.out, "") << argv[0];
+    EXPECT_FALSE(r.err.empty());
+    EXPECT_EQ(r.err.find("unknown option"), std::string::npos) << r.err;
+  }
+}
+
+// `compare` with one trace names the missing one instead of comparing two
+// generated traces.
+TEST(CliTable, CompareNeedsBothTraces) {
+  const std::string trace = std::string(CWGL_TEST_DATA_DIR) + "/example_trace";
+  const auto only_a = run({"compare", "--trace", trace});
+  EXPECT_EQ(only_a.code, 2);
+  EXPECT_NE(only_a.err.find("--trace-b"), std::string::npos) << only_a.err;
+  EXPECT_EQ(only_a.out, "");
+  const auto only_b = run({"compare", "--trace-b", trace});
+  EXPECT_EQ(only_b.code, 2);
+  EXPECT_NE(only_b.err.find("--trace DIR"), std::string::npos) << only_b.err;
+  EXPECT_EQ(only_b.out, "");
+}
+
+// The command lines cwgl_bench runs are accepted.
+TEST(CliTable, BenchmarkCommandLinesAreAccepted) {
+  const auto dir = std::filesystem::temp_directory_path() / "cwgl_cli_bench_argv";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string model = (dir / "model.cwgl").string();
+  const auto fit = run({"fit", "--full", "--trace",
+                        std::string(CWGL_TEST_DATA_DIR) + "/example_trace",
+                        "--out", model, "--json"});
+  EXPECT_EQ(fit.code, 0) << fit.err;
+  EXPECT_EQ(util::parse_json(fit.out).at("schema").as_string(), "cwgl-fit-v1");
+  const auto predict =
+      run({"predict", "--model", model,
+           std::string(CWGL_TEST_DATA_DIR) + "/probe_jobs.csv", "--json"});
+  EXPECT_EQ(predict.code, 0) << predict.err;
+  // A missing snapshot fails the load (exit 1), not the command line (2).
+  const std::string missing = (dir / "missing.cwgl").string();
+  const std::string socket = (dir / "s.sock").string();
+  const std::string telemetry = (dir / "metrics.prom").string();
+  const auto serve = run({"serve", "--model", missing, "--socket", socket,
+                          "--threads", "2", "--metrics", "--trace-buffer",
+                          "65536", "--telemetry-out", telemetry,
+                          "--telemetry-interval", "0.5"});
+  EXPECT_EQ(serve.code, 1) << serve.err;
+  EXPECT_NE(serve.err.find("error:"), std::string::npos) << serve.err;
+  std::filesystem::remove_all(dir);
+}
+
+// `predict` only classifies; the completion-time regression is `jct`.
+TEST(CliTable, PredictWithoutModelPointsAtJct) {
+  for (const auto& argv : std::vector<std::vector<std::string>>{
+           {"predict", "--jobs", "300", "--sample", "30"},
+           {"predict", std::string(CWGL_TEST_DATA_DIR) + "/probe_jobs.csv"}}) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 2);
+    EXPECT_NE(r.err.find("cwgl jct"), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "");
+  }
+  const auto jct = run({"jct", "--jobs", "300", "--sample", "30"});
+  EXPECT_EQ(jct.code, 0) << jct.err;
+  EXPECT_NE(jct.out.find("completion-time predictor"), std::string::npos);
+}
+
+// `help`, `--help` and `-h` print the same text, one entry per command.
+TEST(CliTable, HelpListsEveryCommandOnce) {
+  const auto help = run({"help"});
+  ASSERT_EQ(help.code, 0);
+  EXPECT_EQ(help.err, "");
+  std::multiset<std::string> listed;
+  std::istringstream lines(help.out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() > 2 && line.compare(0, 2, "  ") == 0 && line[2] != ' ') {
+      listed.insert(line.substr(2, line.find(' ', 2) - 2));
+    }
+  }
+  EXPECT_EQ(listed, (std::multiset<std::string>{
+                        "census", "characterize", "client", "cluster",
+                        "compare", "fit", "generate", "help", "ingest", "jct",
+                        "predict", "schedule", "serve", "serve-bench",
+                        "similarity"}));
+  EXPECT_NE(help.out.find("(alias: pipeline)"), std::string::npos);
+  EXPECT_EQ(run({"--help"}).out, help.out);
+  EXPECT_EQ(run({"-h"}).out, help.out);
+}
+
+// A rejected command line names every undeclared flag and surplus operand,
+// then prints that command's own help entry and no other.
+TEST(CliTable, RejectionShowsThatCommandsEntry) {
+  const auto r =
+      run({"similarity", "--bogus", "--clusters", "9", "extra", "--matrix"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.out, "");
+  EXPECT_NE(r.err.find("--bogus --clusters extra"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("WL similarity summary"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("[--wl-iterations H] [--matrix]"), std::string::npos);
+  EXPECT_EQ(r.err.find("census"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("usage: cwgl"), std::string::npos) << r.err;
+}
+
+// `--key=VALUE` is checked like `--key VALUE` and means the same.
+TEST(CliTable, EqualsFormMatchesSpacedForm) {
+  const auto spaced =
+      run({"compare", "--jobs", "800", "--seed", "3", "--seed-b", "4"});
+  ASSERT_EQ(spaced.code, 0) << spaced.err;
+  const auto joined = run({"compare", "--jobs=800", "--seed=3", "--seed-b=4"});
+  EXPECT_EQ(joined.code, 0) << joined.err;
+  EXPECT_EQ(joined.out, spaced.out);
+  const auto bogus = run({"compare", "--jobs=800", "--bogus=1"});
+  EXPECT_EQ(bogus.code, 2);
+  EXPECT_NE(bogus.err.find("--bogus"), std::string::npos) << bogus.err;
+  EXPECT_EQ(bogus.out, "");
+}
+
+// The flags handlers honored before `help` listed them are declared now,
+// so these command lines run (or fail on their endpoint or model with
+// exit 1) rather than exit 2.
+TEST(CliTable, FlagsHandlersHonorAreDeclared) {
+  const std::string trace = std::string(CWGL_TEST_DATA_DIR) + "/example_trace";
+  const std::vector<std::pair<std::vector<std::string>, int>> cases = {
+      {{"cluster", "--jobs", "300", "--sample", "20", "--natural",
+        "--wl-iterations", "2"},
+       0},
+      {{"similarity", "--jobs", "300", "--seed", "3", "--sample", "10",
+        "--natural", "--wl-iterations", "2"},
+       0},
+      {{"schedule", "--trace", trace, "--sample", "20", "--clusters", "3",
+        "--wl-iterations", "2"},
+       0},
+      {{"jct", "--jobs", "300", "--sample", "30", "--natural"}, 0},
+      {{"serve", "--model", "/nonexistent/m.cwgl", "--port", "0",
+        "--trace-out", "/nonexistent/t.json"},
+       1},
+      {{"client", "--port", "1", "--ping", "--watch-count", "1"}, 1},
+  };
+  for (const auto& [argv, code] : cases) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, code) << argv[0] << ": " << r.err;
+    EXPECT_EQ(r.err.find("unknown option"), std::string::npos) << r.err;
+  }
+}
+
+// Commands that read a trace generate 20000 jobs at seed 42 when they are
+// not given one.
+TEST(CliTable, TraceCommandsGenerateTwentyThousandJobsByDefault) {
+  const auto r = run({"census"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("(20000 jobs, seed 42)"), std::string::npos) << r.out;
+  const auto seeded = run({"census", "--seed", "7"});
+  EXPECT_EQ(seeded.code, 0) << seeded.err;
+  EXPECT_NE(seeded.out.find("(20000 jobs, seed 7)"), std::string::npos);
+}
+
+// `compare` with no flags compares 5000 generated jobs at seeds 42 and 43.
+TEST(CliTable, CompareDefaultsToFiveThousandJobsAtSeeds42And43) {
+  const auto bare = run({"compare"});
+  ASSERT_EQ(bare.code, 0) << bare.err;
+  const auto spelled =
+      run({"compare", "--jobs", "5000", "--seed", "42", "--seed-b", "43"});
+  ASSERT_EQ(spelled.code, 0) << spelled.err;
+  EXPECT_EQ(bare.out, spelled.out);
+  const auto other = run({"compare", "--jobs", "5000", "--seed-b", "44"});
+  ASSERT_EQ(other.code, 0) << other.err;
+  EXPECT_NE(other.out, bare.out);
+}
+
+// `serve-bench` classifies 2000 generated jobs at seed 99 by default.
+TEST(CliTable, ServeBenchDefaultsToTwoThousandJobsAtSeed99) {
+  const std::string model =
+      std::string(CWGL_TEST_DATA_DIR) + "/example_model.cwgl";
+  const auto workload = [&model](std::vector<std::string> extra) {
+    std::vector<std::string> argv{"serve-bench", "--model", model,
+                                  "--threads", "1", "--repeat", "1", "--json"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 0) << r.err;
+    const util::JsonValue doc = util::parse_json(r.out);
+    return std::make_pair(doc.at("jobs").as_number(),
+                          doc.at("oov_jobs").as_number());
+  };
+  const auto bare = workload({});
+  EXPECT_EQ(bare, workload({"--jobs", "2000", "--seed", "99"}));
+  EXPECT_NE(bare, workload({"--jobs", "2000", "--seed", "42"}));
 }
 
 // The `cwgl client` telemetry surface against a live in-process daemon:
