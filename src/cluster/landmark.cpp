@@ -92,8 +92,8 @@ LandmarkResult landmark_spectral_cluster(
   span.arg("landmarks", m);
 
   // Exact m x m landmark kernel. Sparse dots are symmetric (same ascending
-  // accumulation order either way), but mirror explicitly so jacobi_eigen's
-  // symmetry check can never trip on it.
+  // accumulation order either way), but mirror explicitly so
+  // symmetric_eigen's symmetry check can never trip on it.
   linalg::Matrix gram(m, m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i; j < m; ++j) {
@@ -103,12 +103,9 @@ LandmarkResult landmark_spectral_cluster(
     }
   }
 
-  const linalg::EigenDecomposition eig = linalg::jacobi_eigen(gram);
-  if (!eig.converged) {
-    throw util::Error(
-        "landmark_spectral_cluster: landmark Gram eigensolve did not "
-        "converge");
-  }
+  // A non-convergent solve throws util::Error, which cluster_at_scale
+  // degrades on.
+  const linalg::EigenDecomposition eig = linalg::symmetric_eigen(gram);
 
   // Usable spectrum: top eigenvalues above the relative floor. values
   // ascend, so walk from the back.

@@ -39,7 +39,8 @@ struct LandmarkResult {
 
 /// Nystrom approximation of spectral clustering over a sparse-feature
 /// corpus: sample m landmarks weight-proportionally without replacement,
-/// eigensolve the m x m landmark kernel exactly (Jacobi), project every
+/// eigensolve the m x m landmark kernel exactly (linalg::symmetric_eigen,
+/// Householder tridiagonalization + implicit QL), project every
 /// vector into the top-r eigenspace (phi(x) = Lambda^{-1/2} U^T k_x),
 /// row-normalize, and run the exact weighted k-means there. Total cost
 /// O(m^3 + n * m * nnz) — no n x n Gram is ever formed.
@@ -48,8 +49,9 @@ struct LandmarkResult {
 /// analogy to hold; ids must lie in [0, dims). Deterministic in
 /// `options.seed` + `options.kmeans.seed`. Throws InvalidArgument on bad
 /// arguments and util::Error when the landmark eigensolve fails to
-/// converge or yields no positive spectrum — callers that must not fail
-/// catch and fall back to mini-batch (see cluster_at_scale).
+/// converge (symmetric_eigen's QL iteration bound) or yields no positive
+/// spectrum — callers that must not fail catch and fall back to mini-batch
+/// (see cluster_at_scale).
 LandmarkResult landmark_spectral_cluster(
     std::span<const kernel::SparseVector> points,
     std::span<const double> weights, std::size_t dims, int k,

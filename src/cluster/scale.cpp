@@ -105,8 +105,7 @@ ScaleResult cluster_at_scale(std::span<const kernel::SparseVector> points,
       throw;  // caller bug, not a numeric failure — never mask it
     } catch (const util::Error& e) {
       // Landmark eigensolve failed (or an injected `cluster.scale` fault
-      // fired): degrade to mini-batch instead of failing the whole run,
-      // the same posture the exact path's eigensolver fallback takes.
+      // fired): degrade to mini-batch instead of failing the whole run.
       if (opt.diagnostics != nullptr) {
         opt.diagnostics->record("cluster.scale", "landmark-degraded",
                                 e.what());

@@ -54,10 +54,10 @@ struct ScaleResult {
 /// n x n Gram — the learning stage behind `cwgl characterize --full`.
 /// Dispatches on `options.method`; a failing landmark run degrades to
 /// mini-batch (recorded in diagnostics + `cluster.scale.degraded`) rather
-/// than failing the pipeline, matching the eigensolver fallback posture of
-/// the exact path. Failpoint: `cluster.scale` (fires before the landmark
-/// attempt). Deterministic in `options.seed`. Throws InvalidArgument on
-/// bad weights, ids outside [0, dims), or k outside [1, n].
+/// than failing the pipeline. Failpoint: `cluster.scale` (fires before the
+/// landmark attempt). Deterministic in `options.seed`. Throws
+/// InvalidArgument on bad weights, ids outside [0, dims), or k outside
+/// [1, n].
 ScaleResult cluster_at_scale(std::span<const kernel::SparseVector> points,
                              std::span<const double> weights, std::size_t dims,
                              const ScaleOptions& options = {});

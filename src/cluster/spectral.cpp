@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "linalg/eigen.hpp"
-#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
@@ -113,37 +113,12 @@ SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
     }
   }
 
-  const bool partial = n > options.partial_eigen_threshold;
   obs::Span eigen_span("cluster.eigensolve");
   eigen_span.arg("n", n);
-  eigen_span.arg("partial", partial ? 1 : 0);
-  auto eig = partial
-                 ? linalg::smallest_eigenpairs(lsym, k,
-                                               options.partial_max_sweeps)
-                 : linalg::jacobi_eigen(lsym);
-  if (partial && !eig.converged) {
-    // Graceful degradation: the iterative solver ran out of sweeps (tight
-    // eigengaps do that). Fall back to the unconditionally stable dense
-    // decomposition rather than clustering on a half-converged subspace.
-    if (options.diagnostics != nullptr) {
-      options.diagnostics->record(
-          "spectral", "eigen-fallback",
-          "subspace iteration did not converge in " +
-              std::to_string(options.partial_max_sweeps) +
-              " sweeps (n=" + std::to_string(n) + "); using dense solver");
-    }
-    {
-      obs::Span fallback_span("cluster.eigensolve.jacobi_fallback");
-      fallback_span.arg("n", n);
-      eig = linalg::jacobi_eigen(lsym);
-    }
-    obs::MetricsRegistry::global().counter("cluster.spectral.fallbacks").add();
-    result.eigen_fallback = true;
-  }
-  eigen_span.arg("fallback", result.eigen_fallback ? 1 : 0);
+  auto eig = linalg::symmetric_eigen(lsym);
   eigen_span.end();
 
-  result.eigenvalues = eig.values;
+  result.eigenvalues = std::move(eig.values);
   // Row-normalization makes the 1/sqrt(w_t) class scaling irrelevant: the
   // normalized row of item t equals the expanded run's row for every copy.
   result.embedding = linalg::Matrix(n, k);

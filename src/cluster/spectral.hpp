@@ -15,14 +15,6 @@ namespace cwgl::cluster {
 /// Options for spectral clustering.
 struct SpectralOptions {
   KMeansOptions kmeans;  ///< final k-means stage over the embedding
-  /// Above this many items the bottom-k eigenvectors come from the partial
-  /// subspace-iteration solver (O(k n^2) per sweep) instead of the full
-  /// O(n^3) Jacobi decomposition. In partial mode `SpectralResult::
-  /// eigenvalues` holds only the k computed values. 0 forces partial mode.
-  std::size_t partial_eigen_threshold = 512;
-  /// Sweep budget for the partial solver before it is declared
-  /// non-converged and the dense Jacobi fallback kicks in.
-  int partial_max_sweeps = 600;
   /// Strict (default): non-finite or materially non-symmetric similarity
   /// entries throw util::InvalidArgument — garbage must not silently steer
   /// the Laplacian. Lenient: non-finite entries are clamped to 0 and
@@ -33,18 +25,15 @@ struct SpectralOptions {
   /// call throws util::InvalidArgument pointing at the scalable path
   /// (`cwgl characterize --full` / cluster_at_scale). 0 disables the guard.
   std::size_t max_dense_items = 2000;
-  /// Optional sink for degradations (clamped entries, eigen fallback).
+  /// Optional sink for degradations (clamped and asymmetric entries).
   util::Diagnostics* diagnostics = nullptr;
 };
 
 /// Result of a spectral clustering run.
 struct SpectralResult {
   std::vector<int> labels;            ///< cluster id per item
-  std::vector<double> eigenvalues;    ///< ascending spectrum of L_sym
+  std::vector<double> eigenvalues;    ///< full ascending spectrum of L_sym
   linalg::Matrix embedding;           ///< n x k row-normalized eigenvector matrix
-  /// True when the partial eigensolver failed to converge within its sweep
-  /// budget and the result came from the dense Jacobi fallback instead.
-  bool eigen_fallback = false;
   /// Non-finite similarity entries clamped to 0 (lenient mode only).
   std::size_t clamped_entries = 0;
 };
@@ -75,7 +64,8 @@ struct SpectralResult {
 /// or `weights` is neither empty nor one finite, positive weight per row —
 /// and, under the default strict posture, if entries are non-finite or the
 /// matrix is asymmetric beyond numerical noise (see SpectralOptions::
-/// lenient for the degrade-and-report alternative).
+/// lenient for the degrade-and-report alternative). Throws util::Error if
+/// the eigensolve does not converge (linalg::symmetric_eigen).
 SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
                                 const SpectralOptions& options = {},
                                 std::span<const double> weights = {});

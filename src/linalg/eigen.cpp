@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <numeric>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -11,249 +12,240 @@ namespace cwgl::linalg {
 
 namespace {
 
-double off_diagonal_norm(const Matrix& a) {
-  double acc = 0.0;
+// Both stages keep the orthogonal transform V transposed (`vt` = V^T), so
+// each of their O(n^3) inner loops walks a row instead of striding down a
+// column. Otherwise the arithmetic is EISPACK's, step for step.
+
+/// Householder reduction to tridiagonal form (tred2). On entry `vt` holds
+/// the matrix; only its upper triangle vt(j, k), k >= j, is read. On exit
+/// `vt` holds V^T, `d` the diagonal and `e` the subdiagonal in e[1..n-1].
+void tridiagonalize(Matrix& vt, std::vector<double>& d,
+                    std::vector<double>& e) {
+  const std::size_t n = vt.rows();
+  for (std::size_t j = 0; j < n; ++j) d[j] = vt(j, n - 1);
+
+  for (std::size_t i = n - 1; i > 0; --i) {
+    // Scale to avoid under/overflow.
+    double scale = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::abs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (std::size_t j = 0; j < i; ++j) {
+        d[j] = vt(j, i - 1);
+        vt(j, i) = 0.0;
+        vt(i, j) = 0.0;
+      }
+      d[i] = 0.0;
+      continue;
+    }
+
+    // Generate the Householder vector.
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) {
+      d[k] /= scale;
+      h += d[k] * d[k];
+    }
+    double f = d[i - 1];
+    double g = std::sqrt(h);
+    if (f > 0) g = -g;
+    e[i] = scale * g;
+    h -= f * g;
+    d[i - 1] = f - g;
+    for (std::size_t j = 0; j < i; ++j) e[j] = 0.0;
+
+    // Apply the similarity transform to the remaining columns.
+    for (std::size_t j = 0; j < i; ++j) {
+      f = d[j];
+      vt(i, j) = f;
+      const auto row = vt.row(j);
+      g = e[j] + row[j] * f;
+      for (std::size_t k = j + 1; k < i; ++k) {
+        g += row[k] * d[k];
+        e[k] += row[k] * f;
+      }
+      e[j] = g;
+    }
+    f = 0.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      e[j] /= h;
+      f += e[j] * d[j];
+    }
+    const double hh = f / (h + h);
+    for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+    for (std::size_t j = 0; j < i; ++j) {
+      f = d[j];
+      g = e[j];
+      const auto row = vt.row(j);
+      for (std::size_t k = j; k < i; ++k) row[k] -= (f * e[k] + g * d[k]);
+      d[j] = row[i - 1];
+      row[i] = 0.0;
+    }
+    d[i] = h;
+  }
+
+  // Accumulate the transformations.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    vt(i, n - 1) = vt(i, i);
+    vt(i, i) = 1.0;
+    const auto householder = vt.row(i + 1);
+    const double h = d[i + 1];
+    if (h != 0.0) {
+      for (std::size_t k = 0; k <= i; ++k) d[k] = householder[k] / h;
+      for (std::size_t j = 0; j <= i; ++j) {
+        const auto row = vt.row(j);
+        double g = 0.0;
+        for (std::size_t k = 0; k <= i; ++k) g += householder[k] * row[k];
+        for (std::size_t k = 0; k <= i; ++k) row[k] -= g * d[k];
+      }
+    }
+    for (std::size_t k = 0; k <= i; ++k) householder[k] = 0.0;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    d[j] = vt(j, n - 1);
+    vt(j, n - 1) = 0.0;
+  }
+  vt(n - 1, n - 1) = 1.0;
+  e[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal (d, e) from tridiagonalize (tql2),
+/// rotating the rows of `vt` along; then sorts the eigenvalues ascending,
+/// carrying their rows. Row k of `vt` is then the eigenvector of d[k].
+void diagonalize(Matrix& vt, std::vector<double>& d, std::vector<double>& e) {
+  // EISPACK gives up on an eigenvalue after 30 iterations.
+  constexpr int kMaxIterations = 30;
+  const std::size_t n = vt.rows();
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+
+  double f = 0.0;
+  double tst1 = 0.0;
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (std::size_t l = 0; l < n; ++l) {
+    // Find a small subdiagonal element; e[n-1] = 0 ends the search.
+    tst1 = std::max(tst1, std::abs(d[l]) + std::abs(e[l]));
+    std::size_t m = l;
+    while (m + 1 < n && std::abs(e[m]) > eps * tst1) ++m;
+
+    // m == l: d[l] is already an eigenvalue. Otherwise iterate.
+    for (int iter = 0; m > l && std::abs(e[l]) > eps * tst1; ++iter) {
+      if (iter == kMaxIterations) {
+        throw util::Error("symmetric_eigen: eigenvalue " + std::to_string(l) +
+                          " needs more than " +
+                          std::to_string(kMaxIterations) + " QL iterations");
+      }
+      // Compute the implicit shift.
+      double g = d[l];
+      double p = (d[l + 1] - g) / (2.0 * e[l]);
+      double r = std::hypot(p, 1.0);
+      if (p < 0) r = -r;
+      d[l] = e[l] / (p + r);
+      d[l + 1] = e[l] * (p + r);
+      const double dl1 = d[l + 1];
+      double h = g - d[l];
+      for (std::size_t i = l + 2; i < n; ++i) d[i] -= h;
+      f += h;
+
+      // Implicit QL transformation.
+      p = d[m];
+      double c = 1.0;
+      double c2 = c;
+      double c3 = c;
+      const double el1 = e[l + 1];
+      double s = 0.0;
+      double s2 = 0.0;
+      for (std::size_t i = m; i-- > l;) {
+        c3 = c2;
+        c2 = c;
+        s2 = s;
+        g = c * e[i];
+        h = c * p;
+        r = std::hypot(p, e[i]);
+        e[i + 1] = s * r;
+        s = e[i] / r;
+        c = p / r;
+        p = c * d[i] - s * g;
+        d[i + 1] = h + s * (c * g + s * d[i]);
+
+        // Accumulate the rotation into rows i and i+1 of V^T.
+        const auto lo = vt.row(i);
+        const auto hi = vt.row(i + 1);
+        for (std::size_t k = 0; k < n; ++k) {
+          const double t = hi[k];
+          hi[k] = s * lo[k] + c * t;
+          lo[k] = c * lo[k] - s * t;
+        }
+      }
+      p = -s * s2 * c3 * el1 * e[l] / dl1;
+      e[l] = s * p;
+      d[l] = c * p;
+    }
+    d[l] += f;
+    e[l] = 0.0;
+  }
+
+  // Selection sort, ascending; each swap carries the eigenvector rows.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    std::size_t k = i;
+    double p = d[i];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (d[j] < p) {
+        k = j;
+        p = d[j];
+      }
+    }
+    if (k != i) {
+      d[k] = d[i];
+      d[i] = p;
+      const auto a = vt.row(i);
+      std::swap_ranges(a.begin(), a.end(), vt.row(k).begin());
+    }
+  }
+}
+
+}  // namespace
+
+EigenDecomposition symmetric_eigen(const Matrix& a) {
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = r + 1; c < a.cols(); ++c) {
-      acc += 2.0 * a(r, c) * a(r, c);
-    }
-  }
-  return std::sqrt(acc);
-}
-
-}  // namespace
-
-EigenDecomposition jacobi_eigen(const Matrix& input, double tol, int max_sweeps) {
-  if (!input.is_symmetric(1e-9)) {
-    throw util::InvalidArgument("jacobi_eigen: matrix is not symmetric");
-  }
-  const std::size_t n = input.rows();
-  Matrix a = input;
-  Matrix v = Matrix::identity(n);
-  const double scale = std::max(1.0, a.frobenius_norm());
-
-  bool converged = false;
-  for (int sweep = 0; sweep <= max_sweeps; ++sweep) {
-    if (off_diagonal_norm(a) <= tol * scale) {
-      converged = true;
-      break;
-    }
-    if (sweep == max_sweeps) break;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
-        if (std::abs(apq) <= 1e-300) continue;
-        const double app = a(p, p);
-        const double aqq = a(q, q);
-        // Classic stable rotation computation (Golub & Van Loan 8.4).
-        const double theta = (aqq - app) / (2.0 * apq);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      if (!std::isfinite(a(r, c))) {
+        throw util::InvalidArgument(
+            "symmetric_eigen: non-finite entry at (" + std::to_string(r) +
+            ", " + std::to_string(c) + ")");
       }
     }
   }
-
-  EigenDecomposition out;
-  out.converged = converged;
-  out.values.resize(n);
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = a(i, i);
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t x, std::size_t y) { return diag[x] < diag[y]; });
-  out.vectors = Matrix(n, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    out.values[k] = diag[order[k]];
-    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = v(r, order[k]);
-  }
-  return out;
-}
-
-namespace {
-
-/// Modified Gram-Schmidt over the columns of v (in place). Columns that
-/// collapse numerically are replaced by deterministic pseudo-random
-/// directions and re-orthogonalized.
-void orthonormalize_columns(Matrix& v, std::uint64_t salt) {
-  const std::size_t n = v.rows();
-  const std::size_t k = v.cols();
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL ^ salt;
-  const auto next_pseudo = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return static_cast<double>(state >> 11) * 0x1.0p-53 - 0.5;
-  };
-  for (std::size_t c = 0; c < k; ++c) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      for (std::size_t p = 0; p < c; ++p) {
-        double dot = 0.0;
-        for (std::size_t r = 0; r < n; ++r) dot += v(r, c) * v(r, p);
-        for (std::size_t r = 0; r < n; ++r) v(r, c) -= dot * v(r, p);
-      }
-      double norm = 0.0;
-      for (std::size_t r = 0; r < n; ++r) norm += v(r, c) * v(r, c);
-      norm = std::sqrt(norm);
-      if (norm > 1e-12) {
-        for (std::size_t r = 0; r < n; ++r) v(r, c) /= norm;
-        break;
-      }
-      for (std::size_t r = 0; r < n; ++r) v(r, c) = next_pseudo();
-    }
-  }
-}
-
-}  // namespace
-
-EigenDecomposition smallest_eigenpairs(const Matrix& a, int k, int max_sweeps,
-                                       double tol) {
   if (!a.is_symmetric(1e-9)) {
-    throw util::InvalidArgument("smallest_eigenpairs: matrix is not symmetric");
+    throw util::InvalidArgument("symmetric_eigen: matrix is not symmetric");
   }
   const std::size_t n = a.rows();
-  if (k < 1 || static_cast<std::size_t>(k) > n) {
-    throw util::InvalidArgument("smallest_eigenpairs: need 1 <= k <= n");
-  }
-  // Small problems or fat subspaces: the full decomposition is cheaper.
-  if (n <= 32 || static_cast<std::size_t>(k) * 2 >= n) {
-    const auto full = jacobi_eigen(a);
-    EigenDecomposition out;
-    out.converged = full.converged;
-    out.values.assign(full.values.begin(), full.values.begin() + k);
-    out.vectors = Matrix(n, k);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (int c = 0; c < k; ++c) out.vectors(r, c) = full.vectors(r, c);
-    }
-    return out;
-  }
-
-  // Tight upper bound on lambda_max(A) via power iteration: a tight shift
-  // keeps the power ratios of B = sigma I - A away from 1 (the Gershgorin
-  // bound can overshoot by ~n for dense matrices, stalling convergence).
-  std::vector<double> power(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  double lambda_max = 0.0;
-  for (int it = 0; it < 60; ++it) {
-    auto next = a.multiply(std::span<const double>(power));
-    double norm = 0.0;
-    for (double x : next) norm += x * x;
-    norm = std::sqrt(norm);
-    if (norm < 1e-300) break;
-    for (auto& x : next) x /= norm;
-    double rayleigh = 0.0;
-    const auto an = a.multiply(std::span<const double>(next));
-    for (std::size_t r = 0; r < n; ++r) rayleigh += next[r] * an[r];
-    lambda_max = std::max(lambda_max, std::abs(rayleigh));
-    power = std::move(next);
-  }
-  const double sigma = lambda_max * 1.1 + 1.0;
-
-  // B = sigma I - A; its TOP eigenpairs are A's bottom ones.
-  Matrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      b(i, j) = (i == j ? sigma : 0.0) - a(i, j);
-    }
-  }
-
-  // Iterate an ENLARGED guard subspace: convergence of the k-th pair is
-  // then governed by the gap to eigenvalue m+1, not k+1.
-  const int m = static_cast<int>(
-      std::min(n, static_cast<std::size_t>(2 * k + 8)));
-  Matrix v(n, m);
-  orthonormalize_columns(v, /*salt=*/static_cast<std::uint64_t>(k));
-  std::vector<double> prev(k, 0.0);
-  int settled = 0;
-  bool converged = false;
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    Matrix w = b.multiply(v);
-    orthonormalize_columns(w, static_cast<std::uint64_t>(sweep) + 7);
-    // Rayleigh-Ritz on the subspace: T = W^T B W.
-    const Matrix bw = b.multiply(w);
-    Matrix t(m, m);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < m; ++j) {
-        double dot = 0.0;
-        for (std::size_t r = 0; r < n; ++r) dot += w(r, i) * bw(r, j);
-        t(i, j) = dot;
-      }
-    }
-    for (int i = 0; i < m; ++i) {
-      for (int j = i + 1; j < m; ++j) {
-        const double mean = 0.5 * (t(i, j) + t(j, i));
-        t(i, j) = mean;
-        t(j, i) = mean;
-      }
-    }
-    const auto ritz = jacobi_eigen(t);
-    // Rotate onto Ritz vectors ordered by DESCENDING theta (ascending A).
-    Matrix rotated(n, m);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (int c = 0; c < m; ++c) {
-        double acc = 0.0;
-        for (int q = 0; q < m; ++q) {
-          acc += w(r, q) * ritz.vectors(q, m - 1 - c);
-        }
-        rotated(r, c) = acc;
-      }
-    }
-    v = std::move(rotated);
-    std::vector<double> current(k);
-    for (int c = 0; c < k; ++c) current[c] = sigma - ritz.values[m - 1 - c];
-    double delta = 0.0;
-    for (int c = 0; c < k; ++c) {
-      delta = std::max(delta, std::abs(current[c] - prev[c]));
-    }
-    prev = current;
-    // Ritz values converge roughly quadratically in the subspace angle, so
-    // they stabilize before the eigenVECTORS do; require several
-    // consecutive converged sweeps to let the vectors catch up.
-    static constexpr int kSettleSweeps = 5;
-    if (delta <= tol * std::max(1.0, std::abs(sigma))) {
-      if (++settled >= kSettleSweeps) {
-        converged = true;
-        break;
-      }
-    } else {
-      settled = 0;
-    }
-  }
-
   EigenDecomposition out;
-  out.converged = converged;
-  out.values = prev;
-  out.vectors = Matrix(n, k);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (int c = 0; c < k; ++c) out.vectors(r, c) = v(r, c);
+  if (n == 0) return out;
+
+  // V^T starts as A^T, so the upper triangle tred2 reads is A's lower one.
+  Matrix vt = a.transposed();
+  std::vector<double> d(n);
+  std::vector<double> e(n);
+  tridiagonalize(vt, d, e);
+  diagonalize(vt, d, e);
+
+  out.values = std::move(d);
+  out.vectors = Matrix(n, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto v = vt.row(k);
+    std::size_t lead = 0;
+    for (std::size_t r = 1; r < n; ++r) {
+      if (std::abs(v[r]) > std::abs(v[lead])) lead = r;
+    }
+    const double sign = v[lead] < 0.0 ? -1.0 : 1.0;
+    for (std::size_t r = 0; r < n; ++r) out.vectors(r, k) = sign * v[r];
   }
   return out;
 }
 
 bool is_positive_semidefinite(const Matrix& a, double tol) {
   if (a.rows() == 0) return true;
-  const auto eig = jacobi_eigen(a);
+  const auto eig = symmetric_eigen(a);
   const double largest = std::max(1.0, std::abs(eig.values.back()));
   return eig.values.front() >= -tol * largest;
 }

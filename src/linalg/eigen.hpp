@@ -10,41 +10,28 @@ namespace cwgl::linalg {
 struct EigenDecomposition {
   /// Eigenvalues in ascending order.
   std::vector<double> values;
-  /// Column k of `vectors` is the unit eigenvector for values[k].
+  /// Column k of `vectors` is the unit eigenvector for values[k], signed so
+  /// that its largest-magnitude component (the lowest index on ties) is
+  /// positive.
   Matrix vectors;
-  /// False when the solver hit its sweep budget before reaching `tol`. The
-  /// result is still the best available approximation (every Jacobi/subspace
-  /// step is orthogonal, so it cannot be wildly wrong) — callers that need
-  /// certainty check this and degrade to a stronger solver.
-  bool converged = true;
 };
 
-/// Cyclic Jacobi eigensolver for real symmetric matrices.
+/// Dense symmetric eigensolver: Householder reduction to tridiagonal form,
+/// then the implicit-shift QL algorithm with accumulated transforms
+/// (EISPACK tred2/tql2, Bowdler, Martin, Reinsch & Wilkinson, in the
+/// public-domain JAMA form). O(n^3) with a small constant and no tuning
+/// parameter; every transform is orthogonal. Deterministic: repeat calls
+/// return bit-identical results.
 ///
-/// Rotates away off-diagonal mass sweep by sweep until the off-diagonal
-/// Frobenius norm falls below `tol` (relative to the matrix norm) or
-/// `max_sweeps` is reached. O(n^3) per sweep with typically 6–10 sweeps —
-/// ideal at the n <= 1000 scale of job-similarity matrices, and
-/// unconditionally stable (every transform is orthogonal).
-///
-/// Throws InvalidArgument if `a` is not symmetric within 1e-9.
-EigenDecomposition jacobi_eigen(const Matrix& a, double tol = 1e-12,
-                                int max_sweeps = 64);
+/// Throws InvalidArgument if `a` is not square, has a non-finite entry (the
+/// message names the first one in row-major order), or is not symmetric
+/// within 1e-9; throws util::Error if an eigenvalue needs more than 30 QL
+/// iterations (EISPACK's bound).
+EigenDecomposition symmetric_eigen(const Matrix& a);
 
 /// True if symmetric `a` is positive semi-definite within `tol`
-/// (smallest eigenvalue >= -tol * max(1, |largest eigenvalue|)).
+/// (smallest eigenvalue >= -tol * max(1, |largest eigenvalue|)). Throws
+/// what symmetric_eigen throws.
 bool is_positive_semidefinite(const Matrix& a, double tol = 1e-8);
-
-/// The k smallest eigenpairs of a symmetric matrix, by subspace (block
-/// power) iteration on the spectrally shifted matrix sigma*I - A, where
-/// sigma is a Gershgorin upper bound on A's spectrum. O(k n^2) per sweep —
-/// the scale-out path for spectral clustering when the full O(n^3) Jacobi
-/// decomposition is too expensive (n in the thousands).
-///
-/// `values` ascend; column j of `vectors` is the unit eigenvector of
-/// values[j]. Deterministic (seeded start). Throws InvalidArgument unless
-/// 1 <= k <= n and `a` is symmetric.
-EigenDecomposition smallest_eigenpairs(const Matrix& a, int k,
-                                       int max_sweeps = 600, double tol = 1e-10);
 
 }  // namespace cwgl::linalg

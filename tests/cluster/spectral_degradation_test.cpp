@@ -1,7 +1,7 @@
 // Graceful-degradation and input-validation tests for the spectral path:
-// non-finite/asymmetric similarity handling (strict vs lenient), the
-// iterative-eigensolver -> dense-Jacobi fallback, and k-means' behavior on
-// degenerate embeddings.
+// non-finite/asymmetric similarity handling (strict vs lenient) and k-means'
+// behavior on degenerate embeddings. The eigensolver itself has no fallback
+// to test: linalg::symmetric_eigen either converges or throws util::Error.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "cluster/kmeans.hpp"
 #include "cluster/metrics.hpp"
 #include "cluster/spectral.hpp"
-#include "linalg/eigen.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -79,69 +78,6 @@ TEST(SpectralValidation, LenientClampsAndReports) {
   EXPECT_EQ(diagnostics.count_of("spectral", "non-finite-clamped"), 2u);
   // Two poisoned entries out of 576 must not destroy the clustering.
   EXPECT_GT(adjusted_rand_index(result.labels, truth), 0.9);
-}
-
-TEST(SpectralDegradation, NonConvergedPartialSolverFallsBackToDense) {
-  std::vector<int> truth;
-  // n = 40 > 32 so the partial path actually iterates (below 33 it
-  // delegates to Jacobi outright), and a 1-sweep budget cannot satisfy the
-  // solver's consecutive-settled-sweeps requirement: fallback guaranteed.
-  const auto w = block_similarity(4, 10, 13, &truth);
-  util::Diagnostics diagnostics;
-  SpectralOptions options;
-  options.partial_eigen_threshold = 0;  // force the iterative path
-  options.partial_max_sweeps = 1;
-  options.diagnostics = &diagnostics;
-  const auto result = spectral_cluster(w, 3, options);
-  EXPECT_TRUE(result.eigen_fallback);
-  EXPECT_EQ(diagnostics.count_of("spectral", "eigen-fallback"), 1u);
-  // The fallback is the dense solver: full spectrum, correct clustering.
-  EXPECT_EQ(result.eigenvalues.size(), 40u);
-  EXPECT_EQ(result.labels.size(), 40u);
-}
-
-TEST(SpectralDegradation, ConvergedPartialSolverDoesNotFallBack) {
-  const auto w = block_similarity(4, 10, 15);
-  util::Diagnostics diagnostics;
-  SpectralOptions options;
-  options.partial_eigen_threshold = 0;
-  options.diagnostics = &diagnostics;
-  const auto result = spectral_cluster(w, 4, options);
-  EXPECT_FALSE(result.eigen_fallback);
-  EXPECT_EQ(diagnostics.count_of("spectral", "eigen-fallback"), 0u);
-  EXPECT_EQ(result.eigenvalues.size(), 4u);  // partial mode: k values only
-}
-
-TEST(EigenConvergence, JacobiReportsConvergence) {
-  const auto w = block_similarity(2, 8, 17);
-  const auto full = linalg::jacobi_eigen(w);
-  EXPECT_TRUE(full.converged);
-  // A 0-sweep budget cannot converge a matrix with off-diagonal mass.
-  const auto starved = linalg::jacobi_eigen(w, 1e-12, 0);
-  EXPECT_FALSE(starved.converged);
-}
-
-TEST(EigenConvergence, SubspaceIterationReportsNonConvergence) {
-  // Use the graph Laplacian of the 4-block similarity (the shape the
-  // spectral path feeds the solver): its 4 smallest eigenvalues sit near
-  // zero, well separated from the bulk, so a generous budget converges —
-  // while a 1-sweep budget can never satisfy the solver's
-  // consecutive-settled-sweeps requirement. (The raw similarity matrix
-  // would be a bad subject here: its BOTTOM eigenvalues are degenerate
-  // noise, where subspace iteration is legitimately slow.)
-  const auto w = block_similarity(4, 10, 19);  // n = 40 > 32
-  const std::size_t n = w.rows();
-  linalg::Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double degree = 0.0;
-    for (std::size_t j = 0; j < n; ++j) degree += w(i, j);
-    for (std::size_t j = 0; j < n; ++j) l(i, j) = -w(i, j);
-    l(i, i) = degree - w(i, i);
-  }
-  const auto starved = linalg::smallest_eigenpairs(l, 3, /*max_sweeps=*/1);
-  EXPECT_FALSE(starved.converged);
-  const auto generous = linalg::smallest_eigenpairs(l, 3, /*max_sweeps=*/600);
-  EXPECT_TRUE(generous.converged);
 }
 
 TEST(KMeansRobustness, NonFiniteDataRejected) {

@@ -119,21 +119,13 @@ TEST(Spectral, NegativeSimilaritiesClamped) {
   EXPECT_EQ(result.labels.size(), 3u);
 }
 
-TEST(Spectral, PartialEigensolverRecoversBlocksToo) {
-  std::vector<int> truth;
-  const auto w = block_similarity(4, 20, 23, &truth);  // n = 80
-  SpectralOptions partial;
-  partial.partial_eigen_threshold = 0;  // force the subspace-iteration path
-  const auto via_partial = spectral_cluster(w, 4, partial);
-  EXPECT_GT(adjusted_rand_index(via_partial.labels, truth), 0.95);
-  // And it must agree with the full Jacobi path.
-  SpectralOptions full;
-  full.partial_eigen_threshold = 1000;
-  const auto via_full = spectral_cluster(w, 4, full);
-  EXPECT_GT(adjusted_rand_index(via_partial.labels, via_full.labels), 0.95);
-  // Partial mode reports exactly k eigenvalues.
-  EXPECT_EQ(via_partial.eigenvalues.size(), 4u);
-  EXPECT_EQ(via_full.eigenvalues.size(), 80u);
+TEST(Spectral, EigengapSeesTheFullSpectrumAbove512Items) {
+  // Seven planted blocks but k = 5: the eigengap must still find 7, which
+  // needs the spectrum past the k computed eigenvectors at this size too.
+  const auto w = block_similarity(7, 86, 23);  // n = 602
+  const auto result = spectral_cluster(w, 5);
+  EXPECT_EQ(result.eigenvalues.size(), 602u);
+  EXPECT_EQ(eigengap_k(result.eigenvalues, 10), 7);
 }
 
 TEST(EigengapK, TrivialSpectra) {

@@ -1,0 +1,83 @@
+// Paper-configuration golden: the figure-keyed report of
+// `cwgl characterize --jobs 20000 --seed 42 [--natural] --json` is committed
+// under tests/data/golden/ and rebuilt here in-process, serially, byte for
+// byte. Every member is pinned: the Table 1 census, Figs. 3-7, the pattern
+// census and Fig. 9 with its labels and medoids. A change that moves any
+// reproduced number fails this suite before it reaches EXPERIMENTS.md.
+//
+// Regenerating after an INTENTIONAL change to a reproduced figure (the sed
+// drops the CLI's "timings" member, the only part that varies run to run):
+//   cwgl characterize --jobs 20000 --seed 42 --json
+//     | sed 's/,"timings":{[^}]*}}$/}/'
+//     > tests/data/golden/characterize_seed42.json
+//   cwgl characterize --jobs 20000 --seed 42 --natural --json
+//     | sed 's/,"timings":{[^}]*}}$/}/'
+//     > tests/data/golden/characterize_seed42_natural.json
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+
+#include "core/pipeline.hpp"
+#include "core/report_json.hpp"
+#include "trace/generator.hpp"
+
+namespace cwgl::core {
+namespace {
+
+/// The document `characterize` prints for the paper configuration, with
+/// the CLI's defaults (100-job sample, 5 clusters) and its trailing newline.
+std::string rebuild(SamplingMode sampling) {
+  trace::GeneratorConfig gen;
+  gen.num_jobs = 20000;
+  gen.seed = 42;
+  gen.emit_instances = false;
+  const trace::Trace data = trace::TraceGenerator(gen).generate();
+  PipelineConfig cfg;
+  cfg.sampling = sampling;
+  std::ostringstream out;
+  write_json(out, CharacterizationPipeline(cfg).run(data));
+  out << "\n";
+  return out.str();
+}
+
+std::string committed(const std::string& name) {
+  std::ifstream in(std::string(CWGL_TEST_DATA_DIR) + "/golden/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Byte comparison that reports where the documents part, with context,
+/// instead of dumping two 150 KB strings.
+void expect_identical(const std::string& expected, const std::string& actual) {
+  if (expected == actual) return;
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(expected.begin(), expected.end(), actual.begin(),
+                    actual.end())
+          .first -
+      expected.begin());
+  const std::size_t from = at < 80 ? 0 : at - 80;
+  ADD_FAILURE() << "documents differ at byte " << at << " (sizes "
+                << expected.size() << " vs " << actual.size() << ")\n"
+                << "  golden: ..." << expected.substr(from, 160) << "\n"
+                << "  actual: ..." << actual.substr(from, 160);
+}
+
+TEST(PaperGolden, CharacterizeSeed42) {
+  expect_identical(committed("characterize_seed42.json"),
+                   rebuild(SamplingMode::VariabilityStratified));
+}
+
+TEST(PaperGolden, CharacterizeSeed42Natural) {
+  expect_identical(committed("characterize_seed42_natural.json"),
+                   rebuild(SamplingMode::Natural));
+}
+
+}  // namespace
+}  // namespace cwgl::core
