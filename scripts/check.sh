@@ -100,10 +100,12 @@ run_config() {
 #  ClusterAtScale/MiniBatchKMeans/LandmarkSpectral/FullTrace cover the
 # scalable clustering engine: the cluster.scale failpoint's landmark ->
 # mini-batch degradation and both backends rerun under both sanitizers.
-#  InternDifferential/KMeansWeighted/SilhouetteWeighted/DescribeWeighted
-# cover the count-weighted clustering and report code (one implementation
-# per stage, unit weights the direct case) under both sanitizers.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|SilhouetteWeighted|DescribeWeighted'
+#  InternDifferential/KMeansWeighted/KMeansMapped/SilhouetteWeighted/
+# DescribeWeighted cover the count-weighted clustering and report code (one
+# implementation per stage, unit weights the direct case, k-means seeds
+# drawn over jobs through the shape map) under both sanitizers, and
+# PaperGolden runs the one sampled pipeline end to end under both.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

@@ -106,7 +106,6 @@ core::PipelineConfig pipeline_config(const Args& args) {
   if (const auto h = args.get_int("wl-iterations")) {
     cfg.similarity.wl.iterations = static_cast<int>(*h);
   }
-  if (args.has("intern")) cfg.intern_shapes = true;
   return cfg;
 }
 
@@ -386,14 +385,12 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
   }
   out << "pipeline completed in " << util::format_double(pipeline_ms, 1)
       << " ms\n";
-  if (result.interned.has_value()) {
-    const auto& s = result.interned->stats;
-    out << "shape interning: " << s.distinct_shapes << " distinct shapes for "
-        << s.total_jobs << " jobs ("
-        << util::format_double(100.0 * s.distinct_ratio(), 1) << "%), "
-        << s.isomorphism_probes << " isomorphism probes, "
-        << s.hash_collisions << " hash collisions\n";
-  }
+  const auto& s = result.interned.stats;
+  out << "shape interning: " << s.distinct_shapes << " distinct shapes for "
+      << s.total_jobs << " jobs ("
+      << util::format_double(100.0 * s.distinct_ratio(), 1) << "%), "
+      << s.isomorphism_probes << " isomorphism probes, "
+      << s.hash_collisions << " hash collisions\n";
   out << "\n";
   core::print_trace_census(out, result.census);
   out << "\n";
@@ -424,18 +421,13 @@ int cmd_cluster(const Args& args, std::ostream& out, std::ostream&) {
   const core::PipelineConfig cfg = pipeline_config(args);
   const std::string out_dir = args.get("out");
   util::ThreadPool pool;
-  const core::CharacterizationPipeline pipeline(cfg);
-  const auto sample = pipeline.build_sample(data);
-  const auto similarity =
-      core::SimilarityAnalysis::compute(sample, cfg.similarity, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cfg.clustering);
-  core::print_clustering_analysis(out, clustering);
+  const auto result = core::CharacterizationPipeline(cfg).run(data, &pool);
+  core::print_clustering_analysis(out, result.clustering);
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
-    for (const auto& group : clustering.groups) {
+    for (const auto& group : result.clustering.groups) {
       if (group.population == 0) continue;
-      const core::JobDag& medoid = sample[group.medoid];
+      const core::JobDag& medoid = result.sample[group.medoid];
       const auto path = std::filesystem::path(out_dir) /
                         ("group_" + std::string(1, group.letter()) + ".dot");
       std::ofstream file(path);
@@ -1259,15 +1251,12 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream&) {
   const double inter_arrival = args.get_double("inter-arrival").value_or(1.0);
 
   util::ThreadPool pool;
-  const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
-  const auto similarity =
-      core::SimilarityAnalysis::compute(sample, cfg.similarity, &pool);
-  const auto clustering =
-      core::ClusteringAnalysis::compute(similarity.gram, sample, cfg.clustering);
-  auto jobs = sched::jobs_from_dags(sample, inter_arrival);
-  sched::attach_hints(jobs, clustering.labels);
-  const auto profiles = sched::profiles_from_groups(sample, clustering.labels,
-                                                    cfg.clustering.clusters);
+  const auto result = core::CharacterizationPipeline(cfg).run(data, &pool);
+  const auto& labels = result.clustering.labels;
+  auto jobs = sched::jobs_from_dags(result.sample, inter_arrival);
+  sched::attach_hints(jobs, labels);
+  const auto profiles = sched::profiles_from_groups(
+      result.sample, labels, static_cast<int>(result.clustering.groups.size()));
 
   const sched::Simulator sim(sim_cfg);
   const sched::FifoPolicy fifo;
@@ -1312,13 +1301,12 @@ constexpr Command kCommands[] = {
     {"characterize", "pipeline",
      "the full paper pipeline, printing every figure's data; --json\n"
      "adds \"timings\" and, with --metrics, a \"metrics\" snapshot.\n"
-     "--intern runs the costly stages once per distinct DAG shape;\n"
-     "the figures match, but Fig. 6 has a row per shape and Fig. 9's\n"
-     "groups can differ (its k-means seeds are drawn by count).\n"
-     "--full[=METHOD] clusters EVERY eligible job (minibatch or\n"
-     "landmark), checked by ARI/NMI against the exact pipeline",
+     "The costly stages run once per distinct DAG shape of the\n"
+     "sample, and every figure is still per job. --full[=METHOD]\n"
+     "clusters EVERY eligible job (minibatch or landmark), checked\n"
+     "by ARI/NMI against the exact pipeline",
      "(--trace DIR | [--jobs N] [--seed S]) [--sample K] [--natural]\n"
-     "[--clusters K] [--wl-iterations H] [--intern] [--json]\n"
+     "[--clusters K] [--wl-iterations H] [--json]\n"
      "[--full[=METHOD]] [--metrics[=FILE]] [--trace-out FILE]", 0,
      cmd_characterize},
     {"cluster", "", "similarity map + spectral groups + medoid .dot files",
@@ -1342,12 +1330,13 @@ constexpr Command kCommands[] = {
     {"fit", "",
      "run the pipeline, save the fitted WL/cluster model as a\n"
      "cwgl-model-v2 snapshot, and self-check that it reproduces the\n"
-     "pipeline's clusters. --intern keeps one representative per\n"
-     "shape with its count; --full[=METHOD] fits EVERY eligible job;\n"
-     "--json: schema cwgl-fit-v1 with section sizes and self-check",
+     "pipeline's clusters. A sampled fit keeps one representative per\n"
+     "job; --full[=METHOD] fits EVERY eligible job, one representative\n"
+     "per distinct shape with its count; --json: schema cwgl-fit-v1\n"
+     "with section sizes and self-check",
      "(--trace DIR | [--jobs N] [--seed S]) [--out FILE] [--json]\n"
      "[--sample K] [--natural] [--clusters K] [--wl-iterations H]\n"
-     "[--conflated] [--intern] [--full[=METHOD]]", 0, cmd_fit},
+     "[--conflated] [--full[=METHOD]]", 0, cmd_fit},
     {"predict", "",
      "classify the DAG jobs of a task CSV against a fitted snapshot\n"
      "(cluster, similarity, forecast; --json: cwgl-predict-v1). The\n"

@@ -25,37 +25,46 @@ double sq_dist(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
+/// Seeds are drawn over points: the mapped points in order when `item_of`
+/// is given, otherwise the rows, in proportion to `weights` if given.
 linalg::Matrix kmeanspp_init(const linalg::Matrix& data,
-                             std::span<const double> weights, int k,
+                             std::span<const double> weights,
+                             std::span<const std::uint32_t> item_of, int k,
                              util::Xoshiro256StarStar& rng) {
   const std::size_t n = data.rows();
+  const std::size_t points = item_of.empty() ? n : item_of.size();
+  const auto row_of = [&](std::size_t p) -> std::size_t {
+    return item_of.empty() ? p : item_of[p];
+  };
   linalg::Matrix centers(k, data.cols());
   std::vector<double> min_dist(n, std::numeric_limits<double>::max());
-  std::vector<double> scores(n, 0.0);
+  std::vector<double> scores(points, 0.0);
 
   // A uniform pick over the expanded sample lands on row i with probability
-  // proportional to its weight; without weights it is a uniform row.
+  // proportional to its weight; over points it is a uniform point's row.
   const auto seed_row = [&]() -> std::size_t {
-    return weights.empty()
-               ? static_cast<std::size_t>(rng.uniform_u64(0, n - 1))
-               : rng.discrete(weights);
+    if (!weights.empty()) return rng.discrete(weights);
+    return row_of(static_cast<std::size_t>(rng.uniform_u64(0, points - 1)));
   };
   const std::size_t first = seed_row();
   for (std::size_t c = 0; c < data.cols(); ++c) centers(0, c) = data(first, c);
   for (int centroid = 1; centroid < k; ++centroid) {
-    double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       min_dist[i] =
           std::min(min_dist[i], sq_dist(data.row(i), centers.row(centroid - 1)));
-      scores[i] = util::weight_at(weights, i) * min_dist[i];
-      total += scores[i];
+    }
+    double total = 0.0;
+    for (std::size_t p = 0; p < points; ++p) {
+      scores[p] = util::weight_at(weights, p) * min_dist[row_of(p)];
+      total += scores[p];
     }
     // Degenerate embedding (all points coincide with chosen centers): the
     // D^2 weights vanish and `discrete` would deterministically pick index
     // 0. Re-seed like the first pick instead so duplicate data still yields
     // a usable (if arbitrary) clustering rather than k copies of one
     // point's center.
-    const std::size_t pick = total > 0.0 ? rng.discrete(scores) : seed_row();
+    const std::size_t pick =
+        total > 0.0 ? row_of(rng.discrete(scores)) : seed_row();
     for (std::size_t c = 0; c < data.cols(); ++c) {
       centers(centroid, c) = data(pick, c);
     }
@@ -64,12 +73,15 @@ linalg::Matrix kmeanspp_init(const linalg::Matrix& data,
 }
 
 KMeansResult lloyd(const linalg::Matrix& data, std::span<const double> weights,
-                   int k, const KMeansOptions& opt,
-                   util::Xoshiro256StarStar& rng) {
+                   std::span<const std::uint32_t> item_of, int k,
+                   const KMeansOptions& opt, util::Xoshiro256StarStar& rng) {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
   KMeansResult r;
-  r.centers = kmeanspp_init(data, weights, k, rng);
+  // With a map the weights are its counts, and the draw is over points.
+  r.centers = kmeanspp_init(
+      data, item_of.empty() ? weights : std::span<const double>{}, item_of, k,
+      rng);
   r.labels.assign(n, 0);
   double prev_inertia = std::numeric_limits<double>::max();
 
@@ -143,10 +155,10 @@ void validate_points(const linalg::Matrix& data, int k) {
   }
 }
 
-}  // namespace
-
-KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt,
-                    std::span<const double> weights) {
+KMeansResult run_kmeans(const linalg::Matrix& data, int k,
+                        const KMeansOptions& opt,
+                        std::span<const double> weights,
+                        std::span<const std::uint32_t> item_of) {
   validate_points(data, k);
   util::check_weights(weights, data.rows(), "kmeans");
   auto& registry = obs::MetricsRegistry::global();
@@ -161,7 +173,7 @@ KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt,
   for (int restart = 0; restart < std::max(1, opt.restarts); ++restart) {
     util::Xoshiro256StarStar rng(
         util::hash_combine(opt.seed, static_cast<std::uint64_t>(restart)));
-    KMeansResult r = lloyd(data, weights, k, opt, rng);
+    KMeansResult r = lloyd(data, weights, item_of, k, opt, rng);
     restarts.add();
     iterations.add(static_cast<std::uint64_t>(r.iterations));
     total_iterations += static_cast<std::uint64_t>(r.iterations);
@@ -169,6 +181,21 @@ KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt,
   }
   span.arg("iterations", total_iterations);
   return best;
+}
+
+}  // namespace
+
+KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt,
+                    std::span<const double> weights) {
+  return run_kmeans(data, k, opt, weights, {});
+}
+
+KMeansResult kmeans(const linalg::Matrix& data, int k, const KMeansOptions& opt,
+                    std::span<const std::uint32_t> item_of) {
+  const std::vector<std::uint64_t> counts =
+      util::item_counts(item_of, data.rows(), "kmeans");
+  const std::vector<double> weights(counts.begin(), counts.end());
+  return run_kmeans(data, k, opt, weights, item_of);
 }
 
 }  // namespace cwgl::cluster

@@ -29,13 +29,12 @@ struct KMeansOptions {
 /// means one point per row. Equivalent to the run on the expanded data set
 /// without its cost: k-means++ picks rows with probability proportional to
 /// weight x D^2, centroids are weighted means, and inertia is the weighted
-/// sum of squared distances. Unit weights reproduce the unweighted run bit
-/// for bit except in the seed draw, the one step that looks at whether
-/// weights were given: without them the first center (and the re-seed of a
-/// degenerate embedding) is a uniform row, with them a row drawn in
-/// proportion to its weight. Per-seed labels of a weighted run are
-/// therefore not comparable to the expanded run's; on well-separated data
-/// both converge to the same partition.
+/// sum of squared distances. Without weights the first center (and the
+/// re-seed of a degenerate embedding) is a uniform row; with them it is a
+/// row drawn in proportion to its weight, so the same random number lands
+/// on a different point than in the expanded run, and per-seed labels are
+/// not comparable to it (on well-separated data both converge to the same
+/// partition). The overload below draws like the expanded run.
 ///
 /// Deterministic in `options.seed`. Empty clusters are re-seeded from the
 /// point farthest from its center. Throws InvalidArgument if k < 1 or
@@ -44,5 +43,19 @@ struct KMeansOptions {
 KMeansResult kmeans(const linalg::Matrix& data, int k,
                     const KMeansOptions& options = {},
                     std::span<const double> weights = {});
+
+/// The same clustering of an ordered point set whose point p sits on row
+/// `item_of[p]`, e.g. a sample's jobs over their distinct shapes: row t
+/// weighs as many points as map to it. Every k-means++ seed is drawn over
+/// the points in order, as the run on the expanded rows (one row per
+/// point) draws it: the first with `uniform_u64` over points, each D^2
+/// pick with `discrete` over per-point scores. The same random number
+/// therefore lands on the same point, and so on the same row. An empty map
+/// means one point per row, which is the unweighted run above. Throws
+/// InvalidArgument as above, or when a row id is out of range or a row has
+/// no point.
+KMeansResult kmeans(const linalg::Matrix& data, int k,
+                    const KMeansOptions& options,
+                    std::span<const std::uint32_t> item_of);
 
 }  // namespace cwgl::cluster

@@ -15,12 +15,15 @@ namespace cwgl::cluster {
 
 SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
                                 const SpectralOptions& options,
-                                std::span<const double> weights) {
+                                std::span<const std::uint32_t> item_of) {
   if (similarity.rows() != similarity.cols()) {
     throw util::InvalidArgument("spectral_cluster: similarity must be square");
   }
   const std::size_t n = similarity.rows();
-  util::check_weights(weights, n, "spectral_cluster");
+  const std::vector<std::uint64_t> counts =
+      util::item_counts(item_of, n, "spectral_cluster");
+  const std::vector<double> row_weights(counts.begin(), counts.end());
+  const std::span<const double> weights = row_weights;
   if (k < 1 || static_cast<std::size_t>(k) > n) {
     throw util::InvalidArgument("spectral_cluster: need 1 <= k <= n");
   }
@@ -136,7 +139,7 @@ SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
     }
   }
 
-  result.labels = kmeans(result.embedding, k, options.kmeans, weights).labels;
+  result.labels = kmeans(result.embedding, k, options.kmeans, item_of).labels;
   return result;
 }
 

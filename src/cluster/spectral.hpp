@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,37 +39,39 @@ struct SpectralResult {
   std::size_t clamped_entries = 0;
 };
 
-/// Ng–Jordan–Weiss normalized spectral clustering over a similarity matrix,
-/// where row/column t stands for `weights[t]` identical items (e.g. one
-/// distinct job shape with its multiplicity); empty `weights` means one
-/// item per row.
+/// Ng–Jordan–Weiss normalized spectral clustering over a similarity matrix
+/// whose row/column t stands for every point p with `item_of[p] == t`
+/// (e.g. one distinct job shape and the sample jobs of that shape); an
+/// empty `item_of` means one point per row. Row t's weight w_t is its
+/// number of points.
 ///
 /// Steps: symmetrize W (average with its transpose), build
 /// L = I - M with M(t,u) = sqrt(w_t w_u) W(t,u) / sqrt(d_t d_u) and weighted
 /// degrees d_t = sum_u w_u W(t,u) (the usual L_sym = I - D^{-1/2} W D^{-1/2}
 /// at unit weights), take the k eigenvectors of the smallest eigenvalues,
-/// row-normalize, and run `kmeans` with the same weights in the embedded
-/// space. Negative similarities are clamped to zero; isolated rows (zero
-/// degree) embed at the origin.
+/// row-normalize, and run `kmeans` with the same map in the embedded space.
+/// Negative similarities are clamped to zero; isolated rows (zero degree)
+/// embed at the origin.
 ///
-/// A weighted run is equivalent to the unweighted run on the expanded
-/// matrix: for identical items the expansion's normalized affinity has
-/// eigenvectors constant within each identity class, and restricting to one
-/// row per class yields M. Its spectrum is the expanded spectrum minus
-/// (N - n) copies of the eigenvalue 1 (append them to reproduce it for the
-/// eigengap heuristic); row-normalizing cancels the per-class 1/sqrt(w_t)
-/// scaling, so the embedding rows equal the expanded run's and k-means sees
-/// the same point set, weighted (its seed-draw caveat applies).
+/// A mapped run is equivalent to the unweighted run on the expanded matrix
+/// (one row per point): for identical rows the expansion's normalized
+/// affinity has eigenvectors constant within each identity class, and
+/// restricting to one row per class yields M. Its spectrum is the expanded
+/// spectrum minus (points - rows) copies of the eigenvalue 1 (append them
+/// to reproduce it for the eigengap heuristic); row-normalizing cancels
+/// the per-class 1/sqrt(w_t) scaling, so the embedding rows equal the
+/// expanded run's, and k-means draws its seeds over the points as the
+/// expanded run does (see kmeans).
 ///
 /// Throws InvalidArgument if `similarity` is not square, k is out of range,
-/// or `weights` is neither empty nor one finite, positive weight per row —
+/// or `item_of` names a row out of range or leaves a row without a point —
 /// and, under the default strict posture, if entries are non-finite or the
 /// matrix is asymmetric beyond numerical noise (see SpectralOptions::
 /// lenient for the degrade-and-report alternative). Throws util::Error if
 /// the eigensolve does not converge (linalg::symmetric_eigen).
 SpectralResult spectral_cluster(const linalg::Matrix& similarity, int k,
                                 const SpectralOptions& options = {},
-                                std::span<const double> weights = {});
+                                std::span<const std::uint32_t> item_of = {});
 
 /// Eigengap heuristic: given the ascending spectrum of L_sym, the suggested
 /// cluster count is the k (in [1, max_k]) maximizing

@@ -9,19 +9,15 @@
 
 namespace cwgl::core {
 
-StructuralReport StructuralReport::compute(
-    std::span<const JobDag> jobs, std::span<const std::uint64_t> counts) {
-  util::check_counts(counts, jobs.size(), "StructuralReport");
+StructuralReport StructuralReport::compute(std::span<const JobDag> jobs) {
   StructuralReport report;
   std::map<int, SizeGroupFeatures> groups;
-  for (std::size_t t = 0; t < jobs.size(); ++t) {
-    const JobDag& job = jobs[t];
-    const auto count = static_cast<std::size_t>(util::weight_at(counts, t));
+  for (const JobDag& job : jobs) {
     const int size = job.size();
-    report.size_histogram.add(size, count);
+    report.size_histogram.add(size);
     SizeGroupFeatures& g = groups[size];
     g.size = size;
-    g.count += count;
+    ++g.count;
     g.max_critical_path =
         std::max(g.max_critical_path, graph::critical_path_length(job.dag));
     g.max_width = std::max(g.max_width, graph::max_width(job.dag));
@@ -31,34 +27,25 @@ StructuralReport StructuralReport::compute(
   return report;
 }
 
-ConflationReport ConflationReport::compute(
-    std::span<const JobDag> jobs, std::span<const std::uint64_t> counts) {
-  util::check_counts(counts, jobs.size(), "ConflationReport");
+ConflationReport ConflationReport::compute(std::span<const JobDag> jobs) {
   ConflationReport report;
   double reduction_sum = 0.0;
-  std::uint64_t total = 0;
-  for (std::size_t t = 0; t < jobs.size(); ++t) {
-    const JobDag& job = jobs[t];
-    const std::uint64_t count = util::weight_at(counts, t);
+  for (const JobDag& job : jobs) {
     const JobDag merged = conflate_job(job);
-    report.before.add(job.size(), static_cast<std::size_t>(count));
-    report.after.add(merged.size(), static_cast<std::size_t>(count));
-    reduction_sum += static_cast<double>(count) *
-                     (static_cast<double>(job.size()) /
-                      static_cast<double>(std::max(1, merged.size())));
-    total += count;
+    report.before.add(job.size());
+    report.after.add(merged.size());
+    reduction_sum += static_cast<double>(job.size()) /
+                     static_cast<double>(std::max(1, merged.size()));
   }
   report.mean_reduction =
-      total == 0 ? 1.0 : reduction_sum / static_cast<double>(total);
+      jobs.empty() ? 1.0 : reduction_sum / static_cast<double>(jobs.size());
   return report;
 }
 
 namespace {
 
-/// Builds the Fig. 6 row for one job and bumps the matching model counter
-/// by `weight`, the job's multiplicity.
-void add_task_type_row(TaskTypeReport& report, const JobDag& job,
-                       std::size_t weight) {
+/// Builds the Fig. 6 row for one job and bumps the matching model counter.
+void add_task_type_row(TaskTypeReport& report, const JobDag& job) {
   TaskTypeRow row;
   row.job_name = job.job_name;
   row.size = job.size();
@@ -88,44 +75,34 @@ void add_task_type_row(TaskTypeReport& report, const JobDag& job,
   }
   if (has_merge && row.j_tasks == 0) {
     row.model = "map-reduce-merge";
-    report.map_reduce_merge_jobs += weight;
+    ++report.map_reduce_merge_jobs;
   } else if (row.j_tasks > 0) {
     row.model = "map-join-reduce";
-    report.map_join_reduce_jobs += weight;
+    ++report.map_join_reduce_jobs;
   } else if (row.critical_path <= 2) {
     row.model = "map-reduce";
-    report.map_reduce_jobs += weight;
+    ++report.map_reduce_jobs;
   } else {
     row.model = "multi-stage map-reduce";
-    report.multi_stage_jobs += weight;
+    ++report.multi_stage_jobs;
   }
   report.rows.push_back(std::move(row));
 }
 
 }  // namespace
 
-TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> jobs,
-                                       std::span<const std::uint64_t> counts) {
-  util::check_counts(counts, jobs.size(), "TaskTypeReport");
+TaskTypeReport TaskTypeReport::compute(std::span<const JobDag> jobs) {
   TaskTypeReport report;
   report.rows.reserve(jobs.size());
-  for (std::size_t t = 0; t < jobs.size(); ++t) {
-    add_task_type_row(report, jobs[t],
-                      static_cast<std::size_t>(util::weight_at(counts, t)));
-  }
+  for (const JobDag& job : jobs) add_task_type_row(report, job);
   return report;
 }
 
-PatternCensus PatternCensus::compute(std::span<const JobDag> jobs,
-                                     std::span<const std::uint64_t> counts) {
-  util::check_counts(counts, jobs.size(), "PatternCensus");
+PatternCensus PatternCensus::compute(std::span<const JobDag> jobs) {
   PatternCensus census;
   std::map<graph::ShapePattern, std::size_t> tally;
-  for (std::size_t t = 0; t < jobs.size(); ++t) {
-    const auto count = static_cast<std::size_t>(util::weight_at(counts, t));
-    tally[graph::classify_shape(jobs[t].dag)] += count;
-    census.total += count;
-  }
+  for (const JobDag& job : jobs) ++tally[graph::classify_shape(job.dag)];
+  census.total = jobs.size();
   for (const auto& [pattern, count] : tally) {
     census.rows.push_back(
         {pattern, count,

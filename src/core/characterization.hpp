@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,12 +27,7 @@ struct StructuralReport {
   std::vector<SizeGroupFeatures> groups;  ///< ascending by size
   std::size_t distinct_sizes = 0;         ///< "17 different size types"
 
-  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each), as
-  /// when the jobs are interned shapes; the output equals the report on the
-  /// expansion (size and structural extremes are shape invariants). Throws
-  /// InvalidArgument when `counts` is neither empty nor one per job.
-  static StructuralReport compute(std::span<const JobDag> jobs,
-                                  std::span<const std::uint64_t> counts = {});
+  static StructuralReport compute(std::span<const JobDag> jobs);
 };
 
 /// Figure 3: size distributions before vs after node conflation.
@@ -43,14 +37,7 @@ struct ConflationReport {
   /// Mean size reduction factor achieved by conflation.
   double mean_reduction = 1.0;
 
-  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each).
-  /// Conflation is a deterministic function of topology + labels, so one
-  /// conflation per distinct shape reproduces the per-job histograms
-  /// exactly; `mean_reduction` matches the expansion up to floating-point
-  /// summation order. Throws InvalidArgument when `counts` is neither empty
-  /// nor one per job.
-  static ConflationReport compute(std::span<const JobDag> jobs,
-                                  std::span<const std::uint64_t> counts = {});
+  static ConflationReport compute(std::span<const JobDag> jobs);
 };
 
 /// One row of Figure 6: the task-type composition of a job and the inferred
@@ -76,14 +63,8 @@ struct TaskTypeReport {
   std::size_t map_reduce_merge_jobs = 0;
   std::size_t multi_stage_jobs = 0;
 
-  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each).
-  /// Programming-model counters aggregate with multiplicity and match the
-  /// expansion exactly; `rows` holds one row per entry of `jobs` (one per
-  /// DISTINCT shape when interned, named after the exemplar), since
-  /// expanding would defeat the interning. Throws InvalidArgument when
-  /// `counts` is neither empty nor one per job.
-  static TaskTypeReport compute(std::span<const JobDag> jobs,
-                                std::span<const std::uint64_t> counts = {});
+  /// One row per job, in order.
+  static TaskTypeReport compute(std::span<const JobDag> jobs);
 };
 
 /// Shape-pattern census (Section V-B): which fraction of jobs is a chain /
@@ -97,12 +78,7 @@ struct PatternCensus {
   std::vector<Row> rows;  ///< descending by count
   std::size_t total = 0;
 
-  /// `jobs[t]` stands for `counts[t]` identical jobs (empty: one each);
-  /// the output equals the census of the expansion (the pattern is a shape
-  /// invariant). Throws InvalidArgument when `counts` is neither empty nor
-  /// one per job.
-  static PatternCensus compute(std::span<const JobDag> jobs,
-                               std::span<const std::uint64_t> counts = {});
+  static PatternCensus compute(std::span<const JobDag> jobs);
 
   /// Fraction for one pattern (0 when absent).
   double fraction(graph::ShapePattern p) const noexcept;

@@ -13,84 +13,74 @@
 namespace cwgl::core {
 
 ClusteringAnalysis ClusteringAnalysis::compute(
-    const linalg::Matrix& similarity, std::span<const JobDag> items,
-    const ClusteringOptions& options, std::span<const std::uint64_t> counts,
-    std::span<const std::uint32_t> shape_of) {
-  const std::size_t m = items.size();
-  if (similarity.rows() != m) {
+    const linalg::Matrix& similarity, std::span<const JobDag> jobs,
+    const ClusteringOptions& options, std::span<const std::uint32_t> item_of) {
+  const std::size_t n = jobs.size();
+  const std::size_t m = item_of.empty() ? n : similarity.rows();
+  if (similarity.rows() != m || (!item_of.empty() && item_of.size() != n)) {
     throw util::InvalidArgument(
-        "ClusteringAnalysis: similarity/items size mismatch");
+        "ClusteringAnalysis: similarity/jobs size mismatch");
   }
-  util::check_counts(counts, m, "ClusteringAnalysis");
-  std::uint64_t total_jobs = 0;
-  for (std::size_t t = 0; t < m; ++t) {
-    if (util::weight_at(counts, t) == 0) {
-      throw util::InvalidArgument("ClusteringAnalysis: zero item count");
-    }
-    total_jobs += util::weight_at(counts, t);
-  }
-  const auto item_of = [&](std::size_t i) -> std::size_t {
-    return shape_of.empty() ? i : shape_of[i];
+  const std::vector<std::uint64_t> counts =
+      util::item_counts(item_of, m, "ClusteringAnalysis");
+  const auto item = [&](std::size_t i) -> std::size_t {
+    return item_of.empty() ? i : item_of[i];
   };
-  const std::size_t n = shape_of.empty() ? m : shape_of.size();
-  std::vector<std::size_t> first_job(m, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (item_of(i) >= m) {
-      throw util::InvalidArgument("ClusteringAnalysis: shape id out of range");
-    }
-    if (first_job[item_of(i)] == n) first_job[item_of(i)] = i;
-  }
+  // Jobs of one item cannot be told apart, so there are at most m groups.
+  const int k = options.clusters < 1
+                    ? options.clusters
+                    : static_cast<int>(std::min<std::size_t>(
+                          static_cast<std::size_t>(options.clusters), m));
 
-  const std::vector<double> weights(counts.begin(), counts.end());
   cluster::SpectralOptions spectral_options;
   spectral_options.kmeans.seed = options.seed;
-  const auto spectral = cluster::spectral_cluster(
-      similarity, options.clusters, spectral_options, weights);
+  const auto spectral =
+      cluster::spectral_cluster(similarity, k, spectral_options, item_of);
   const std::vector<int> item_label = relabel_by_mass(spectral.labels, counts);
 
   ClusteringAnalysis out;
-  // The expanded sample's spectrum is the weighted spectrum plus one
-  // eigenvalue-1 direction per duplicated job (see
-  // cluster::spectral_cluster); reconstruct it so the eigengap heuristic
-  // sees what the direct run would.
+  // The per-job kernel's spectrum is the items' spectrum plus one
+  // eigenvalue-1 direction per repeated job (see cluster::spectral_cluster);
+  // reconstruct it so the eigengap heuristic sees what a per-job run would.
   out.eigenvalues = spectral.eigenvalues;
-  if (total_jobs > m) {
-    out.eigenvalues.insert(out.eigenvalues.end(),
-                           static_cast<std::size_t>(total_jobs - m), 1.0);
+  if (n > m) {
+    out.eigenvalues.insert(out.eigenvalues.end(), n - m, 1.0);
     std::sort(out.eigenvalues.begin(), out.eigenvalues.end());
   }
   out.suggested_k = cluster::eigengap_k(out.eigenvalues, 10);
   out.labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.labels[i] = item_label[item_of(i)];
+  for (std::size_t i = 0; i < n; ++i) out.labels[i] = item_label[item(i)];
 
+  const std::vector<double> weights(counts.begin(), counts.end());
   const linalg::Matrix distances = kernel::kernel_to_distance(similarity);
   out.silhouette = cluster::silhouette_score(distances, item_label, weights);
 
-  out.groups = group_statistics(items, item_label, options.clusters, counts);
+  out.groups = group_statistics(jobs, out.labels, k);
+  std::vector<std::size_t> first_job(m, n);
+  for (std::size_t i = n; i-- > 0;) first_job[item(i)] = i;
   for (ClusterGroupStats& stats : out.groups) {
-    // Medoid: the member most similar to the rest of its group. Every copy
-    // of item t has the same centrality, its similarity to every other
-    // copy in the group. Items iterate in first-seen order with a strict
-    // max, so the winner's first job is the job the direct argmax keeps.
+    // Medoid: the job most similar to the rest of its group. Every job of
+    // item t has the same centrality: its similarity to every job of the
+    // group, counted per job, minus its own. Items with equal kernel rows
+    // therefore tie exactly, and the strict max over jobs in order keeps
+    // the earliest job of the most central item.
     double best_centrality = -1.0;
-    std::size_t medoid_item = m;
-    for (std::size_t t = 0; t < m; ++t) {
-      if (item_label[t] != stats.group) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t t = item(i);
+      if (first_job[t] != i || item_label[t] != stats.group) continue;
       double centrality = 0.0;
       for (std::size_t u = 0; u < m; ++u) {
-        if (item_label[u] != stats.group) continue;
-        const std::uint64_t copies = util::weight_at(counts, u) - (u == t);
-        if (copies > 0) {
-          centrality += static_cast<double>(copies) * similarity(t, u);
+        if (item_label[u] == stats.group) {
+          centrality +=
+              static_cast<double>(util::weight_at<std::uint64_t>(counts, u)) *
+              similarity(t, u);
         }
       }
+      centrality -= similarity(t, t);
       if (centrality > best_centrality) {
         best_centrality = centrality;
-        medoid_item = t;
+        stats.medoid = i;
       }
-    }
-    if (medoid_item < m && first_job[medoid_item] < n) {
-      stats.medoid = first_job[medoid_item];
     }
   }
   return out;

@@ -20,7 +20,8 @@ struct ClusterGroupStats {
   util::Distribution parallelism;    ///< Fig. 9(d)
   double chain_fraction = 0.0;       ///< share of straight-chain jobs
   double short_job_fraction = 0.0;   ///< share of jobs with < 3 tasks
-  std::size_t medoid = 0;            ///< index of the most central job (Fig. 8)
+  /// Index of the most central job (Fig. 8), the earliest of equals.
+  std::size_t medoid = 0;
 
   /// Letter name used in the paper ('A'..).
   char letter() const noexcept { return static_cast<char>('A' + group); }
@@ -42,26 +43,24 @@ struct ClusteringAnalysis {
   double silhouette = 0.0;             ///< quality in feature-space distance
   int suggested_k = 1;                 ///< eigengap heuristic (max 10)
 
-  /// Clusters the items of the analysis set, `similarity` being the kernel
-  /// over them. Item t stands for `counts[t]` identical jobs (e.g. one
-  /// distinct shape with its multiplicity) and `shape_of[i]` maps job i of
-  /// the analysis set to its item; empty `counts` means one job per item
-  /// and empty `shape_of` the identity, which is the direct per-job run.
-  /// With counts the result is the analysis of the expanded sample: per-JOB
-  /// labels, count-weighted group statistics (quantiles bit-identical,
-  /// means to rounding), the expanded spectrum (the weighted spectrum plus
-  /// jobs-minus-items copies of the eigenvalue 1), weighted silhouette, and
-  /// the medoid as a job index (the earliest job of the most central item,
-  /// matching the direct argmax tie-break). Cluster-letter agreement with
-  /// the direct run on the expansion additionally requires separated
-  /// groups, because the k-means seed draws differ (see cluster::kmeans).
-  /// Throws InvalidArgument on mismatched sizes, a zero count, or a shape
-  /// id out of range.
+  /// Clusters `jobs`, the analysis set in sample order. `similarity` is
+  /// the kernel over its distinct items, job i being item `item_of[i]`
+  /// (e.g. its distinct shape); an empty `item_of` means one item per job.
+  /// Spectral clustering, silhouette and centrality run once per item; the
+  /// result is the per-job analysis all the same. Labels are per job, the
+  /// group statistics read the jobs in order, the spectrum is the expanded
+  /// one (the items' spectrum plus one eigenvalue 1 per repeated job), the
+  /// silhouette counts each item once per job, and a group's medoid is the
+  /// earliest job of its most central item. k-means draws its seeds over
+  /// the jobs, so the same random number picks the same job as on the
+  /// per-job kernel (see cluster::kmeans). A cluster count above the
+  /// number of items is lowered to it. Throws InvalidArgument when the
+  /// cluster count is below 1, the similarity is not one row per item, an
+  /// item id is out of range, or an item has no job.
   static ClusteringAnalysis compute(
-      const linalg::Matrix& similarity, std::span<const JobDag> items,
+      const linalg::Matrix& similarity, std::span<const JobDag> jobs,
       const ClusteringOptions& options = {},
-      std::span<const std::uint64_t> counts = {},
-      std::span<const std::uint32_t> shape_of = {});
+      std::span<const std::uint32_t> item_of = {});
 };
 
 /// Relabels raw cluster ids by descending mass (the population counted

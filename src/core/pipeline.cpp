@@ -79,34 +79,24 @@ PipelineResult CharacterizationPipeline::run(const trace::Trace& trace,
     result.sample = build_sample(trace);
     span.arg("jobs", result.sample.size());
   }
+  result.interned = intern_sample(result.sample);
+  const InternedAnalysis& interned = result.interned;
 
-  // Every stage below runs once per item: a sample job, or with
-  // intern_shapes a distinct shape's exemplar carrying its multiplicity.
-  std::span<const JobDag> items = result.sample;
-  std::vector<std::uint64_t> counts;
-  std::span<const std::uint32_t> shape_of;
-  if (config_.intern_shapes) {
-    result.interned = intern_sample(result.sample);
-    items = result.interned->table.exemplars;
-    counts = result.interned->table.counts();
-    shape_of = result.interned->shape_of;
-  }
-  const char* const item_unit = config_.intern_shapes ? "shapes" : "jobs";
-
+  // The reports read every job of the sample, in order.
   {
     obs::Span span("pipeline.structure");
-    result.conflation = ConflationReport::compute(items, counts);
-    result.structure_before = StructuralReport::compute(items, counts);
+    result.conflation = ConflationReport::compute(result.sample);
+    result.structure_before = StructuralReport::compute(result.sample);
   }
 
-  // Conflation is pure per item, so it rides the same pool as featurization.
-  std::vector<JobDag> conflated(items.size());
+  // Conflation is pure per job, so it rides the same pool as featurization.
+  std::vector<JobDag> conflated(result.sample.size());
   {
     obs::Span span("pipeline.conflation");
-    span.arg(item_unit, conflated.size());
+    span.arg("jobs", conflated.size());
     const auto conflate_range = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        conflated[i] = conflate_job(items[i]);
+        conflated[i] = conflate_job(result.sample[i]);
       }
     };
     if (pool != nullptr) {
@@ -114,52 +104,61 @@ PipelineResult CharacterizationPipeline::run(const trace::Trace& trace,
     } else {
       conflate_range(0, conflated.size());
     }
-    result.structure_after = StructuralReport::compute(conflated, counts);
+    result.structure_after = StructuralReport::compute(conflated);
   }
 
   {
     obs::Span span("pipeline.task_types");
-    result.task_types = TaskTypeReport::compute(items, counts);
-    result.patterns = PatternCensus::compute(items, counts);
+    result.task_types = TaskTypeReport::compute(result.sample);
+    result.patterns = PatternCensus::compute(result.sample);
   }
 
-  const std::span<const JobDag> analysis_set =
-      config_.analyze_conflated ? std::span<const JobDag>(conflated) : items;
+  // The learning stages run once per distinct shape of the analysis set. A
+  // shape's conflated exemplar is the conflation of its first job.
+  std::vector<JobDag> conflated_shapes;
+  if (config_.analyze_conflated) {
+    conflated_shapes.reserve(interned.table.size());
+    for (const ShapeTable::ShapeInfo& shape : interned.table.shapes) {
+      conflated_shapes.push_back(conflated[shape.first_seq]);
+    }
+  }
+  const std::span<const JobDag> analysis_jobs =
+      config_.analyze_conflated ? std::span<const JobDag>(conflated)
+                                : result.sample;
+  const std::span<const JobDag> analysis_shapes =
+      config_.analyze_conflated ? std::span<const JobDag>(conflated_shapes)
+                                : interned.table.exemplars;
+  linalg::Matrix shape_gram;
   {
     obs::Span span("pipeline.similarity");
-    span.arg(item_unit, analysis_set.size());
-    result.similarity = SimilarityAnalysis::compute(
-        analysis_set, config_.similarity, pool, fitted);
+    span.arg("shapes", analysis_shapes.size());
+    SimilarityAnalysis shapes = SimilarityAnalysis::compute(
+        analysis_shapes, config_.similarity, pool, fitted);
+    shape_gram = std::move(shapes.gram);
   }
   {
     obs::Span span("pipeline.clustering");
     result.clustering =
-        ClusteringAnalysis::compute(result.similarity.gram, analysis_set,
-                                    config_.clustering, counts, shape_of);
+        ClusteringAnalysis::compute(shape_gram, analysis_jobs,
+                                    config_.clustering, interned.shape_of);
   }
 
-  pipeline_span.arg("sampled_jobs", result.sample.size());
-  if (result.interned.has_value()) {
-    // Expand the shape kernel back to the per-job Gram: same-shape jobs have
-    // bitwise-identical WL feature vectors, so this reproduces the direct
-    // path's matrix exactly and every downstream consumer works unchanged.
-    InternedAnalysis& interned = *result.interned;
-    interned.shape_gram = std::move(result.similarity.gram);
-    const std::size_t n = result.sample.size();
-    result.similarity.gram = linalg::Matrix(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        result.similarity.gram(i, j) =
-            interned.shape_gram(interned.shape_of[i], interned.shape_of[j]);
-      }
+  // Fig. 7 is per job: same-shape jobs have bitwise-identical WL feature
+  // vectors, so expanding the shape kernel is the per-job Gram exactly.
+  const std::size_t n = result.sample.size();
+  result.similarity.gram = linalg::Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      result.similarity.gram(i, j) =
+          shape_gram(interned.shape_of[i], interned.shape_of[j]);
     }
-    result.similarity.job_names.clear();
-    result.similarity.job_names.reserve(n);
-    for (const JobDag& job : result.sample) {
-      result.similarity.job_names.push_back(job.job_name);
-    }
-    pipeline_span.arg("distinct_shapes", interned.table.size());
   }
+  result.similarity.job_names.reserve(n);
+  for (const JobDag& job : result.sample) {
+    result.similarity.job_names.push_back(job.job_name);
+  }
+  pipeline_span.arg("sampled_jobs", n);
+  pipeline_span.arg("distinct_shapes", interned.table.size());
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,11 +43,6 @@ struct PipelineConfig {
   /// Run the similarity/clustering stages on conflated DAGs instead of the
   /// raw ones (ablation A3); structural reports always cover both.
   bool analyze_conflated = false;
-  /// Intern the experiment set's job shapes (core::ShapeStore) and run
-  /// every downstream stage once per DISTINCT shape, count-weighted —
-  /// results match the direct path (see PipelineResult::interned). Turns
-  /// O(jobs) featurize/kernel work into O(distinct shapes).
-  bool intern_shapes = false;
   /// Full-trace runs (run_full) only: scalable clustering backend.
   cluster::ScaleMethod full_method = cluster::ScaleMethod::MiniBatch;
   /// Full-trace runs only: jobs sampled (uniformly, seeded by sample_seed)
@@ -57,17 +51,14 @@ struct PipelineConfig {
   std::size_t full_validation_sample = 200;
 };
 
-/// Shape-level byproducts of an interned pipeline run
-/// (PipelineConfig::intern_shapes).
+/// The experiment set's distinct shapes, which the costly stages of a
+/// sampled run (featurize, Gram, eigensolve, k-means, silhouette, medoid)
+/// run once each.
 struct InternedAnalysis {
   /// Distinct raw shapes of the experiment set, first-seen order.
   ShapeTable table;
   /// table row of each sample job (parallel to PipelineResult::sample).
   std::vector<std::uint32_t> shape_of;
-  /// Kernel over distinct analysis-set shapes (conflated exemplars when
-  /// `analyze_conflated`); PipelineResult::similarity.gram is its
-  /// expansion.
-  linalg::Matrix shape_gram;
   /// Intern-table hit/miss/probe counters.
   ShapeStore::Stats stats;
 };
@@ -106,7 +97,8 @@ struct FullTraceResult {
   std::vector<int> job_labels() const;
 };
 
-/// Everything the paper's evaluation reports, computed in one pass.
+/// Everything the paper's evaluation reports, computed in one pass. Every
+/// report is per job, in sample order.
 struct PipelineResult {
   TraceCensus census;                    ///< Section II-B statistics
   std::vector<JobDag> sample;            ///< the experiment set (raw DAGs)
@@ -117,10 +109,7 @@ struct PipelineResult {
   PatternCensus patterns;                ///< Section V-B frequencies
   SimilarityAnalysis similarity;         ///< Fig. 7
   ClusteringAnalysis clustering;         ///< Figs. 8-9
-  /// Present when the run interned shapes (PipelineConfig::intern_shapes).
-  /// All fields above are still populated — per-job where they were
-  /// per-job — so every consumer of the direct path works unchanged.
-  std::optional<InternedAnalysis> interned;
+  InternedAnalysis interned;             ///< the sample's distinct shapes
 };
 
 /// Orchestrates trace -> filters -> variability sample -> DAGs -> reports.
@@ -140,11 +129,14 @@ class CharacterizationPipeline {
                                      util::ThreadPool* pool = nullptr,
                                      IngestStats* stats = nullptr) const;
 
-  /// Full analysis of a trace. `pool` parallelizes the Gram matrix. When
-  /// `fitted` is non-null the similarity stage additionally exports its
-  /// fitted state (feature vectors + frozen dictionary of the analysis set —
-  /// the conflated set when `analyze_conflated`); this is the train-side
-  /// hook the model store builds a serving snapshot from.
+  /// Full analysis of a trace. The sample is interned and the similarity
+  /// and clustering stages run once per distinct shape; the result equals
+  /// the per-job analysis of the sample (see ClusteringAnalysis::compute).
+  /// `pool` parallelizes conflation and the Gram matrix. When `fitted` is
+  /// non-null the similarity stage additionally exports its fitted state
+  /// (one feature vector per distinct shape of the analysis set — conflated
+  /// when `analyze_conflated` — plus the frozen dictionary); this is the
+  /// train-side hook the model store builds a serving snapshot from.
   PipelineResult run(const trace::Trace& trace,
                      util::ThreadPool* pool = nullptr,
                      FittedFeatures* fitted = nullptr) const;

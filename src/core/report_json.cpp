@@ -282,19 +282,6 @@ void pipeline_members(JsonWriter& j, const PipelineResult& result) {
   similarity_body(j, result.similarity);
   j.key("fig9");
   clustering_body(j, result.clustering);
-  if (result.interned.has_value()) {
-    const InternedAnalysis& interned = *result.interned;
-    j.key("intern");
-    j.begin_object();
-    j.field("total_jobs", interned.stats.total_jobs);
-    j.field("distinct_shapes", interned.stats.distinct_shapes);
-    j.field("distinct_ratio", interned.stats.distinct_ratio());
-    j.field("hits", interned.stats.hits);
-    j.field("misses", interned.stats.misses);
-    j.field("isomorphism_probes", interned.stats.isomorphism_probes);
-    j.field("hash_collisions", interned.stats.hash_collisions);
-    j.end_object();
-  }
 }
 
 }  // namespace

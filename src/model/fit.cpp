@@ -1,6 +1,5 @@
 #include "model/fit.hpp"
 
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,45 +46,27 @@ FittedModel build_model(const core::PipelineResult& result,
   }
   m.representatives.resize(m.profiles.size());
 
-  // One representative per analysis-set item: every job on a direct run,
-  // every distinct shape on an interned one, carrying its multiplicity. An
-  // item's training index is its first job (an interned exemplar is a
-  // literal copy of it), so the group medoids, which are job indices,
-  // resolve below either way.
-  const core::InternedAnalysis* interned =
-      result.interned.has_value() ? &*result.interned : nullptr;
+  // One representative per job, in sample order, carrying its shape's
+  // vector: same-shape jobs have bitwise-identical WL vectors, so this is
+  // the per-job snapshot exactly. The group medoids are job indices.
+  const std::vector<std::uint32_t>& shape_of = result.interned.shape_of;
   const std::size_t jobs = clustering.labels.size();
-  if (names.size() != jobs ||
-      n != (interned != nullptr ? interned->table.size() : jobs) ||
-      (interned != nullptr && interned->shape_of.size() != jobs)) {
+  if (names.size() != jobs || shape_of.size() != jobs ||
+      n != result.interned.table.size()) {
     throw ModelError(
         "model: fitted features, clustering labels, and job names disagree "
         "on the analysis-set size — results from different runs?");
   }
-  constexpr auto kUnseen = std::numeric_limits<std::uint64_t>::max();
-  std::vector<std::uint64_t> first_job(n, kUnseen);
   for (std::size_t i = 0; i < jobs; ++i) {
-    const std::size_t t = interned != nullptr ? interned->shape_of[i] : i;
-    if (t >= n) {
-      throw ModelError("model: shape id out of range in interned result");
-    }
-    if (first_job[t] == kUnseen) first_job[t] = i;
-  }
-  for (std::size_t t = 0; t < n; ++t) {
-    if (first_job[t] == kUnseen) {
-      throw ModelError("model: no job of shape " + std::to_string(t) +
-                       " in interned result");
-    }
-    const int group = clustering.labels[first_job[t]];
+    const int group = clustering.labels[i];
     if (group < 0 || static_cast<std::size_t>(group) >= m.profiles.size()) {
       throw ModelError("model: clustering label out of range for job '" +
-                       names[first_job[t]] + "'");
+                       names[i] + "'");
     }
     Representative rep;
-    rep.job_name = names[first_job[t]];
-    rep.training_index = first_job[t];
-    if (interned != nullptr) rep.count = interned->table.shapes[t].count;
-    rep.features = std::move(fitted.vectors[t]);
+    rep.job_name = names[i];
+    rep.training_index = i;
+    rep.features = fitted.vectors[shape_of[i]];
     rep.self_norm = rep.features.norm();
     m.representatives[static_cast<std::size_t>(group)].push_back(
         std::move(rep));

@@ -13,15 +13,11 @@ namespace cwgl::model {
 /// in the same order. `config` supplies the kernel settings the dictionary
 /// was built under.
 ///
-/// Every analyzed job becomes a representative of its cluster, with the
-/// group medoid remapped to a within-cluster index. On a shape-interned run
-/// (`result.interned` present) there is one representative per DISTINCT
-/// shape instead, carrying the shape's multiplicity as its count — same-
-/// shape jobs have identical WL vectors, so serving's nearest-representative
-/// classification is unchanged while the snapshot shrinks to the distinct-
-/// shape count. Validates the assembled model before returning (throws
-/// ModelError), so a snapshot produced here always round-trips through
-/// save/load.
+/// Every analyzed job becomes a representative of its cluster, carrying
+/// its shape's feature vector (`fitted` holds one per distinct shape), with
+/// the group medoid remapped to a within-cluster index. Validates the
+/// assembled model before returning (throws ModelError), so a snapshot
+/// produced here always round-trips through save/load.
 FittedModel build_model(const core::PipelineResult& result,
                         core::FittedFeatures fitted,
                         const core::PipelineConfig& config);

@@ -148,6 +148,25 @@ void check_weights(std::span<const double> weights, std::size_t rows,
   }
 }
 
+std::vector<std::uint64_t> item_counts(std::span<const std::uint32_t> item_of,
+                                       std::size_t rows,
+                                       std::string_view what) {
+  if (item_of.empty()) return {};
+  std::vector<std::uint64_t> counts(rows, 0);
+  for (std::uint32_t row : item_of) {
+    if (row >= rows) {
+      throw InvalidArgument(std::string(what) + ": item id out of range");
+    }
+    ++counts[row];
+  }
+  for (std::uint64_t c : counts) {
+    if (c == 0) {
+      throw InvalidArgument(std::string(what) + ": item with no point");
+    }
+  }
+  return counts;
+}
+
 double jensen_shannon(const IntHistogram& p, const IntHistogram& q) {
   if (p.empty() && q.empty()) return 0.0;
   if (p.empty() || q.empty()) return std::log(2.0);

@@ -119,6 +119,14 @@ void check_counts(std::span<const std::uint64_t> counts, std::size_t rows,
 void check_weights(std::span<const double> weights, std::size_t rows,
                    std::string_view what);
 
+/// Points per row of a point-to-row map, `item_of[p]` being the row of
+/// point p (e.g. a sample job's distinct shape). An empty map means one
+/// point per row and yields no counts, the unweighted case of weight_at.
+/// Throws InvalidArgument, prefixed by `what`, when a row id is out of
+/// range or a row has no point.
+std::vector<std::uint64_t> item_counts(std::span<const std::uint32_t> item_of,
+                                       std::size_t rows, std::string_view what);
+
 /// Pearson correlation of two equal-length samples; 0 if degenerate.
 double pearson(std::span<const double> x, std::span<const double> y);
 

@@ -340,28 +340,29 @@ TEST(Cli, FitPredictServeBenchRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Cli, CharacterizeInternEmitsTableStats) {
+TEST(Cli, CharacterizeMetricsCountTheSampleShapes) {
   const auto r = run({"characterize", "--jobs", "600", "--sample", "20",
-                      "--intern", "--json"});
+                      "--json", "--metrics"});
   EXPECT_EQ(r.code, 0) << r.err;
   const util::JsonValue doc = util::parse_json(r.out);
-  const util::JsonValue& intern = doc.at("intern");
-  EXPECT_EQ(intern.at("total_jobs").as_number(), 20.0);
-  EXPECT_GT(intern.at("distinct_shapes").as_number(), 0.0);
-  EXPECT_LE(intern.at("distinct_shapes").as_number(),
-            intern.at("total_jobs").as_number());
-  EXPECT_GE(intern.at("hits").as_number(), 0.0);
-  EXPECT_EQ(intern.at("hash_collisions").as_number(), 0.0);
-  // All the paper artifacts survive the interned path.
-  EXPECT_NE(r.out.find("\"fig3\""), std::string::npos);
-  EXPECT_NE(r.out.find("\"fig9\""), std::string::npos);
+  const util::JsonValue& counters = doc.at("metrics").at("counters");
+  EXPECT_EQ(counters.at("intern.jobs").as_number(), 20.0);
+  const double shapes = counters.at("intern.misses").as_number();
+  EXPECT_GT(shapes, 0.0);
+  EXPECT_LT(shapes, 20.0);
+  EXPECT_EQ(counters.at("intern.hits").as_number() + shapes, 20.0);
+  EXPECT_EQ(counters.at("intern.hash_collisions").as_number(), 0.0);
+  // The figures stay per job; the shape table is not a report member.
+  EXPECT_EQ(doc.at("fig6").at("rows").as_array().size(), 20u);
+  EXPECT_EQ(doc.at("fig9").at("labels").as_array().size(), 20u);
+  EXPECT_EQ(r.out.find("\"intern\""), std::string::npos);
 }
 
-TEST(Cli, CharacterizeInternTextMentionsShapes) {
-  const auto r = run({"characterize", "--jobs", "600", "--sample", "20",
-                      "--intern"});
+TEST(Cli, CharacterizeTextReportsShapeInterning) {
+  const auto r = run({"characterize", "--jobs", "600", "--sample", "20"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("shape interning:"), std::string::npos);
+  EXPECT_NE(r.out.find("distinct shapes for 20 jobs"), std::string::npos);
   EXPECT_NE(r.out.find("Fig 3"), std::string::npos);
 }
 
@@ -376,19 +377,66 @@ TEST(Cli, IngestInternReportsShapeTable) {
   EXPECT_GT(doc.at("built").at("dags").as_number(), 0.0);
 }
 
-TEST(Cli, FitInternSelfCheckHolds) {
+TEST(Cli, FitKeepsOneRepresentativePerSampledJob) {
   const auto dir =
-      std::filesystem::temp_directory_path() / "cwgl_cli_fit_intern_test";
+      std::filesystem::temp_directory_path() / "cwgl_cli_fit_per_job_test";
   std::filesystem::create_directories(dir);
   const std::string model = (dir / "model.cwgl").string();
   const auto fit = run({"fit", "--jobs", "300", "--seed", "7", "--sample",
-                        "40", "--clusters", "3", "--intern", "--out",
+                        "40", "--clusters", "3", "--json", "--out",
                         model.c_str()});
   EXPECT_EQ(fit.code, 0) << fit.err;
-  // The self-check classifies every SAMPLED job (not just every shape)
-  // through the per-shape snapshot — all 40 must reproduce their cluster.
-  EXPECT_NE(fit.out.find("self-check: 40/40"), std::string::npos) << fit.out;
-  EXPECT_NE(fit.out.find("representatives"), std::string::npos);
+  // The sample repeats shapes, yet the snapshot holds every sampled job,
+  // and every one of them reproduces its cluster.
+  const util::JsonValue doc = util::parse_json(fit.out);
+  EXPECT_EQ(doc.at("training_jobs").as_number(), 40.0);
+  EXPECT_EQ(doc.at("representatives").as_number(), 40.0);
+  EXPECT_EQ(doc.at("self_check").at("agree").as_number(), 40.0);
+  EXPECT_EQ(doc.at("self_check").at("total").as_number(), 40.0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, FitWithMoreClustersThanShapesPassesSelfCheck) {
+  // The 20-job sample holds 16 distinct shapes: asking for 17 clusters
+  // gives 16, so same-shape jobs cannot be split across groups.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "cwgl_cli_fit_k17_test";
+  std::filesystem::create_directories(dir);
+  const std::string model = (dir / "model.cwgl").string();
+  const auto fit = run({"fit", "--jobs", "600", "--sample", "20",
+                        "--clusters", "17", "--out", model.c_str()});
+  EXPECT_EQ(fit.code, 0) << fit.err;
+  EXPECT_NE(fit.out.find("fitted 16 clusters over 20 jobs"),
+            std::string::npos)
+      << fit.out;
+  EXPECT_NE(fit.out.find("self-check: 20/20"), std::string::npos) << fit.out;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, ClusterDotFilesAreTheCharacterizeMedoids) {
+  const auto dir =
+      (std::filesystem::temp_directory_path() / "cwgl_cli_medoid_names")
+          .string();
+  std::filesystem::remove_all(dir);
+  const auto cluster = run({"cluster", "--seed", "5", "--out", dir});
+  ASSERT_EQ(cluster.code, 0) << cluster.err;
+  const auto characterize = run({"characterize", "--seed", "5", "--json"});
+  ASSERT_EQ(characterize.code, 0) << characterize.err;
+  const util::JsonValue doc = util::parse_json(characterize.out);
+  const auto& names = doc.at("fig7").at("jobs").as_array();
+  const auto& groups = doc.at("fig9").at("groups").as_array();
+  ASSERT_EQ(groups.size(), 5u);
+  for (const util::JsonValue& group : groups) {
+    const std::string letter = group.at("group").as_string();
+    const auto medoid =
+        static_cast<std::size_t>(group.at("medoid").as_number());
+    std::ifstream dot(std::filesystem::path(dir) /
+                      ("group_" + letter + ".dot"));
+    std::string header;
+    ASSERT_TRUE(std::getline(dot, header)) << "group " << letter;
+    EXPECT_EQ(header, "digraph \"" + names.at(medoid).as_string() + "\" {")
+        << "group " << letter;
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -454,6 +502,8 @@ TEST(CliTable, IgnoredFlagsAreRejected) {
       {{"schedule", "--jobs", "300", "--intern"}, "--intern"},
       {{"schedule", "--jobs", "300", "--natural"}, "--natural"},
       {{"predict", "--model", "m.cwgl", "--input", "jobs.csv"}, "--input"},
+      {{"characterize", "--jobs", "300", "--intern"}, "--intern"},
+      {{"fit", "--jobs", "300", "--intern"}, "--intern"},
   };
   for (const auto& [argv, flag] : cases) {
     const auto r = run(argv);

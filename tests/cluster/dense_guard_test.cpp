@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,13 +36,24 @@ TEST(DenseGuard, AboveLimitThrowsPointingAtFullPath) {
   }
 }
 
-TEST(DenseGuard, WeightedVariantGuardedToo) {
+TEST(DenseGuard, MappedVariantGuardsRowsNotPoints) {
+  // Two points per row: the guard counts the distinct rows the dense
+  // eigensolve sees, not the points mapped onto them.
   SpectralOptions opt;
   opt.max_dense_items = 16;
-  const auto w = identity_similarity(17);
-  const std::vector<double> weights(17, 1.0);
-  EXPECT_THROW(spectral_cluster(w, 2, opt, weights),
-               util::InvalidArgument);
+  const auto two_per_row = [](std::uint32_t rows) {
+    std::vector<std::uint32_t> item_of;
+    for (std::uint32_t t = 0; t < rows; ++t) {
+      item_of.insert(item_of.end(), 2, t);
+    }
+    return item_of;
+  };
+  EXPECT_THROW(
+      spectral_cluster(identity_similarity(17), 2, opt, two_per_row(17)),
+      util::InvalidArgument);
+  const auto result =
+      spectral_cluster(identity_similarity(16), 2, opt, two_per_row(16));
+  EXPECT_EQ(result.labels.size(), 16u);
 }
 
 TEST(DenseGuard, AtLimitStillRuns) {

@@ -1,15 +1,18 @@
 // Differential tests for the count-weighted clustering stages against their
 // plain counterparts run on the EXPANDED data (each row duplicated `weight`
 // times). These are the equivalence claims the shape-interned pipeline rests
-// on: weighted spectral embedding == expanded embedding (plus a padded
-// eigenvalue 1 per collapsed duplicate), weighted k-means == k-means over
-// duplicates, weighted silhouette == expanded silhouette.
+// on: spectral clustering over distinct rows with a point-to-row map ==
+// the run on the expanded matrix (plus a padded eigenvalue 1 per collapsed
+// duplicate), mapped k-means == k-means over the expanded points with the
+// same seeds, weighted k-means == the expanded partition, weighted
+// silhouette == expanded silhouette.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "cluster/kmeans.hpp"
@@ -169,6 +172,93 @@ TEST(KMeansWeighted, SeedDrawIsUniformWithoutWeightsProportionalWith) {
   EXPECT_GT(draws_that_differ, 0u);
 }
 
+/// Rows of `data` in the order of `item_of`: the expanded point set.
+linalg::Matrix expand_by_map(const linalg::Matrix& data,
+                             const std::vector<std::uint32_t>& item_of) {
+  linalg::Matrix out(item_of.size(), data.cols());
+  for (std::size_t p = 0; p < item_of.size(); ++p) {
+    for (std::size_t c = 0; c < data.cols(); ++c) {
+      out(p, c) = data(item_of[p], c);
+    }
+  }
+  return out;
+}
+
+TEST(KMeansMapped, MatchesExpandedRunBitForBit) {
+  // Six distinct rows and 14 points over them, interleaved. Integer
+  // coordinates keep every centroid sum exact, so the mapped run must give
+  // the expanded run's labels and centers bit for bit at every seed. The
+  // weighted run over the same rows draws its seeds by weight and lands on
+  // other points, so at some seed its labels or first center differ.
+  linalg::Matrix data(6, 2);
+  const double coords[6][2] = {{0, 0}, {1, 0}, {8, 1}, {9, 0}, {0, 9}, {1, 8}};
+  for (std::size_t i = 0; i < 6; ++i) {
+    data(i, 0) = coords[i][0];
+    data(i, 1) = coords[i][1];
+  }
+  const std::vector<std::uint32_t> item_of{4, 0, 2, 0, 5, 1, 3,
+                                           0, 2, 4, 1, 0, 5, 3};
+  const linalg::Matrix expanded = expand_by_map(data, item_of);
+  std::vector<double> weights(6, 0.0);
+  for (std::uint32_t t : item_of) weights[t] += 1.0;
+
+  std::size_t weighted_differs = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    KMeansOptions opt;
+    opt.seed = seed;
+    opt.restarts = 2;
+    const KMeansResult plain = kmeans(expanded, 3, opt);
+    const KMeansResult mapped = kmeans(data, 3, opt, item_of);
+    const KMeansResult weighted = kmeans(data, 3, opt, weights);
+    std::vector<int> mapped_labels, weighted_labels;
+    for (std::uint32_t t : item_of) {
+      mapped_labels.push_back(mapped.labels[t]);
+      weighted_labels.push_back(weighted.labels[t]);
+    }
+    EXPECT_EQ(mapped_labels, plain.labels);
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (std::size_t d = 0; d < 2; ++d) {
+        EXPECT_EQ(mapped.centers(c, d), plain.centers(c, d));
+      }
+    }
+    // Inertia sums per row rather than per point: equal up to rounding.
+    EXPECT_DOUBLE_EQ(mapped.inertia, plain.inertia);
+
+    // Without Lloyd iterations the centers are the k-means++ seeds.
+    opt.max_iterations = 0;
+    const KMeansResult plain_seeds = kmeans(expanded, 3, opt);
+    const KMeansResult mapped_seeds = kmeans(data, 3, opt, item_of);
+    const KMeansResult weighted_seeds = kmeans(data, 3, opt, weights);
+    EXPECT_EQ(mapped_seeds.centers.row(0)[0], plain_seeds.centers.row(0)[0]);
+    EXPECT_EQ(mapped_seeds.centers.row(0)[1], plain_seeds.centers.row(0)[1]);
+    weighted_differs +=
+        weighted_labels != plain.labels ||
+        weighted_seeds.centers(0, 0) != plain_seeds.centers(0, 0) ||
+        weighted_seeds.centers(0, 1) != plain_seeds.centers(0, 1);
+  }
+  EXPECT_GT(weighted_differs, 0u);
+}
+
+TEST(KMeansMapped, EmptyMapIsTheUnweightedRun) {
+  std::vector<std::uint64_t> weights;
+  const linalg::Matrix data = blob_rows(&weights, 11, 12);
+  const KMeansResult mapped =
+      kmeans(data, 3, {}, std::span<const std::uint32_t>{});
+  const KMeansResult plain = kmeans(data, 3);
+  EXPECT_EQ(mapped.labels, plain.labels);
+  EXPECT_EQ(mapped.inertia, plain.inertia);
+}
+
+TEST(KMeansMapped, RejectsBadMaps) {
+  std::vector<std::uint64_t> weights;
+  const linalg::Matrix data = blob_rows(&weights);  // 9 rows
+  const std::vector<std::uint32_t> out_of_range{0, 1, 2, 3, 4, 5, 6, 7, 9};
+  EXPECT_THROW(kmeans(data, 3, {}, out_of_range), util::InvalidArgument);
+  const std::vector<std::uint32_t> row_without_point{0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_THROW(kmeans(data, 3, {}, row_without_point), util::InvalidArgument);
+}
+
 /// Block similarity over `rows` items in 3 groups: 1.0 within, ~0 across,
 /// mildly perturbed to keep eigenvalues simple.
 linalg::Matrix block_similarity(std::size_t rows) {
@@ -181,7 +271,7 @@ linalg::Matrix block_similarity(std::size_t rows) {
   return s;
 }
 
-TEST(SpectralWeighted, MatchesExpandedRunOnBlockData) {
+TEST(SpectralMapped, MatchesExpandedRunOnBlockData) {
   const std::size_t n = 9;
   const linalg::Matrix sim = block_similarity(n);
   std::vector<std::uint64_t> weights;
@@ -190,26 +280,25 @@ TEST(SpectralWeighted, MatchesExpandedRunOnBlockData) {
     weights.push_back(1 + rng.uniform_int(0, 4));
   }
   const linalg::Matrix expanded = expand_square(sim, weights);
-  std::vector<double> w(weights.begin(), weights.end());
+  std::vector<std::uint32_t> item_of;
+  for (std::size_t i = 0; i < n; ++i) {
+    item_of.insert(item_of.end(), weights[i], static_cast<std::uint32_t>(i));
+  }
 
   const SpectralResult plain = spectral_cluster(expanded, 3);
-  const SpectralResult weighted = spectral_cluster(sim, 3, {}, w);
+  const SpectralResult mapped = spectral_cluster(sim, 3, {}, item_of);
 
-  std::vector<int> weighted_expanded;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint64_t c = 0; c < weights[i]; ++c) {
-      weighted_expanded.push_back(weighted.labels[i]);
-    }
-  }
-  EXPECT_TRUE(same_partition(plain.labels, weighted_expanded));
+  // k-means draws over the same points, so the cluster ids agree too.
+  std::vector<int> mapped_expanded;
+  for (std::uint32_t t : item_of) mapped_expanded.push_back(mapped.labels[t]);
+  EXPECT_EQ(mapped_expanded, plain.labels);
 
-  // Eigenvalue equivalence: the expanded spectrum is the weighted spectrum
+  // Eigenvalue equivalence: the expanded spectrum is the mapped spectrum
   // plus an eigenvalue 1 for every collapsed duplicate row.
-  std::size_t total = 0;
-  for (std::uint64_t wi : weights) total += wi;
+  const std::size_t total = item_of.size();
   ASSERT_EQ(plain.eigenvalues.size(), total);
-  ASSERT_EQ(weighted.eigenvalues.size(), n);
-  std::vector<double> padded = weighted.eigenvalues;
+  ASSERT_EQ(mapped.eigenvalues.size(), n);
+  std::vector<double> padded = mapped.eigenvalues;
   padded.insert(padded.end(), total - n, 1.0);
   std::sort(padded.begin(), padded.end());
   std::vector<double> reference = plain.eigenvalues;
@@ -219,25 +308,23 @@ TEST(SpectralWeighted, MatchesExpandedRunOnBlockData) {
   }
 }
 
-TEST(SpectralWeighted, AllWeightsOneMatchesPlain) {
+TEST(SpectralMapped, IdentityMapMatchesPlainExactly) {
   const linalg::Matrix sim = block_similarity(9);
-  const std::vector<double> ones(9, 1.0);
-  const SpectralResult weighted = spectral_cluster(sim, 3, {}, ones);
+  std::vector<std::uint32_t> identity(9);
+  for (std::uint32_t i = 0; i < 9; ++i) identity[i] = i;
+  const SpectralResult mapped = spectral_cluster(sim, 3, {}, identity);
   const SpectralResult plain = spectral_cluster(sim, 3);
-  EXPECT_TRUE(same_partition(plain.labels, weighted.labels));
-  ASSERT_EQ(weighted.eigenvalues.size(), plain.eigenvalues.size());
-  for (std::size_t i = 0; i < plain.eigenvalues.size(); ++i) {
-    EXPECT_NEAR(weighted.eigenvalues[i], plain.eigenvalues[i], 1e-10);
-  }
+  EXPECT_EQ(mapped.labels, plain.labels);
+  EXPECT_EQ(mapped.eigenvalues, plain.eigenvalues);
 }
 
-TEST(SpectralWeighted, RejectsBadInput) {
+TEST(SpectralMapped, RejectsBadInput) {
   const linalg::Matrix sim = block_similarity(6);
-  EXPECT_THROW(spectral_cluster(sim, 2, {}, std::vector<double>(4, 1.0)),
+  const std::vector<std::uint32_t> out_of_range{0, 1, 2, 3, 4, 6};
+  EXPECT_THROW(spectral_cluster(sim, 2, {}, out_of_range),
                util::InvalidArgument);
-  std::vector<double> negative(6, 1.0);
-  negative[2] = -1.0;
-  EXPECT_THROW(spectral_cluster(sim, 2, {}, negative),
+  const std::vector<std::uint32_t> row_without_point{0, 1, 2, 3, 4, 4};
+  EXPECT_THROW(spectral_cluster(sim, 2, {}, row_without_point),
                util::InvalidArgument);
 }
 

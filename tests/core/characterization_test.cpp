@@ -4,7 +4,6 @@
 
 #include "trace/generator.hpp"
 #include "trace/taskname.hpp"
-#include "util/error.hpp"
 
 namespace cwgl::core {
 namespace {
@@ -71,12 +70,6 @@ TEST(StructuralReport, EmptyInput) {
   EXPECT_TRUE(report.groups.empty());
 }
 
-TEST(StructuralReport, CountLengthMismatchThrows) {
-  const auto jobs = tiny_corpus();
-  const std::vector<std::uint64_t> counts(jobs.size() - 1, 2);
-  EXPECT_THROW(StructuralReport::compute(jobs, counts), util::InvalidArgument);
-}
-
 TEST(ConflationReport, TriangleShrinksChainDoesNot) {
   const auto jobs = tiny_corpus();
   const auto report = ConflationReport::compute(jobs);
@@ -94,12 +87,6 @@ TEST(ConflationReport, SmallerJobsRatioIncreasesAfterMerge) {
   const auto jobs = tiny_corpus();
   const auto report = ConflationReport::compute(jobs);
   EXPECT_GT(report.after.fraction(2), report.before.fraction(2));
-}
-
-TEST(ConflationReport, CountLengthMismatchThrows) {
-  const auto jobs = tiny_corpus();
-  const std::vector<std::uint64_t> counts(jobs.size() + 1, 1);
-  EXPECT_THROW(ConflationReport::compute(jobs, counts), util::InvalidArgument);
 }
 
 TEST(TaskTypeReport, CountsPerJob) {
@@ -160,12 +147,6 @@ TEST(TaskTypeReport, GeneratedWorkloadContainsMergeJobs) {
   EXPECT_LT(report.map_reduce_merge_jobs, report.map_reduce_jobs);
 }
 
-TEST(TaskTypeReport, CountLengthMismatchThrows) {
-  const auto jobs = tiny_corpus();
-  const std::vector<std::uint64_t> counts{3};
-  EXPECT_THROW(TaskTypeReport::compute(jobs, counts), util::InvalidArgument);
-}
-
 TEST(PatternCensus, CountsAndFractions) {
   const auto jobs = tiny_corpus();
   const auto census = PatternCensus::compute(jobs);
@@ -198,12 +179,6 @@ TEST(PatternCensus, GeneratedWorkloadMatchesPaperFrequencies) {
   EXPECT_NEAR(census.fraction(graph::ShapePattern::StraightChain), 0.58, 0.08);
   EXPECT_NEAR(census.fraction(graph::ShapePattern::InvertedTriangle), 0.37,
               0.08);
-}
-
-TEST(PatternCensus, CountLengthMismatchThrows) {
-  const auto jobs = tiny_corpus();
-  const std::vector<std::uint64_t> counts(jobs.size() - 2, 1);
-  EXPECT_THROW(PatternCensus::compute(jobs, counts), util::InvalidArgument);
 }
 
 TEST(TraceCensus, MatchesPaperSectionIIB) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/similarity.hpp"
 #include "util/error.hpp"
 
@@ -150,12 +152,50 @@ TEST(ClusteringAnalysis, MedoidTiesKeepTheEarliestJob) {
   EXPECT_EQ(analysis.groups[analysis.labels[2]].medoid, 2u);
 }
 
-TEST(ClusteringAnalysis, CountLengthMismatchThrows) {
+TEST(ClusteringAnalysis, ItemMapMismatchThrows) {
   const auto jobs = two_family_corpus();
   const auto sim = SimilarityAnalysis::compute(jobs);
-  const std::vector<std::uint64_t> counts(jobs.size() + 1, 1);
-  EXPECT_THROW(ClusteringAnalysis::compute(sim.gram, jobs, {}, counts),
+  std::vector<std::uint32_t> identity(jobs.size());
+  std::iota(identity.begin(), identity.end(), 0u);
+  const std::vector<std::uint32_t> one_short(identity.begin(),
+                                             identity.end() - 1);
+  EXPECT_THROW(ClusteringAnalysis::compute(sim.gram, jobs, {}, one_short),
                util::InvalidArgument);
+  std::vector<std::uint32_t> out_of_range = identity;
+  out_of_range.back() = static_cast<std::uint32_t>(jobs.size());
+  EXPECT_THROW(ClusteringAnalysis::compute(sim.gram, jobs, {}, out_of_range),
+               util::InvalidArgument);
+  std::vector<std::uint32_t> item_without_job = identity;
+  item_without_job[1] = 0;
+  EXPECT_THROW(
+      ClusteringAnalysis::compute(sim.gram, jobs, {}, item_without_job),
+      util::InvalidArgument);
+}
+
+TEST(ClusteringAnalysis, ItemsStandForTheirJobs) {
+  // The two families as two items: chains are item 0, fans item 1. Five
+  // clusters clamp to the two items, and the per-job analysis equals the
+  // run on the 12 x 12 kernel.
+  const auto jobs = two_family_corpus();
+  const std::vector<JobDag> items{jobs[0], jobs[8]};
+  std::vector<std::uint32_t> item_of(jobs.size(), 0);
+  for (std::size_t i = 8; i < jobs.size(); ++i) item_of[i] = 1;
+  ClusteringOptions options;
+  options.clusters = 5;
+  const auto mapped = ClusteringAnalysis::compute(
+      SimilarityAnalysis::compute(items).gram, jobs, options, item_of);
+  options.clusters = 2;
+  const auto per_job = ClusteringAnalysis::compute(
+      SimilarityAnalysis::compute(jobs).gram, jobs, options);
+  ASSERT_EQ(mapped.groups.size(), 2u);
+  EXPECT_EQ(mapped.labels, per_job.labels);
+  EXPECT_EQ(mapped.groups[0].population, 8u);
+  EXPECT_EQ(mapped.groups[0].size.mean, per_job.groups[0].size.mean);
+  EXPECT_EQ(mapped.groups[0].medoid, 0u);
+  EXPECT_EQ(mapped.groups[1].medoid, 8u);
+  EXPECT_EQ(mapped.eigenvalues.size(), jobs.size());
+  EXPECT_EQ(mapped.suggested_k, per_job.suggested_k);
+  EXPECT_NEAR(mapped.silhouette, per_job.silhouette, 1e-12);
 }
 
 TEST(RelabelByMass, LargestMassFirstTiesToLowerRawId) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <sstream>
 
 #include "core/report_text.hpp"
@@ -113,6 +114,62 @@ TEST(Pipeline, FullRunProducesConsistentResult) {
 
   // Census covers the whole trace, not the sample.
   EXPECT_EQ(result.census.total_jobs, 1500u);
+}
+
+TEST(Pipeline, MedoidIsTheEarliestJobOfItsShape) {
+  // Copies of a shape are equally central, so a group's medoid is the
+  // earliest sample job with the medoid's Fig. 7 row. Summing each copy's
+  // similarities separately let rounding pick a later copy: at seed 5 it
+  // chose job 54 for group D, whose row equals job 1's.
+  const std::pair<SamplingMode, std::uint64_t> runs[] = {
+      {SamplingMode::VariabilityStratified, 5},
+      {SamplingMode::VariabilityStratified, 6},
+      {SamplingMode::VariabilityStratified, 12},
+      {SamplingMode::Natural, 4}};
+  for (const auto& [sampling, seed] : runs) {
+    SCOPED_TRACE(seed);
+    PipelineConfig cfg;
+    cfg.sampling = sampling;
+    const auto result =
+        CharacterizationPipeline(cfg).run(make_trace(20000, seed));
+    const linalg::Matrix& gram = result.similarity.gram;
+    for (const ClusterGroupStats& group : result.clustering.groups) {
+      ASSERT_GT(group.population, 0u);
+      const std::size_t medoid = group.medoid;
+      for (std::size_t j = 0; j < medoid; ++j) {
+        EXPECT_NE(result.interned.shape_of[j],
+                  result.interned.shape_of[medoid])
+            << "group " << group.letter() << ": job " << j
+            << " has the shape of medoid " << medoid;
+        bool same_row = true;
+        for (std::size_t c = 0; c < gram.cols() && same_row; ++c) {
+          same_row = gram(j, c) == gram(medoid, c);
+        }
+        EXPECT_FALSE(same_row) << "group " << group.letter() << ": job " << j
+                               << " has the Fig. 7 row of medoid " << medoid;
+      }
+    }
+  }
+}
+
+TEST(Pipeline, MoreClustersThanShapesKeepsEachShapeInOneGroup) {
+  // 20 sampled jobs of 16 distinct shapes and 17 clusters asked for: the
+  // count clamps to the shapes, and copies of a shape share a label.
+  PipelineConfig cfg;
+  cfg.sample_size = 20;
+  cfg.clustering.clusters = 17;
+  const auto result = CharacterizationPipeline(cfg).run(make_trace(600, 42));
+  ASSERT_EQ(result.interned.table.size(), 16u);
+  EXPECT_EQ(result.clustering.groups.size(), 16u);
+  std::vector<int> shape_label(result.interned.table.size(), -1);
+  for (std::size_t i = 0; i < result.sample.size(); ++i) {
+    int& label = shape_label[result.interned.shape_of[i]];
+    if (label < 0) label = result.clustering.labels[i];
+    EXPECT_EQ(result.clustering.labels[i], label) << "job " << i;
+  }
+  for (const ClusterGroupStats& group : result.clustering.groups) {
+    EXPECT_GT(group.population, 0u) << group.letter();
+  }
 }
 
 TEST(Pipeline, ConflatedAnalysisUsesConflatedSizes) {

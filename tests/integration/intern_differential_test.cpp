@@ -1,14 +1,19 @@
-// The tentpole guarantee of shape interning: running the characterization
-// pipeline over DISTINCT shapes (count-weighted) reproduces the direct
-// per-job run — same cluster assignments, same Gram entries, same group
-// statistics, same figure reports — on every configuration. Three synthetic
-// traces with different sampling modes, cluster counts, and the conflated
-// ablation cover the paths scripts/check.sh re-runs under ASan/UBSan/TSan.
+// The guarantee the sampled pipeline rests on: it interns the sample and runs
+// featurize, Gram, eigensolve, k-means, silhouette and medoid once per
+// DISTINCT shape, yet its result is the per-job analysis of the sample. The
+// oracle here is that per-job analysis, assembled from the public stages
+// (SimilarityAnalysis + ClusteringAnalysis + the figure reports) over every
+// job of the sample. Labels, the Gram matrix, the Fig. 3-6 reports and the
+// Fig. 9 group statistics must match bit for bit, and each group's medoid
+// must be the earliest job of the oracle medoid's shape. The 20k-job cases
+// are the paper configurations on which drawing the k-means++ seeds over
+// shapes, rather than over jobs, moved Fig. 9 labels. scripts/check.sh
+// re-runs this suite under ASan/UBSan and TSan.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,113 +41,134 @@ std::string as_json(const Report& report) {
   return out.str();
 }
 
-/// Runs the same configuration twice — direct and interned — and asserts
-/// the interned run is an exact reproduction.
-void expect_interned_matches_direct(PipelineConfig cfg,
+/// The per-job analysis of the pipeline's sample: every stage runs once per
+/// job, on the Gram matrix over all of them.
+struct DirectRun {
+  std::vector<JobDag> sample;
+  SimilarityAnalysis similarity;
+  ClusteringAnalysis clustering;
+  ConflationReport conflation;
+  StructuralReport structure_before;
+  StructuralReport structure_after;
+  TaskTypeReport task_types;
+  PatternCensus patterns;
+};
+
+DirectRun direct_run(const PipelineConfig& cfg, const trace::Trace& data,
+                     util::ThreadPool* pool) {
+  DirectRun d;
+  d.sample = CharacterizationPipeline(cfg).build_sample(data);
+  std::vector<JobDag> conflated;
+  for (const JobDag& job : d.sample) conflated.push_back(conflate_job(job));
+  const std::span<const JobDag> analysis =
+      cfg.analyze_conflated ? std::span<const JobDag>(conflated) : d.sample;
+  d.similarity = SimilarityAnalysis::compute(analysis, cfg.similarity, pool);
+  d.clustering =
+      ClusteringAnalysis::compute(d.similarity.gram, analysis, cfg.clustering);
+  d.conflation = ConflationReport::compute(d.sample);
+  d.structure_before = StructuralReport::compute(d.sample);
+  d.structure_after = StructuralReport::compute(conflated);
+  d.task_types = TaskTypeReport::compute(d.sample);
+  d.patterns = PatternCensus::compute(d.sample);
+  return d;
+}
+
+void expect_same_distribution(const util::Distribution& a,
+                              const util::Distribution& b, const char* name) {
+  SCOPED_TRACE(name);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.p25, b.p25);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.p75, b.p75);
+  EXPECT_EQ(a.max, b.max);
+}
+
+/// Runs the pipeline and the per-job oracle on the same configuration and
+/// asserts the pipeline reproduces it.
+void expect_pipeline_matches_direct(const PipelineConfig& cfg,
                                     const trace::Trace& data,
                                     const std::string& which) {
   SCOPED_TRACE(which);
   util::ThreadPool pool;
+  const PipelineResult result = CharacterizationPipeline(cfg).run(data, &pool);
+  const DirectRun direct = direct_run(cfg, data, &pool);
 
-  cfg.intern_shapes = false;
-  const PipelineResult direct = CharacterizationPipeline(cfg).run(data, &pool);
-  cfg.intern_shapes = true;
-  const PipelineResult interned =
-      CharacterizationPipeline(cfg).run(data, &pool);
-
-  ASSERT_FALSE(direct.interned.has_value());
-  ASSERT_TRUE(interned.interned.has_value());
-  const InternedAnalysis& analysis = *interned.interned;
-  ASSERT_EQ(analysis.shape_of.size(), direct.sample.size());
-  EXPECT_EQ(analysis.stats.total_jobs, direct.sample.size());
-  EXPECT_LE(analysis.table.shapes.size(), direct.sample.size());
-  EXPECT_GT(analysis.table.shapes.size(), 0u);
-
-  // Cluster assignments: exactly equal, job for job — not merely the same
-  // partition. The weighted stages reproduce the direct label ids.
-  ASSERT_EQ(interned.clustering.labels.size(), direct.clustering.labels.size());
-  for (std::size_t i = 0; i < direct.clustering.labels.size(); ++i) {
-    EXPECT_EQ(interned.clustering.labels[i], direct.clustering.labels[i])
-        << "job " << i << " (" << direct.sample[i].job_name << ")";
+  const std::size_t n = direct.sample.size();
+  ASSERT_EQ(result.sample.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(result.sample[i].job_name, direct.sample[i].job_name);
   }
+  const InternedAnalysis& interned = result.interned;
+  ASSERT_EQ(interned.shape_of.size(), n);
+  EXPECT_EQ(interned.stats.total_jobs, n);
+  EXPECT_GT(interned.table.size(), 0u);
+  EXPECT_LT(interned.table.size(), n) << "the sample should repeat shapes";
 
-  // Gram matrix: the interned expansion must agree entry-wise. Same-shape
-  // jobs carry identical WL vectors, so the arithmetic is the same.
-  ASSERT_EQ(interned.similarity.gram.rows(), direct.similarity.gram.rows());
-  ASSERT_EQ(interned.similarity.gram.cols(), direct.similarity.gram.cols());
-  for (std::size_t r = 0; r < direct.similarity.gram.rows(); ++r) {
-    for (std::size_t c = 0; c < direct.similarity.gram.cols(); ++c) {
-      EXPECT_NEAR(interned.similarity.gram(r, c), direct.similarity.gram(r, c),
-                  1e-12)
-          << "gram(" << r << ", " << c << ")";
+  // Cluster assignments: equal job for job, not merely the same partition.
+  EXPECT_EQ(result.clustering.labels, direct.clustering.labels);
+
+  // Fig. 7: the expanded shape kernel is the per-job Gram, bit for bit.
+  ASSERT_EQ(result.similarity.gram.rows(), n);
+  ASSERT_EQ(result.similarity.gram.cols(), n);
+  std::size_t gram_mismatches = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      gram_mismatches +=
+          result.similarity.gram(r, c) != direct.similarity.gram(r, c);
     }
   }
-  EXPECT_EQ(interned.similarity.job_names, direct.similarity.job_names);
+  EXPECT_EQ(gram_mismatches, 0u);
+  EXPECT_EQ(result.similarity.job_names, direct.similarity.job_names);
 
-  // Group statistics (Fig. 9): populations and order statistics exact,
-  // means to summation-order tolerance.
-  ASSERT_EQ(interned.clustering.groups.size(), direct.clustering.groups.size());
+  // Figs. 3-6 and the pattern census, byte for byte.
+  EXPECT_EQ(as_json(result.conflation), as_json(direct.conflation));
+  EXPECT_EQ(as_json(result.structure_before), as_json(direct.structure_before));
+  EXPECT_EQ(as_json(result.structure_after), as_json(direct.structure_after));
+  EXPECT_EQ(as_json(result.task_types), as_json(direct.task_types));
+  EXPECT_EQ(as_json(result.patterns), as_json(direct.patterns));
+
+  // Fig. 9: every statistic bit for bit; the medoid is the earliest job of
+  // the oracle medoid's shape.
+  ASSERT_EQ(result.clustering.groups.size(), direct.clustering.groups.size());
   for (std::size_t g = 0; g < direct.clustering.groups.size(); ++g) {
-    const ClusterGroupStats& a = interned.clustering.groups[g];
+    SCOPED_TRACE("group " + std::to_string(g));
+    const ClusterGroupStats& a = result.clustering.groups[g];
     const ClusterGroupStats& b = direct.clustering.groups[g];
     EXPECT_EQ(a.group, b.group);
     EXPECT_EQ(a.population, b.population);
-    EXPECT_DOUBLE_EQ(a.population_fraction, b.population_fraction);
-    EXPECT_EQ(a.medoid, b.medoid);
-    EXPECT_DOUBLE_EQ(a.chain_fraction, b.chain_fraction);
-    EXPECT_DOUBLE_EQ(a.short_job_fraction, b.short_job_fraction);
-    const auto expect_distribution = [&](const util::Distribution& w,
-                                         const util::Distribution& d,
-                                         const char* name) {
-      SCOPED_TRACE(name);
-      EXPECT_EQ(w.count, d.count);
-      EXPECT_DOUBLE_EQ(w.min, d.min);
-      EXPECT_DOUBLE_EQ(w.p25, d.p25);
-      EXPECT_DOUBLE_EQ(w.median, d.median);
-      EXPECT_DOUBLE_EQ(w.p75, d.p75);
-      EXPECT_DOUBLE_EQ(w.max, d.max);
-      EXPECT_NEAR(w.mean, d.mean, 1e-12 * (1.0 + std::abs(d.mean)));
-    };
-    expect_distribution(a.size, b.size, "size");
-    expect_distribution(a.critical_path, b.critical_path, "critical_path");
-    expect_distribution(a.parallelism, b.parallelism, "parallelism");
+    EXPECT_EQ(a.population_fraction, b.population_fraction);
+    EXPECT_EQ(a.chain_fraction, b.chain_fraction);
+    EXPECT_EQ(a.short_job_fraction, b.short_job_fraction);
+    expect_same_distribution(a.size, b.size, "size");
+    expect_same_distribution(a.critical_path, b.critical_path,
+                             "critical_path");
+    expect_same_distribution(a.parallelism, b.parallelism, "parallelism");
+    if (b.population == 0) continue;
+    std::size_t earliest = 0;
+    while (interned.shape_of[earliest] != interned.shape_of[b.medoid]) {
+      ++earliest;
+    }
+    EXPECT_EQ(a.medoid, earliest) << "oracle medoid " << b.medoid;
   }
-  EXPECT_NEAR(interned.clustering.silhouette, direct.clustering.silhouette,
+  EXPECT_NEAR(result.clustering.silhouette, direct.clustering.silhouette,
               1e-9);
-  EXPECT_EQ(interned.clustering.suggested_k, direct.clustering.suggested_k);
-  ASSERT_EQ(interned.clustering.eigenvalues.size(),
+  EXPECT_EQ(result.clustering.suggested_k, direct.clustering.suggested_k);
+  ASSERT_EQ(result.clustering.eigenvalues.size(),
             direct.clustering.eigenvalues.size());
   for (std::size_t i = 0; i < direct.clustering.eigenvalues.size(); ++i) {
-    EXPECT_NEAR(interned.clustering.eigenvalues[i],
+    EXPECT_NEAR(result.clustering.eigenvalues[i],
                 direct.clustering.eigenvalues[i], 1e-8)
         << "eigenvalue " << i;
   }
-
-  // Figure reports that must match byte for byte as JSON documents.
-  EXPECT_EQ(as_json(interned.conflation), as_json(direct.conflation));
-  EXPECT_EQ(as_json(interned.structure_before), as_json(direct.structure_before));
-  EXPECT_EQ(as_json(interned.structure_after), as_json(direct.structure_after));
-  EXPECT_EQ(as_json(interned.patterns), as_json(direct.patterns));
-
-  // Fig. 6: the programming-model counters aggregate with multiplicity and
-  // match exactly; the row set is per-shape by design, so only its total
-  // weight is comparable.
-  EXPECT_EQ(interned.task_types.map_reduce_jobs,
-            direct.task_types.map_reduce_jobs);
-  EXPECT_EQ(interned.task_types.map_join_reduce_jobs,
-            direct.task_types.map_join_reduce_jobs);
-  EXPECT_EQ(interned.task_types.map_reduce_merge_jobs,
-            direct.task_types.map_reduce_merge_jobs);
-  EXPECT_EQ(interned.task_types.multi_stage_jobs,
-            direct.task_types.multi_stage_jobs);
-  EXPECT_LE(interned.task_types.rows.size(), direct.task_types.rows.size());
 }
 
 TEST(InternDifferential, PaperMixVariabilitySample) {
   PipelineConfig cfg;
   cfg.sample_size = 60;
   cfg.clustering.clusters = 5;
-  expect_interned_matches_direct(cfg, make_trace(1200, 42),
+  expect_pipeline_matches_direct(cfg, make_trace(1200, 42),
                                  "paper-mix / variability / k=5");
 }
 
@@ -152,7 +178,7 @@ TEST(InternDifferential, NaturalSamplingDifferentSeedAndK) {
   cfg.sampling = SamplingMode::Natural;
   cfg.clustering.clusters = 3;
   cfg.similarity.wl.iterations = 2;
-  expect_interned_matches_direct(cfg, make_trace(900, 1234),
+  expect_pipeline_matches_direct(cfg, make_trace(900, 1234),
                                  "natural / seed 1234 / k=3 / h=2");
 }
 
@@ -161,9 +187,44 @@ TEST(InternDifferential, ConflatedAblation) {
   cfg.sample_size = 50;
   cfg.clustering.clusters = 4;
   cfg.analyze_conflated = true;
-  expect_interned_matches_direct(cfg, make_trace(1000, 7),
+  expect_pipeline_matches_direct(cfg, make_trace(1000, 7),
                                  "conflated ablation / k=4");
 }
+
+/// `cwgl characterize --jobs 20000 --seed S [--natural]`: the CLI's
+/// defaults, a 100-job sample and 5 clusters.
+struct PaperCase {
+  SamplingMode sampling;
+  std::uint64_t seed;
+};
+
+class InternDifferentialPaper : public ::testing::TestWithParam<PaperCase> {};
+
+TEST_P(InternDifferentialPaper, MatchesDirect) {
+  PipelineConfig cfg;
+  cfg.sampling = GetParam().sampling;
+  expect_pipeline_matches_direct(cfg, make_trace(20000, GetParam().seed),
+                                 "20k jobs / seed " +
+                                     std::to_string(GetParam().seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, InternDifferentialPaper,
+    ::testing::Values(PaperCase{SamplingMode::VariabilityStratified, 1},
+                      PaperCase{SamplingMode::VariabilityStratified, 2},
+                      PaperCase{SamplingMode::VariabilityStratified, 5},
+                      PaperCase{SamplingMode::VariabilityStratified, 6},
+                      PaperCase{SamplingMode::VariabilityStratified, 8},
+                      PaperCase{SamplingMode::VariabilityStratified, 12},
+                      PaperCase{SamplingMode::Natural, 1},
+                      PaperCase{SamplingMode::Natural, 5},
+                      PaperCase{SamplingMode::Natural, 7}),
+    [](const ::testing::TestParamInfo<PaperCase>& test) {
+      return std::string(test.param.sampling == SamplingMode::Natural
+                             ? "Natural"
+                             : "Stratified") +
+             std::to_string(test.param.seed);
+    });
 
 }  // namespace
 }  // namespace cwgl::core

@@ -86,50 +86,6 @@ TEST(GoldenModelTest, HeldOutProbesLandInPinnedClusters) {
   EXPECT_GT(triangle_p.similarity, 0.5);
 }
 
-TEST(GoldenModelTest, InternedFitReproducesGoldenClassifications) {
-  // Re-fit on the committed example trace with shape interning enabled and
-  // the exact configuration of the golden recipe. The interned snapshot is
-  // smaller (one representative per distinct shape) but must classify the
-  // held-out probes into the SAME pinned clusters as the committed direct
-  // model — the serving contract of `--intern`.
-  const trace::Trace data =
-      trace::read_trace(std::string(kDataDir) + "/example_trace");
-  core::PipelineConfig cfg;
-  cfg.sample_size = kExpectedTrainingJobs;
-  cfg.clustering.clusters = kExpectedClusters;
-  cfg.intern_shapes = true;
-  util::ThreadPool pool;
-  core::FittedFeatures fitted;
-  const core::PipelineResult result =
-      core::CharacterizationPipeline(cfg).run(data, &pool, &fitted);
-  ASSERT_TRUE(result.interned.has_value());
-
-  const FittedModel snapshot =
-      model::build_model(result, std::move(fitted), cfg);
-  EXPECT_EQ(snapshot.training_weight(), kExpectedTrainingJobs);
-  EXPECT_LT(snapshot.training_jobs(), kExpectedTrainingJobs)
-      << "the example trace has recurring shapes; interning must dedup them";
-
-  // Dictionary byte-identity: the interned fit freezes the very same WL
-  // dictionary as the committed direct fit.
-  const FittedModel direct = golden();
-  EXPECT_EQ(snapshot.dictionary, direct.dictionary);
-
-  // Round-trip through the v2 wire format, then classify the probes.
-  const FittedModel reloaded = deserialize_model(serialize_model(snapshot));
-  EXPECT_EQ(reloaded, snapshot);
-  const serve::Classifier classifier(reloaded);
-  const serve::Classifier golden_classifier(direct);
-  for (const core::JobDag& probe : probe_jobs()) {
-    const serve::Prediction interned_p = classifier.classify(probe);
-    const serve::Prediction direct_p = golden_classifier.classify(probe);
-    EXPECT_EQ(interned_p.cluster, direct_p.cluster) << probe.job_name;
-    const int expected = probe.job_name == "j_chain" ? kExpectedChainCluster
-                                                     : kExpectedTriangleCluster;
-    EXPECT_EQ(interned_p.cluster, expected) << probe.job_name;
-  }
-}
-
 TEST(GoldenModelTest, RecipeRefitIsByteIdentical) {
   // The header's `cwgl fit` recipe run through the library (pooled, like the
   // CLI) must rebuild the committed artifact byte for byte: a change to the
@@ -143,7 +99,6 @@ TEST(GoldenModelTest, RecipeRefitIsByteIdentical) {
   core::FittedFeatures fitted;
   const core::PipelineResult result =
       core::CharacterizationPipeline(cfg).run(data, &pool, &fitted);
-  ASSERT_FALSE(result.interned.has_value());
   const std::string refit =
       serialize_model(model::build_model(result, std::move(fitted), cfg));
 

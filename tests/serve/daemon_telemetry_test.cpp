@@ -179,8 +179,16 @@ TEST(DaemonTelemetry, StatsPayloadCarriesDaemonFlightAndMetrics) {
     EXPECT_EQ(client.call(classify_request(id)).status, ResponseStatus::Ok);
   }
 
-  const Response s = client.call(control_request(RequestType::Stats, 99));
-  ASSERT_EQ(s.status, ResponseStatus::Ok);
+  // A worker records a request's timing after writing its response, so the
+  // fifth answer can reach the client an instant before the recorder counts
+  // it; poll briefly until it does.
+  Response s;
+  for (std::uint64_t attempt = 0; attempt < 100; ++attempt) {
+    s = client.call(control_request(RequestType::Stats, 99 + attempt));
+    ASSERT_EQ(s.status, ResponseStatus::Ok);
+    if (payload_of(s).at("flight").at("recorded").as_number() >= 5.0) break;
+    std::this_thread::sleep_for(10ms);
+  }
   EXPECT_EQ(s.generation, 1u);
   // Legacy flat map keeps working and gains the new keys.
   EXPECT_EQ(s.stats.at("served"), 5u);
