@@ -32,9 +32,11 @@
 # — plus the fulltrace-smoke pass: `cwgl characterize --full` (both the
 #   mini-batch and landmark backends) on a generated multi-thousand-job
 #   trace with a hard ARI >= 0.8 gate against the exact sampled pipeline,
-#   a `fit --full` -> `predict` round-trip, and bench_full_cluster diffed
-#   against bench/baselines/BENCH_full_cluster.json with --min-bar floors
-#   on both agreement ARIs
+#   a `fit --full` -> `predict` round-trip, `fit --full --trace` streaming
+#   20k- and 80k-job traces from disk (snapshots byte-identical to the
+#   generated fits, peak RSS at 80k at most 2x that at 20k), and
+#   bench_full_cluster diffed against bench/baselines/BENCH_full_cluster.json
+#   with --min-bar floors on both agreement ARIs
 # — plus the telemetry-smoke pass: a live daemon with the full telemetry
 #   plane on (periodic Prometheus exporter, JSON structured logging, span
 #   tracer) answers ping/health/stats/trace, a hot reload bumps the
@@ -342,7 +344,11 @@ run_serve_daemon_smoke() {
 # partition at ARI >= 0.8 for BOTH backends (mini-batch and landmark), a
 # full-trace fit must classify the committed probe jobs (`fit --full` ->
 # `predict` round-trip, per-section snapshot sizes present in the fit JSON),
-# and bench_full_cluster is gated against its committed baseline with hard
+# `fit --full --trace` must stream 20k- and 80k-job traces written by
+# `generate` (instances included) into snapshots byte-identical to `fit
+# --full --jobs N` with peak RSS growing at most 2x for 4x the jobs (memory
+# that grows with jobs, as when the whole trace is loaded, reads ~3.7x), and
+# bench_full_cluster is gated against its committed baseline with hard
 # --min-bar floors on both agreement ARIs.
 run_fulltrace_smoke() {
   local name="fulltrace-smoke" build_dir="build-check-fulltrace-smoke"
@@ -407,6 +413,58 @@ assert doc["snapshot"]["bytes"] == sections["total"]
         tests/data/probe_jobs.csv --json > "${out}/predict.json"; then
       echo "${name}: predict against the full-trace model failed" >&2
       ok=0
+    fi
+  fi
+  if ((ok)); then
+    echo "=== [${name}] fit --full --trace: streamed snapshots + peak RSS ==="
+    local jobs
+    for jobs in 20000 80000; do
+      if ! "${cwgl}" generate --out "${out}/trace_${jobs}" --jobs "${jobs}" \
+          --seed 42 > /dev/null; then
+        echo "${name}: generate --jobs ${jobs} failed" >&2
+        ok=0
+      elif ! "${cwgl}" fit --full --jobs "${jobs}" --seed 42 \
+          --out "${out}/generated_${jobs}.cwgl" > /dev/null; then
+        echo "${name}: fit --full --jobs ${jobs} failed" >&2
+        ok=0
+      fi
+    done
+    # Linux starts a child's ru_maxrss at its spawner's peak RSS, which for
+    # a Python interpreter (8-14 MB) is above a streamed 20k-job fit's own
+    # peak, so the fits run under scripts/peak_rss.c (about 1 MB).
+    if ((ok)) && ! cc -O2 -o "${out}/peak_rss" scripts/peak_rss.c; then
+      echo "${name}: cannot build scripts/peak_rss.c" >&2
+      ok=0
+    fi
+    if ((ok)) && ! python3 -c '
+import subprocess, sys
+cwgl, out = sys.argv[1], sys.argv[2]
+peak_mb = {}
+for jobs in (20000, 80000):
+    run = subprocess.run(
+        [f"{out}/peak_rss", cwgl, "fit", "--full", "--trace",
+         f"{out}/trace_{jobs}", "--out", f"{out}/streamed_{jobs}.cwgl"],
+        stdout=subprocess.PIPE, text=True, check=True)
+    kib, code = map(int, run.stdout.split())
+    if code != 0:
+        raise SystemExit(f"fit --full --trace ({jobs} jobs) exited {code}")
+    peak_mb[jobs] = kib / 1024.0
+    print(f"  {jobs} jobs: peak RSS {peak_mb[jobs]:.1f} MB")
+ratio = peak_mb[80000] / peak_mb[20000]
+if ratio > 2.0:
+    raise SystemExit(f"peak RSS grows {ratio:.2f}x for 4x the jobs (> 2.0x)")
+print(f"  peak RSS ratio 80k/20k: {ratio:.2f}x")
+' "${cwgl}" "${out}"; then
+      echo "${name}: fit --full --trace peak-RSS gate failed" >&2
+      ok=0
+    fi
+    if ((ok)); then
+      for jobs in 20000 80000; do
+        if ! cmp "${out}/streamed_${jobs}.cwgl" "${out}/generated_${jobs}.cwgl"; then
+          echo "${name}: streamed and generated ${jobs}-job snapshots differ" >&2
+          ok=0
+        fi
+      done
     fi
   fi
   if ((ok)); then

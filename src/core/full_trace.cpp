@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <istream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/spectral.hpp"
@@ -32,8 +34,8 @@ FullTraceResult CharacterizationPipeline::run_full(const trace::Trace& trace,
     handles.reserve(eligible.size());
     std::uint64_t seq = 0;
     // One JobDag in flight at a time: each build is interned immediately,
-    // so live memory stays bounded by distinct shapes even when every job
-    // of the trace is eligible.
+    // so live DAG memory stays bounded by distinct shapes even when every
+    // job of the trace is eligible (the trace itself is the caller's).
     for (std::size_t g : eligible) {
       const trace::JobGroup& group = index.jobs()[g];
       std::vector<trace::TaskRecord> records;
@@ -62,8 +64,25 @@ FullTraceResult CharacterizationPipeline::run_full(std::istream& task_csv,
   obs::Span span("pipeline.run_full");
   IngestOptions options;
   options.criteria = config_.criteria;
-  InternedIngest ingest = stream_shape_jobs(task_csv, options, pool);
+  InternedIngest ingest;
+  {
+    obs::Span intern_span("pipeline.full_intern");
+    ingest = stream_shape_jobs(task_csv, options, pool);
+    intern_span.arg("jobs", ingest.shape_of.size());
+  }
   if (stats != nullptr) *stats = ingest.stats;
+  // Both failures would otherwise cluster a silently smaller workload: a
+  // stream that died mid-read ends like a short file, and a job whose rows
+  // reappear after its group closed is interned as two separate jobs.
+  if (task_csv.bad()) {
+    throw util::Error("run_full: I/O error while reading the task stream");
+  }
+  if (const std::size_t fragmented = ingest.stats.stream.fragmented) {
+    throw util::ParseError(
+        "run_full: " + std::to_string(fragmented) +
+        " job group(s) reappear after their job's rows ended; a job's "
+        "task rows must be contiguous (sort batch_task.csv by job)");
+  }
   return run_full_table(std::move(ingest.table), std::move(ingest.shape_of),
                         ingest.intern, pool, fitted);
 }

@@ -65,8 +65,9 @@ struct InternedAnalysis {
 
 /// Result of clustering EVERY eligible job of a trace (run_full): the
 /// learning stage runs once per distinct shape, count-weighted, through
-/// cluster::cluster_at_scale — no n x n Gram is ever materialized, so
-/// memory is bounded by distinct shapes, not jobs.
+/// cluster::cluster_at_scale — no n x n Gram is ever materialized, so the
+/// learning stage's memory is bounded by distinct shapes, not jobs;
+/// `shape_of` (4 bytes a job) is the result's one per-job term.
 struct FullTraceResult {
   /// Distinct shapes of the whole eligible workload, first-seen order.
   ShapeTable table;
@@ -154,8 +155,12 @@ class CharacterizationPipeline {
                            FittedFeatures* fitted = nullptr) const;
 
   /// Streaming overload: same result straight from a `batch_task.csv`
-  /// stream with memory bounded by distinct shapes (core::stream_shape_jobs
-  /// machinery — a pool overlaps parsing with DAG building + interning).
+  /// stream (core::stream_shape_jobs machinery — a pool overlaps parsing
+  /// with DAG building + interning). Each job is interned as soon as its
+  /// rows are grouped, so no task row outlives its job. A job's rows must
+  /// be contiguous: a stream whose jobs reappear after their group closed
+  /// (stats->stream.fragmented > 0) throws ParseError, and a stream that
+  /// went bad mid-read throws Error, both before anything is clustered.
   FullTraceResult run_full(std::istream& task_csv,
                            util::ThreadPool* pool = nullptr,
                            FittedFeatures* fitted = nullptr,

@@ -1,7 +1,12 @@
 #include "trace/io.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <unordered_set>
+#include <functional>
+#include <limits>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/csv_scanner.hpp"
@@ -16,6 +21,64 @@ namespace {
 util::CsvScanPolicy scan_policy(const TraceReadOptions& options) {
   return util::CsvScanPolicy{options.lenient, options.diagnostics};
 }
+
+/// The job names a stream has grouped so far, kept to spot a job whose rows
+/// reappear after its group closed. It holds one entry per job of the file,
+/// so it is packed: the names sit in one arena, each behind its 4-byte
+/// length, and an open-addressing table at most half full holds their
+/// arena offsets. That is about 30-50 B a short name, where a node-based
+/// set of strings takes about 75.
+class SeenJobs {
+ public:
+  /// Records `name`; false when it was recorded before.
+  bool insert(std::string_view name) {
+    if (name.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw util::ParseError("batch_task.csv: job name longer than 4 GiB");
+    }
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    const std::size_t slot = find(name);
+    if (slots_[slot] != kEmpty) return false;
+    slots_[slot] = arena_.size();
+    const auto length = static_cast<std::uint32_t>(name.size());
+    arena_.append(reinterpret_cast<const char*>(&length), sizeof length);
+    arena_.append(name);
+    ++count_;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  std::string_view name_at(std::uint64_t offset) const {
+    std::uint32_t length = 0;
+    std::memcpy(&length, arena_.data() + offset, sizeof length);
+    return {arena_.data() + offset + sizeof length, length};
+  }
+
+  /// The slot holding `name`, or the empty slot where it belongs.
+  std::size_t find(std::string_view name) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+    while (slots_[slot] != kEmpty && name_at(slots_[slot]) != name) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  /// Doubles the table and re-indexes every name from the arena.
+  void grow() {
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
+    for (std::uint64_t offset = 0; offset < arena_.size();) {
+      const std::string_view name = name_at(offset);
+      slots_[find(name)] = offset;
+      offset += sizeof(std::uint32_t) + name.size();
+    }
+  }
+
+  std::string arena_;
+  std::vector<std::uint64_t> slots_;  ///< arena offsets; size a power of two
+  std::size_t count_ = 0;
+};
 
 /// Reassembles a row preview ("f0,f1,...") for error messages and samples.
 std::string row_preview(std::span<const std::string_view> fields) {
@@ -179,13 +242,13 @@ StreamStats consume_jobs_in_task_csv(
   StreamStats stats;
   std::string current_job;
   std::vector<TaskRecord> group;
-  std::unordered_set<std::string> seen_jobs;
+  SeenJobs seen_jobs;
   bool stopped = false;
 
   const auto flush = [&]() -> bool {
     if (group.empty()) return true;
     ++stats.jobs;
-    if (!seen_jobs.insert(current_job).second) ++stats.fragmented;
+    if (!seen_jobs.insert(current_job)) ++stats.fragmented;
     const bool keep_going = fn(std::string(current_job), std::move(group));
     group.clear();
     return keep_going;

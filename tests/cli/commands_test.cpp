@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -438,6 +439,147 @@ TEST(Cli, ClusterDotFilesAreTheCharacterizeMedoids) {
         << "group " << letter;
   }
   std::filesystem::remove_all(dir);
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// `cwgl-full-v1` JSON without its "timings" member, which varies per run.
+std::string without_timings(const std::string& json) {
+  const std::size_t at = json.find("\"timings\":{");
+  if (at == std::string::npos) return json;
+  return json.substr(0, at) + json.substr(json.find('}', at) + 1);
+}
+
+/// A scratch copy of tests/data/example_trace; removed on destruction.
+struct TraceCopy {
+  std::filesystem::path dir;
+
+  explicit TraceCopy(const std::string& name)
+      : dir(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(std::string(CWGL_TEST_DATA_DIR) + "/example_trace",
+                          dir, std::filesystem::copy_options::recursive);
+  }
+  ~TraceCopy() { std::filesystem::remove_all(dir); }
+};
+
+// `--full --trace` streams batch_task.csv alone: an instance "file" that
+// cannot be read changes neither the snapshot nor the report, with either
+// backend.
+TEST(Cli, FullTraceReadsOnlyTheTaskFile) {
+  const TraceCopy intact("cwgl_cli_full_intact");
+  const TraceCopy squatted("cwgl_cli_full_squatted");
+  std::filesystem::remove(squatted.dir / "batch_instance.csv");
+  std::filesystem::create_directory(squatted.dir / "batch_instance.csv");
+
+  for (const std::string full : {"--full", "--full=landmark"}) {
+    SCOPED_TRACE(full);
+    std::vector<std::string> snapshots, reports;
+    for (const TraceCopy* copy : {&intact, &squatted}) {
+      const std::string model = (copy->dir / "model.cwgl").string();
+      const auto fit = run({"fit", full, "--trace", copy->dir.string(),
+                            "--out", model});
+      EXPECT_EQ(fit.code, 0) << fit.err;
+      EXPECT_NE(fit.out.find("streamed 795 task rows"), std::string::npos)
+          << fit.out;
+      snapshots.push_back(slurp(model));
+      const auto report = run({"characterize", full, "--trace",
+                               copy->dir.string(), "--json"});
+      EXPECT_EQ(report.code, 0) << report.err;
+      reports.push_back(without_timings(report.out));
+    }
+    EXPECT_FALSE(snapshots[0].empty());
+    EXPECT_EQ(snapshots[0], snapshots[1]);
+    EXPECT_NE(reports[0].find("\"jobs\":138"), std::string::npos);
+    EXPECT_EQ(reports[0], reports[1]);
+  }
+}
+
+// A task file whose jobs reappear after their rows ended is refused: exit
+// 1, the count named, and no snapshot written.
+TEST(Cli, FullTraceRejectsAFragmentedTaskFile) {
+  const TraceCopy copy("cwgl_cli_full_fragmented");
+  const std::filesystem::path tasks = copy.dir / "batch_task.csv";
+  std::vector<std::string> rows;
+  {
+    std::ifstream in(tasks);
+    for (std::string line; std::getline(in, line);) rows.push_back(line);
+  }
+  const auto job_of = [](const std::string& row) {
+    const std::size_t a = row.find(',', row.find(',') + 1) + 1;
+    return row.substr(a, row.find(',', a) - a);
+  };
+  // Move the last row of the first 11 multi-row jobs to the end.
+  std::vector<std::string> kept, moved;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const bool last =
+        i + 1 == rows.size() || job_of(rows[i + 1]) != job_of(rows[i]);
+    const bool multi = i > 0 && job_of(rows[i - 1]) == job_of(rows[i]);
+    (last && multi && moved.size() < 11 ? moved : kept).push_back(rows[i]);
+  }
+  ASSERT_EQ(moved.size(), 11u);
+  {
+    std::ofstream out(tasks, std::ios::trunc);
+    for (const auto* part : {&kept, &moved}) {
+      for (const std::string& row : *part) out << row << "\n";
+    }
+  }
+  const std::string model = (copy.dir / "model.cwgl").string();
+  const auto fit = run({"fit", "--full", "--trace", copy.dir.string(),
+                        "--out", model});
+  EXPECT_EQ(fit.code, 1);
+  EXPECT_NE(fit.err.find("11 job group"), std::string::npos) << fit.err;
+  EXPECT_FALSE(std::filesystem::exists(model));
+  const auto report = run({"characterize", "--full", "--trace",
+                           copy.dir.string(), "--json"});
+  EXPECT_EQ(report.code, 1);
+  EXPECT_NE(report.err.find("contiguous"), std::string::npos) << report.err;
+}
+
+// A streamed run records the same stage spans as a generated one: the
+// intern stage, with its job count, wraps the streaming ingest, and
+// featurize, clustering and validation follow it.
+TEST(Cli, FullTraceStreamKeepsTheStageSpans) {
+  const TraceCopy copy("cwgl_cli_full_spans");
+  const std::filesystem::path trace_out = copy.dir / "spans.json";
+  const auto r = run({"characterize", "--full", "--trace", copy.dir.string(),
+                      "--json", "--trace-out", trace_out.string()});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::map<std::string, std::vector<const util::JsonValue*>> ends;
+  const util::JsonValue doc = util::parse_json(slurp(trace_out));
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "E") {
+      ends[e.at("name").as_string()].push_back(&e);
+    }
+  }
+  for (const char* name : {"pipeline.run_full", "pipeline.full_intern",
+                           "ingest.intern", "pipeline.full_featurize",
+                           "cluster.scale", "pipeline.full_validate"}) {
+    EXPECT_EQ(ends[name].size(), 1u) << name;
+  }
+  ASSERT_EQ(ends["pipeline.full_intern"].size(), 1u);
+  EXPECT_EQ(ends["pipeline.full_intern"][0]->at("args").at("jobs").as_number(),
+            138.0);
+}
+
+// Without batch_task.csv there is nothing to stream: exit 1, naming it.
+TEST(Cli, FullTraceWithoutTaskFileNamesIt) {
+  const TraceCopy copy("cwgl_cli_full_no_tasks");
+  std::filesystem::remove(copy.dir / "batch_task.csv");
+  const std::string missing = (copy.dir / "batch_task.csv").string();
+  const auto fit = run({"fit", "--full", "--trace", copy.dir.string(),
+                        "--out", (copy.dir / "model.cwgl").string()});
+  EXPECT_EQ(fit.code, 1);
+  EXPECT_NE(fit.err.find(missing), std::string::npos) << fit.err;
+  const auto report =
+      run({"characterize", "--full", "--trace", copy.dir.string()});
+  EXPECT_EQ(report.code, 1);
+  EXPECT_NE(report.err.find(missing), std::string::npos) << report.err;
 }
 
 TEST(Cli, PredictAgainstCorruptModelIsCleanError) {

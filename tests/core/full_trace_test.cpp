@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cluster/scale.hpp"
 #include "core/pipeline.hpp"
+#include "model/fit.hpp"
+#include "model/format.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
@@ -80,22 +84,145 @@ TEST(FullTrace, DeterministicForSeedBothMethods) {
   }
 }
 
+void expect_same_distribution(const util::Distribution& a,
+                              const util::Distribution& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.p25, b.p25);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.p75, b.p75);
+  EXPECT_EQ(a.max, b.max);
+}
+
+void expect_same_groups(const std::vector<ClusterGroupStats>& a,
+                        const std::vector<ClusterGroupStats>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    SCOPED_TRACE("group " + std::string(1, a[g].letter()));
+    EXPECT_EQ(a[g].group, b[g].group);
+    EXPECT_EQ(a[g].population, b[g].population);
+    EXPECT_EQ(a[g].population_fraction, b[g].population_fraction);
+    expect_same_distribution(a[g].size, b[g].size);
+    expect_same_distribution(a[g].critical_path, b[g].critical_path);
+    expect_same_distribution(a[g].parallelism, b[g].parallelism);
+    EXPECT_EQ(a[g].chain_fraction, b[g].chain_fraction);
+    EXPECT_EQ(a[g].short_job_fraction, b[g].short_job_fraction);
+    EXPECT_EQ(a[g].medoid, b[g].medoid);
+  }
+}
+
+// Streaming the task file, serially or on a pool, reproduces the Trace
+// overload: everything a snapshot is built from, and the snapshot itself
+// byte for byte.
 TEST(FullTrace, StreamOverloadMatchesTraceOverload) {
   const auto trace = make_trace(2000, 7);
   std::ostringstream out;
   trace::write_batch_task_csv(out, trace.tasks);
   const std::string csv = out.str();
 
+  const PipelineConfig cfg;
+  const CharacterizationPipeline pipeline(cfg);
+  FittedFeatures trace_fitted;
+  const auto from_trace = pipeline.run_full(trace, nullptr, &trace_fitted);
+  const std::string trace_bytes = model::serialize_model(
+      model::build_model_full(from_trace, trace_fitted, cfg));
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial stream" : "pooled stream");
+    std::istringstream in(csv);
+    FittedFeatures fitted;
+    IngestStats stats;
+    const auto from_stream = pipeline.run_full(in, p, &fitted, &stats);
+    EXPECT_EQ(stats.stream.rows, trace.tasks.size());
+    EXPECT_EQ(stats.stream.malformed, 0u);
+    EXPECT_EQ(stats.stream.fragmented, 0u);
+    EXPECT_EQ(stats.dags, from_trace.total_jobs());
+
+    EXPECT_EQ(from_stream.table.size(), from_trace.table.size());
+    EXPECT_EQ(from_stream.total_jobs(), from_trace.total_jobs());
+    EXPECT_EQ(from_stream.table.counts(), from_trace.table.counts());
+    ASSERT_EQ(from_stream.table.exemplars.size(),
+              from_trace.table.exemplars.size());
+    for (std::size_t t = 0; t < from_trace.table.size(); ++t) {
+      EXPECT_EQ(from_stream.table.exemplars[t].job_name,
+                from_trace.table.exemplars[t].job_name);
+    }
+    EXPECT_EQ(from_stream.shape_of, from_trace.shape_of);
+    EXPECT_EQ(from_stream.shape_labels, from_trace.shape_labels);
+    expect_same_groups(from_stream.groups, from_trace.groups);
+    EXPECT_EQ(from_stream.method, from_trace.method);
+    EXPECT_EQ(from_stream.degraded, from_trace.degraded);
+    EXPECT_EQ(from_stream.inertia, from_trace.inertia);
+
+    EXPECT_EQ(from_stream.agreement.items, from_trace.agreement.items);
+    EXPECT_EQ(from_stream.agreement.clusters_a, from_trace.agreement.clusters_a);
+    EXPECT_EQ(from_stream.agreement.clusters_b, from_trace.agreement.clusters_b);
+    EXPECT_EQ(from_stream.agreement.ari, from_trace.agreement.ari);
+    EXPECT_EQ(from_stream.agreement.nmi, from_trace.agreement.nmi);
+
+    EXPECT_EQ(from_stream.stats.total_jobs, from_trace.stats.total_jobs);
+    EXPECT_EQ(from_stream.stats.distinct_shapes,
+              from_trace.stats.distinct_shapes);
+    EXPECT_EQ(from_stream.stats.hits, from_trace.stats.hits);
+    EXPECT_EQ(from_stream.stats.misses, from_trace.stats.misses);
+    EXPECT_EQ(from_stream.stats.isomorphism_probes,
+              from_trace.stats.isomorphism_probes);
+    EXPECT_EQ(from_stream.stats.hash_collisions,
+              from_trace.stats.hash_collisions);
+
+    EXPECT_EQ(fitted.vectors, trace_fitted.vectors);
+    EXPECT_EQ(fitted.dictionary, trace_fitted.dictionary);
+    EXPECT_EQ(model::serialize_model(
+                  model::build_model_full(from_stream, fitted, cfg)),
+              trace_bytes);
+  }
+}
+
+// A job whose rows reappear after its group closed would be fitted as two
+// jobs; the stream is refused before anything is clustered, whereas the
+// Trace overload regroups the rows by job name.
+TEST(FullTrace, FragmentedStreamIsAnError) {
+  const auto trace = make_trace(600, 23);
+  // Move the last row of the first three multi-row jobs to the end.
+  std::vector<trace::TaskRecord> rows = trace.tasks;
+  std::vector<trace::TaskRecord> moved;
+  for (std::size_t i = 1; i < rows.size() && moved.size() < 3;) {
+    const bool last_of_job = i + 1 == rows.size() ||
+                             rows[i + 1].job_name != rows[i].job_name;
+    if (last_of_job && rows[i - 1].job_name == rows[i].job_name) {
+      moved.push_back(rows[i]);
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ++i;
+    }
+  }
+  ASSERT_EQ(moved.size(), 3u);
+  rows.insert(rows.end(), moved.begin(), moved.end());
+  std::ostringstream out;
+  trace::write_batch_task_csv(out, rows);
+
   const CharacterizationPipeline pipeline{PipelineConfig{}};
-  const auto from_trace = pipeline.run_full(trace);
+  trace::Trace regrouped;
+  regrouped.tasks = rows;
+  EXPECT_EQ(pipeline.run_full(regrouped).total_jobs(),
+            pipeline.run_full(trace).total_jobs());
 
-  std::istringstream in(csv);
-  const auto from_stream = pipeline.run_full(in);
-
-  EXPECT_EQ(from_stream.table.size(), from_trace.table.size());
-  EXPECT_EQ(from_stream.total_jobs(), from_trace.total_jobs());
-  EXPECT_EQ(from_stream.shape_labels, from_trace.shape_labels);
-  EXPECT_EQ(from_stream.shape_of, from_trace.shape_of);
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial stream" : "pooled stream");
+    std::istringstream in(out.str());
+    IngestStats stats;
+    try {
+      pipeline.run_full(in, p, nullptr, &stats);
+      ADD_FAILURE() << "a fragmented stream was fitted";
+    } catch (const util::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("3 job group"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(stats.stream.fragmented, 3u);
+  }
 }
 
 TEST(FullTrace, PooledMatchesSerial) {

@@ -183,6 +183,27 @@ TEST(TraceIoStream, EarlyStopDoesNotVisitLaterGroups) {
   EXPECT_EQ(stats.rows, 2u);
 }
 
+// Enough jobs to grow the job-name table many times over: names that are
+// prefixes of one another ("j_1", "j_10", "j_100") stay distinct, and every
+// reappearance, early or late, is counted exactly once.
+TEST(TraceIoStream, FragmentsCountedExactlyAcrossManyJobs) {
+  std::stringstream buffer;
+  const auto row = [&buffer](const std::string& job) {
+    buffer << "M1,1," << job << ",1,Terminated,10,20,100.00,0.50\n";
+  };
+  row("");  // an empty job name is a name too
+  for (int j = 1; j <= 5000; ++j) row("j_" + std::to_string(j));
+  std::size_t again = 0;
+  for (int j = 1; j <= 5000; j += 7, ++again) row("j_" + std::to_string(j));
+  row("");
+  const auto stats = consume_jobs_in_task_csv(
+      buffer, [](const std::string&, const std::vector<TaskRecord>&) {
+        return true;
+      });
+  EXPECT_EQ(stats.jobs, 5001u + again + 1);
+  EXPECT_EQ(stats.fragmented, again + 1);
+}
+
 TEST(TraceIoStream, RepeatedReoccurrencesEachCountFragmented) {
   std::stringstream buffer;
   for (int round = 0; round < 3; ++round) {
