@@ -37,22 +37,28 @@ void print_figure(bench::Reporter& reporter) {
     reporter.set("gram_" + std::to_string(corpus.size()) + "_ms", ms);
   }
 
-  // Differential: the concurrent featurization path (sharded dictionary +
-  // pooled featurize/dot) against the serial reference. "max|diff|" is the
-  // elementwise deviation between the two Gram matrices — the determinism
-  // contract requires <= 1e-12. The gram_par_* metrics feed bench_diff's
-  // --min-bar speedup gate, so they always run >= 5 paired reps (serial and
-  // pooled interleaved, per-rep speedup ratios) even under the smoke pass's
-  // CWGL_BENCH_REPS=1 — a single rep made the gate flaky.
-  std::cout << "\nserial vs parallel gram (4 threads, featurization + dots)\n"
+  // Differential: the pooled Gram (serial featurization, dot products on
+  // the pool) against the serial reference. "max|diff|" is the elementwise
+  // deviation between the two Gram matrices — the determinism contract
+  // requires <= 1e-12. The gram_par_* metrics feed bench_diff's --min-bar
+  // speedup gate, so they always run >= 5 paired reps (serial and pooled
+  // interleaved, per-rep speedup ratios) even under the smoke pass's
+  // CWGL_BENCH_REPS=1 — a single rep made the gate flaky. A CWGL_BENCH_JOBS
+  // cap can shrink two requested sizes to the same corpus; each distinct
+  // corpus size is measured once.
+  std::cout << "\nserial vs parallel gram (4 threads, serial featurization, "
+               "pooled dots)\n"
             << util::pad_left("corpus", 8) << util::pad_left("serial ms", 11)
             << util::pad_left("par ms", 10) << util::pad_left("speedup", 9)
             << util::pad_left("max|diff|", 12) << "\n";
   util::ThreadPool pool(4);
   const std::size_t par_reps =
       std::max<std::size_t>(5, bench::env_size("CWGL_BENCH_REPS", 5));
+  std::size_t last_size = 0;
   for (std::size_t n : {100u, 250u, 500u}) {
     const auto sample = bench::make_experiment_set(20000, n);
+    if (sample.size() == last_size) continue;
+    last_size = sample.size();
     std::vector<kernel::LabeledGraph> corpus;
     for (const auto& job : sample) corpus.push_back(job.to_labeled());
 

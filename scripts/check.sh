@@ -2,9 +2,10 @@
 # CI gate: build the tree and run the full ctest suite three ways —
 #   plain        no instrumentation (the tier-1 configuration)
 #   asan-ubsan   AddressSanitizer + UndefinedBehaviorSanitizer
-#   tsan         ThreadSanitizer (exercises the sharded label dictionary,
-#                pooled featurization, and the work-helping thread pool
-#                under the race detector)
+#   tsan         ThreadSanitizer (exercises the pooled Gram dot products,
+#                lock-free reads of a frozen signature dictionary by
+#                serving threads, and the work-helping thread pool under
+#                the race detector)
 # — then rebuild with -DCWGL_FAILPOINTS=ON and run the fault passes:
 #   faults        full suite with the failpoint registry compiled in
 #   faults-asan   fault-relevant tests under ASan/UBSan (injected faults

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -55,12 +56,29 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Integer flag `key` as a T, or nullopt when absent: how every flag that
+/// counts, sizes or times something is read. A negative value, or one T
+/// cannot hold, is a UsageError naming the flag; cast instead,
+/// `--threads -1` would ask for 4,294,967,295 workers.
+template <typename T>
+std::optional<T> non_negative(const Args& args, std::string_view key) {
+  const std::optional<long long> value = args.get_int(key);
+  if (!value) return std::nullopt;
+  constexpr auto kMax =
+      static_cast<unsigned long long>(std::numeric_limits<T>::max());
+  if (*value < 0 || static_cast<unsigned long long>(*value) > kMax) {
+    throw UsageError("--" + std::string(key) + " must be an integer in [0, " +
+                     std::to_string(kMax) + "], got " + std::to_string(*value));
+  }
+  return static_cast<T>(*value);
+}
+
 /// The synthetic trace that --jobs N and --seed S configure, with the
 /// calling command's defaults; instance rows are off.
-trace::GeneratorConfig generator_config(const Args& args, long long jobs,
+trace::GeneratorConfig generator_config(const Args& args, std::size_t jobs,
                                         long long seed = 42) {
   trace::GeneratorConfig cfg;
-  cfg.num_jobs = static_cast<std::size_t>(args.get_int("jobs").value_or(jobs));
+  cfg.num_jobs = non_negative<std::size_t>(args, "jobs").value_or(jobs);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(seed));
   cfg.emit_instances = false;
   return cfg;
@@ -100,11 +118,11 @@ trace::Trace load_or_generate(const Args& args, std::ostream& out) {
 
 core::PipelineConfig pipeline_config(const Args& args) {
   core::PipelineConfig cfg;
-  cfg.sample_size = static_cast<std::size_t>(args.get_int("sample").value_or(100));
+  cfg.sample_size = non_negative<std::size_t>(args, "sample").value_or(100);
   if (args.has("natural")) cfg.sampling = core::SamplingMode::Natural;
   cfg.clustering.clusters = static_cast<int>(args.get_int("clusters").value_or(5));
-  if (const auto h = args.get_int("wl-iterations")) {
-    cfg.similarity.wl.iterations = static_cast<int>(*h);
+  if (const auto h = non_negative<int>(args, "wl-iterations")) {
+    cfg.similarity.wl.iterations = *h;
   }
   return cfg;
 }
@@ -455,8 +473,8 @@ int cmd_characterize(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_cluster(const Args& args, std::ostream& out, std::ostream&) {
-  const trace::Trace data = load_or_generate(args, out);
   const core::PipelineConfig cfg = pipeline_config(args);
+  const trace::Trace data = load_or_generate(args, out);
   const std::string out_dir = args.get("out");
   util::ThreadPool pool;
   const auto result = core::CharacterizationPipeline(cfg).run(data, &pool);
@@ -478,8 +496,8 @@ int cmd_cluster(const Args& args, std::ostream& out, std::ostream&) {
 }
 
 int cmd_similarity(const Args& args, std::ostream& out, std::ostream&) {
-  const trace::Trace data = load_or_generate(args, out);
   const core::PipelineConfig cfg = pipeline_config(args);
+  const trace::Trace data = load_or_generate(args, out);
   const bool want_matrix = args.has("matrix");
   util::ThreadPool pool;
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
@@ -499,8 +517,8 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
   const bool strict = args.has("strict");
   const bool intern = args.has("intern");
   const bool as_json = args.has("json");
-  const auto threads =
-      static_cast<unsigned>(args.get_int("threads").value_or(0));
+  const unsigned threads = non_negative<unsigned>(args, "threads").value_or(0);
+  const trace::GeneratorConfig gcfg = generator_config(args, 20000);
   const ObsOptions obs_opts = start_observation(args);
   // Without --trace, synthesize a task CSV in memory so the command is
   // self-contained (the bytes parsed are identical to the on-disk format).
@@ -519,8 +537,7 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
     input_bytes = std::filesystem::file_size(path, ec);
     in = &file;
   } else {
-    const trace::Trace data =
-        trace::TraceGenerator(generator_config(args, 20000)).generate();
+    const trace::Trace data = trace::TraceGenerator(gcfg).generate();
     trace::write_batch_task_csv(generated, data.tasks);
     input_bytes = generated.str().size();
     in = &generated;
@@ -890,8 +907,7 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string model_path = args.get("model");
   const bool as_json = args.has("json");
   const trace::GeneratorConfig gcfg = generator_config(args, 2000, 99);
-  const auto threads =
-      static_cast<unsigned>(args.get_int("threads").value_or(0));
+  const unsigned threads = non_negative<unsigned>(args, "threads").value_or(0);
   const auto repeat = static_cast<int>(args.get_int("repeat").value_or(3));
   const ObsOptions obs_opts = start_observation(args);
   if (model_path.empty()) {
@@ -971,8 +987,8 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
 
 /// `jct`: fit and evaluate the completion-time regression on a sample.
 int cmd_jct(const Args& args, std::ostream& out, std::ostream& err) {
-  const trace::Trace data = load_or_generate(args, out);
   const core::PipelineConfig cfg = pipeline_config(args);
+  const trace::Trace data = load_or_generate(args, out);
   const auto sample = core::CharacterizationPipeline(cfg).build_sample(data);
   const std::size_t split = sample.size() / 2;
   const std::vector<core::JobDag> train(sample.begin(), sample.begin() + split);
@@ -1020,25 +1036,26 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
            "(--socket PATH | --port N)\n";
     return 2;
   }
-  cfg.worker_threads =
-      static_cast<unsigned>(args.get_int("threads").value_or(0));
-  if (const auto v = args.get_int("max-inflight")) {
-    cfg.max_inflight = static_cast<std::size_t>(*v);
+  using Ms = std::chrono::milliseconds;
+  using Us = std::chrono::microseconds;
+  cfg.worker_threads = non_negative<unsigned>(args, "threads").value_or(0);
+  if (const auto v = non_negative<std::size_t>(args, "max-inflight")) {
+    cfg.max_inflight = *v;
   }
-  if (const auto v = args.get_int("max-batch")) {
-    cfg.max_batch = static_cast<std::size_t>(*v);
+  if (const auto v = non_negative<std::size_t>(args, "max-batch")) {
+    cfg.max_batch = *v;
   }
-  if (const auto v = args.get_int("deadline-ms")) {
-    cfg.default_deadline = std::chrono::milliseconds(*v);
+  if (const auto v = non_negative<Ms::rep>(args, "deadline-ms")) {
+    cfg.default_deadline = Ms(*v);
   }
-  if (const auto v = args.get_int("admission-wait-ms")) {
-    cfg.admission_wait = std::chrono::milliseconds(*v);
+  if (const auto v = non_negative<Ms::rep>(args, "admission-wait-ms")) {
+    cfg.admission_wait = Ms(*v);
   }
-  if (const auto v = args.get_int("drain-timeout-ms")) {
-    cfg.drain_timeout = std::chrono::milliseconds(*v);
+  if (const auto v = non_negative<Ms::rep>(args, "drain-timeout-ms")) {
+    cfg.drain_timeout = Ms(*v);
   }
-  if (const auto v = args.get_int("service-delay-us")) {
-    cfg.service_delay = std::chrono::microseconds(*v);
+  if (const auto v = non_negative<Us::rep>(args, "service-delay-us")) {
+    cfg.service_delay = Us(*v);
   }
 
   // Telemetry plane switches.
@@ -1056,7 +1073,7 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
     throw UsageError("--telemetry-interval needs --telemetry-out FILE");
   }
   cfg.trace_buffer =
-      static_cast<std::size_t>(args.get_int("trace-buffer").value_or(0));
+      non_negative<std::size_t>(args, "trace-buffer").value_or(0);
   const bool want_log = args.has("log");
   const std::string log_file = args.get("log");
   obs::Logger::Options log_options;
@@ -1276,12 +1293,10 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_schedule(const Args& args, std::ostream& out, std::ostream&) {
-  const trace::Trace data = load_or_generate(args, out);
   core::PipelineConfig cfg = pipeline_config(args);
   cfg.sampling = core::SamplingMode::Natural;
   sched::SimulatorConfig sim_cfg;
-  sim_cfg.machines =
-      static_cast<std::size_t>(args.get_int("machines").value_or(4));
+  sim_cfg.machines = non_negative<std::size_t>(args, "machines").value_or(4);
   const double online = args.get_double("online").value_or(0.0);
   if (online > 0.0) {
     sim_cfg.online.enabled = true;
@@ -1290,6 +1305,7 @@ int cmd_schedule(const Args& args, std::ostream& out, std::ostream&) {
   }
   const double inter_arrival = args.get_double("inter-arrival").value_or(1.0);
 
+  const trace::Trace data = load_or_generate(args, out);
   util::ThreadPool pool;
   const auto result = core::CharacterizationPipeline(cfg).run(data, &pool);
   const auto& labels = result.clustering.labels;

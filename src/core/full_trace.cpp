@@ -6,7 +6,6 @@
 
 #include "cluster/spectral.hpp"
 #include "core/pipeline.hpp"
-#include "kernel/wl.hpp"
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -118,29 +117,13 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   const std::vector<JobDag>& analysis_shapes =
       config_.analyze_conflated ? conflated : exemplars;
 
-  // Featurize once per distinct shape, serially, so dictionary ids land in
-  // dense first-seen order — the same deterministic fitted state the
-  // sampled export path produces (see SimilarityAnalysis::compute).
+  // Featurize once per distinct shape, through the sampled pipeline's step.
   FittedFeatures local_features;
   FittedFeatures& features = fitted != nullptr ? *fitted : local_features;
   {
     obs::Span span("pipeline.full_featurize");
     span.arg("shapes", m);
-    kernel::WlSubtreeFeaturizer featurizer(config_.similarity.wl);
-    features.vectors.clear();
-    features.vectors.reserve(m);
-    for (const JobDag& job : analysis_shapes) {
-      kernel::LabeledGraph g;
-      g.graph = job.dag;
-      if (config_.similarity.use_type_labels) g.labels = job.type_labels();
-      features.vectors.push_back(featurizer.featurize(g));
-    }
-    features.dictionary.clear();
-    features.dictionary.reserve(featurizer.dictionary_size());
-    for (auto& [signature, id] : featurizer.dictionary_entries()) {
-      (void)id;  // serial ids are dense and sorted
-      features.dictionary.push_back(std::move(signature));
-    }
+    features = featurize_jobs(analysis_shapes, config_.similarity);
   }
   const std::size_t dims = features.dictionary.size();
 

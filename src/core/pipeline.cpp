@@ -89,7 +89,7 @@ PipelineResult CharacterizationPipeline::run(const trace::Trace& trace,
     result.structure_before = StructuralReport::compute(result.sample);
   }
 
-  // Conflation is pure per job, so it rides the same pool as featurization.
+  // Conflation is pure per job, so it runs on the pool.
   std::vector<JobDag> conflated(result.sample.size());
   {
     obs::Span span("pipeline.conflation");

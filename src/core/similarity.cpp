@@ -3,46 +3,39 @@
 #include <limits>
 
 #include "kernel/gram.hpp"
+#include "obs/tracer.hpp"
 #include "util/error.hpp"
 
 namespace cwgl::core {
+
+FittedFeatures featurize_jobs(std::span<const JobDag> jobs,
+                              const SimilarityOptions& options) {
+  obs::Span span("kernel.featurize");
+  span.arg("graphs", jobs.size());
+  kernel::WlSubtreeFeaturizer featurizer(options.wl);
+  FittedFeatures out;
+  out.vectors.reserve(jobs.size());
+  for (const JobDag& job : jobs) {
+    kernel::LabeledGraph g;
+    g.graph = job.dag;
+    if (options.use_type_labels) g.labels = job.type_labels();
+    out.vectors.push_back(featurizer.featurize(g));
+  }
+  out.dictionary = featurizer.signatures();
+  return out;
+}
 
 SimilarityAnalysis SimilarityAnalysis::compute(std::span<const JobDag> jobs,
                                                const SimilarityOptions& options,
                                                util::ThreadPool* pool,
                                                FittedFeatures* fitted) {
-  std::vector<kernel::LabeledGraph> corpus;
-  corpus.reserve(jobs.size());
-  for (const JobDag& job : jobs) {
-    kernel::LabeledGraph g;
-    g.graph = job.dag;
-    if (options.use_type_labels) g.labels = job.type_labels();
-    corpus.push_back(std::move(g));
-  }
-  kernel::WlSubtreeFeaturizer featurizer(options.wl);
+  FittedFeatures local;
+  FittedFeatures& features = fitted != nullptr ? *fitted : local;
+  features = featurize_jobs(jobs, options);
   kernel::GramOptions gram_options;
   gram_options.normalize = options.normalize;
-
   SimilarityAnalysis out;
-  if (fitted != nullptr) {
-    // Export path: featurize serially so dictionary ids land in first-seen
-    // order (deterministic model bytes), keep the vectors, and reuse the
-    // shared Gram back half so values match the fused path bitwise.
-    fitted->vectors.clear();
-    fitted->vectors.reserve(corpus.size());
-    for (const kernel::LabeledGraph& g : corpus) {
-      fitted->vectors.push_back(featurizer.featurize(g));
-    }
-    fitted->dictionary.clear();
-    fitted->dictionary.reserve(featurizer.dictionary_size());
-    for (auto& [signature, id] : featurizer.dictionary_entries()) {
-      (void)id;  // entries() is sorted by id and serial ids are dense
-      fitted->dictionary.push_back(std::move(signature));
-    }
-    out.gram = kernel::gram_from_features(fitted->vectors, gram_options, pool);
-  } else {
-    out.gram = kernel::gram_matrix(featurizer, corpus, gram_options, pool);
-  }
+  out.gram = kernel::gram_from_features(features.vectors, gram_options, pool);
   out.job_names.reserve(jobs.size());
   for (const JobDag& job : jobs) out.job_names.push_back(job.job_name);
   return out;

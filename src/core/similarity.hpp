@@ -33,17 +33,21 @@ struct SimilarityOptions {
 /// raw (pre-normalization) WL feature vector of every analyzed job plus the
 /// frozen signature dictionary that gives those vectors meaning.
 ///
-/// Only produced when requested, and featurization is then forced SERIAL so
-/// dictionary ids are dense in first-seen order — a model's bytes become a
-/// pure function of the input trace and config, independent of thread
-/// scheduling (the Gram dot products still parallelize; they are invariant
-/// to id assignment).
+/// Featurization is serial, so dictionary ids are dense in first-seen order
+/// and a model's bytes are a pure function of the input trace and config.
 struct FittedFeatures {
   /// vectors[i] belongs to jobs[i]; ids index into `dictionary`.
   std::vector<kernel::SparseVector> vectors;
   /// Entry i is the signature interned with id i (dense, first-seen order).
   std::vector<std::string> dictionary;
 };
+
+/// WL-featurizes `jobs` in order through one fresh dictionary, under
+/// `options.wl`, with task-type vertex labels when
+/// `options.use_type_labels`. The one featurize step of the sampled and
+/// full-trace pipelines.
+FittedFeatures featurize_jobs(std::span<const JobDag> jobs,
+                              const SimilarityOptions& options);
 
 /// The pairwise WL similarity analysis over an experiment set.
 struct SimilarityAnalysis {
@@ -63,8 +67,9 @@ struct SimilarityAnalysis {
     int small_threshold = 5;
   };
 
-  /// When `fitted` is non-null the run additionally exports its fitted
-  /// state (see FittedFeatures); Gram values are identical either way.
+  /// Featurizes serially (featurize_jobs); `pool` runs the Gram dot
+  /// products. When `fitted` is non-null it receives the fitted state (see
+  /// FittedFeatures); Gram values are identical either way.
   static SimilarityAnalysis compute(std::span<const JobDag> jobs,
                                     const SimilarityOptions& options = {},
                                     util::ThreadPool* pool = nullptr,

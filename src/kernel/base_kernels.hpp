@@ -1,23 +1,18 @@
 #pragma once
 
-#include "kernel/label_dict.hpp"
 #include "kernel/types.hpp"
 
 namespace cwgl::kernel {
 
 /// Vertex-label histogram features: k(G,G') counts matching label pairs.
 /// The weakest baseline — blind to all structure.
-///
-/// All three baseline featurizers intern through a sharded dictionary, so
-/// like the WL featurizer they may be driven concurrently (thread_safe()).
 class VertexHistogramFeaturizer final : public Featurizer {
  public:
   SparseVector featurize(const LabeledGraph& g) override;
   std::string_view name() const noexcept override { return "vertex-histogram"; }
-  bool thread_safe() const noexcept override { return true; }
 
  private:
-  ShardedSignatureDictionary dict_;
+  SignatureDictionary dict_;
 };
 
 /// Directed-edge label-pair histogram features: one count per
@@ -26,10 +21,9 @@ class EdgeHistogramFeaturizer final : public Featurizer {
  public:
   SparseVector featurize(const LabeledGraph& g) override;
   std::string_view name() const noexcept override { return "edge-histogram"; }
-  bool thread_safe() const noexcept override { return true; }
 
  private:
-  ShardedSignatureDictionary dict_;
+  SignatureDictionary dict_;
 };
 
 /// Shortest-path kernel (Borgwardt & Kriegel 2005 style): one count per
@@ -40,10 +34,9 @@ class ShortestPathFeaturizer final : public Featurizer {
  public:
   SparseVector featurize(const LabeledGraph& g) override;
   std::string_view name() const noexcept override { return "shortest-path"; }
-  bool thread_safe() const noexcept override { return true; }
 
  private:
-  ShardedSignatureDictionary dict_;
+  SignatureDictionary dict_;
 };
 
 }  // namespace cwgl::kernel

@@ -11,20 +11,12 @@ namespace cwgl::kernel {
 
 linalg::Matrix gram_matrix(Featurizer& f, std::span<const LabeledGraph> corpus,
                            const GramOptions& options, util::ThreadPool* pool) {
-  const std::size_t n = corpus.size();
-  obs::Span span("kernel.gram");
-  span.arg("graphs", n);
-  std::vector<SparseVector> features(n);
-  const auto featurize_range = [&](std::size_t lo, std::size_t hi) {
-    obs::Span chunk("kernel.featurize.chunk");
-    chunk.arg("graphs", hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) features[i] = f.featurize(corpus[i]);
-  };
-  if (pool != nullptr && f.thread_safe()) {
-    util::parallel_for_chunked(*pool, 0, n, options.featurize_grain,
-                               featurize_range);
-  } else {
-    featurize_range(0, n);
+  std::vector<SparseVector> features;
+  features.reserve(corpus.size());
+  {
+    obs::Span span("kernel.featurize");
+    span.arg("graphs", corpus.size());
+    for (const LabeledGraph& g : corpus) features.push_back(f.featurize(g));
   }
   return gram_from_features(features, options, pool);
 }
@@ -84,6 +76,8 @@ linalg::Matrix gram_from_features(std::span<const SparseVector> features,
                                   const GramOptions& options,
                                   util::ThreadPool* pool) {
   const std::size_t n = features.size();
+  obs::Span span("kernel.gram");
+  span.arg("graphs", n);
   linalg::Matrix gram(n, n);
 
   // Tiled upper-triangle fill. Tiles are independent (disjoint (i, j) sets,

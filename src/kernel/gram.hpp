@@ -13,10 +13,6 @@ struct GramOptions {
   /// Cosine-normalize so every diagonal entry is 1 and all values lie in
   /// [0,1] — the similarity-map form the paper plots in Fig. 7.
   bool normalize = true;
-  /// Graphs per chunk when featurization runs on the pool. Job DAGs are
-  /// tiny (tens of vertices, microseconds each), so chunks amortize the
-  /// submit/future overhead; 16 is a good default for 2-31-task jobs.
-  std::size_t featurize_grain = 16;
   /// Rows/cols per tile of the upper-triangle pair loop. Tiles are the
   /// scheduling unit (chunked by estimated work, sum of nnz products) and
   /// the locality unit (a 48x48 tile re-reads 96 sparse vectors from cache
@@ -24,25 +20,19 @@ struct GramOptions {
   std::size_t tile_rows = 48;
 };
 
-/// Builds the symmetric kernel (Gram) matrix of a corpus.
-///
-/// When `pool` is provided and `f.thread_safe()` (the WL and histogram
-/// featurizers are — their shared dictionary is sharded and lock-striped),
-/// featurization itself fans out across the pool in chunks of
-/// `options.featurize_grain` graphs; otherwise it runs serially through
-/// `f`. The O(n^2/2) dot products run on `pool` whenever it is provided.
-/// Kernel values are independent of the schedule: concurrent interning
-/// permutes private feature ids, and the kernel only compares ids for
-/// equality. Row/column i corresponds to corpus[i].
+/// Builds the symmetric kernel (Gram) matrix of a corpus: featurizes every
+/// graph serially through `f`, then fills the matrix with
+/// gram_from_features. Row/column i corresponds to corpus[i].
 linalg::Matrix gram_matrix(Featurizer& f, std::span<const LabeledGraph> corpus,
                            const GramOptions& options = {},
                            util::ThreadPool* pool = nullptr);
 
-/// Builds the Gram matrix from already-featurized vectors — the back half of
-/// `gram_matrix`, exposed so callers that need to KEEP the feature vectors
-/// (the model store freezes them as cluster representatives) get values
-/// bitwise identical to the fused path. Row/column i corresponds to
-/// features[i].
+/// Builds the Gram matrix from already-featurized vectors, so callers that
+/// keep the vectors (the model store freezes them as cluster
+/// representatives) featurize once. The O(n^2/2) dot products run on
+/// `pool` when one is given; each entry is an independent dot, so the
+/// matrix is the same bit for bit with or without it. Row/column i
+/// corresponds to features[i].
 linalg::Matrix gram_from_features(std::span<const SparseVector> features,
                                   const GramOptions& options = {},
                                   util::ThreadPool* pool = nullptr);

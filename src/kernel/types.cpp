@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
+
 namespace cwgl::kernel {
 
 namespace {
@@ -101,13 +103,30 @@ SparseVector SparseVector::from_counts(
 }
 
 int SignatureDictionary::intern(std::string_view key) {
+  static obs::Counter& interned =
+      obs::MetricsRegistry::global().counter("kernel.wl.labels_interned");
   // Transparent hash/equal: the hit path (every signature after its first
   // sighting, i.e. almost all of featurization) allocates nothing.
   const auto it = map_.find(key);
   if (it != map_.end()) return it->second;
   const int id = static_cast<int>(map_.size());
   map_.emplace(std::string(key), id);
+  interned.add();
   return id;
+}
+
+std::optional<int> SignatureDictionary::find(std::string_view key) const {
+  const auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::vector<std::string> SignatureDictionary::signatures() const {
+  std::vector<std::string> out(map_.size());
+  for (const auto& [signature, id] : map_) {
+    out[static_cast<std::size_t>(id)] = signature;
+  }
+  return out;
 }
 
 double kernel_value(Featurizer& f, const LabeledGraph& a, const LabeledGraph& b) {

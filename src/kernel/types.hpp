@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,9 +52,8 @@ struct SparseVector {
 };
 
 /// Transparent (heterogeneous) string hash: lets unordered_map lookups take
-/// a string_view without materializing a temporary std::string. Shared by
-/// the serial and sharded signature dictionaries so both hot paths are
-/// allocation-free on hit.
+/// a string_view without materializing a temporary std::string, so the
+/// dictionary's hit path allocates nothing.
 struct TransparentStringHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view s) const noexcept {
@@ -61,14 +61,26 @@ struct TransparentStringHash {
   }
 };
 
-/// Interns arbitrary byte-string signatures to dense consecutive ids.
-/// Shared across a corpus so identical substructures map to the same
-/// feature dimension in every graph. Single-threaded; the concurrent
-/// counterpart is `ShardedSignatureDictionary` in kernel/label_dict.hpp.
+/// Interns arbitrary byte-string signatures to dense consecutive ids in
+/// first-seen order. Shared across a corpus so identical substructures map
+/// to the same feature dimension in every graph.
+///
+/// intern() is single-threaded: featurization runs serially, once per
+/// distinct shape, so ids are a pure function of the input order. find() is
+/// const and takes no lock. Once interning has stopped (a model's
+/// dictionary is frozen when it loads), any number of threads may call
+/// find() concurrently: concurrent const reads of an unordered_map do not
+/// race.
 class SignatureDictionary {
  public:
   /// Returns the id of `key`, assigning the next free id on first sight.
   int intern(std::string_view key);
+
+  /// The id of `key`, or nullopt when it was never interned. Never inserts.
+  std::optional<int> find(std::string_view key) const;
+
+  /// Every interned signature; entry i is the one with id i.
+  std::vector<std::string> signatures() const;
 
   std::size_t size() const noexcept { return map_.size(); }
 
@@ -81,12 +93,8 @@ class SignatureDictionary {
 ///
 /// Implementations intern signatures into a dictionary shared across all
 /// calls, so a single instance must featurize a whole corpus for the
-/// resulting vectors to be comparable. Implementations whose dictionary is
-/// a `ShardedSignatureDictionary` report `thread_safe() == true` and may be
-/// driven concurrently from many threads; `gram_matrix` uses this to fan
-/// featurization out on its pool. Kernel values are invariant to how the
-/// concurrent id assignment interleaves because ids are only ever compared
-/// for equality (see DESIGN.md "Concurrency model").
+/// resulting vectors to be comparable. featurize() mutates that dictionary
+/// and is not thread-safe.
 class Featurizer {
  public:
   virtual ~Featurizer() = default;
@@ -96,11 +104,6 @@ class Featurizer {
 
   /// Identifier used in reports ("wl-subtree", "vertex-histogram", ...).
   virtual std::string_view name() const noexcept = 0;
-
-  /// True when featurize() may be called concurrently from multiple
-  /// threads. Defaults to false; implementations backed by a sharded
-  /// dictionary override it.
-  virtual bool thread_safe() const noexcept { return false; }
 };
 
 /// Raw (unnormalized) kernel value between two graphs under `f`.

@@ -44,7 +44,7 @@ void validate_config(const WlConfig& config) {
 /// byte-for-byte signature scheme the training pass interned.
 template <typename Lookup>
 SparseVector wl_featurize(const WlConfig& config, const LabeledGraph& g,
-                          Lookup&& lookup, std::vector<int>* final_colors) {
+                          Lookup&& lookup) {
   // Scale features by sqrt(w_i) so the kernel contribution of iteration i
   // scales by exactly w_i.
   const auto weight = [&](int it) {
@@ -98,7 +98,6 @@ SparseVector wl_featurize(const WlConfig& config, const LabeledGraph& g,
     }
     color.swap(next);
   }
-  if (final_colors != nullptr) *final_colors = std::move(color);
   return SparseVector::from_counts(counts);
 }
 
@@ -110,14 +109,8 @@ WlSubtreeFeaturizer::WlSubtreeFeaturizer(WlConfig config)
 }
 
 SparseVector WlSubtreeFeaturizer::featurize(const LabeledGraph& g) {
-  std::vector<int> final_colors;
   SparseVector out = wl_featurize(
-      config_, g, [this](const std::string& sig) { return dict_.intern(sig); },
-      &final_colors);
-  {
-    std::lock_guard lock(last_colors_mutex_);
-    last_colors_ = std::move(final_colors);
-  }
+      config_, g, [this](const std::string& sig) { return dict_.intern(sig); });
   static obs::Counter& featurized =
       obs::MetricsRegistry::global().counter("kernel.wl.featurized");
   featurized.add();
@@ -125,7 +118,7 @@ SparseVector WlSubtreeFeaturizer::featurize(const LabeledGraph& g) {
 }
 
 FrozenWlFeaturizer::FrozenWlFeaturizer(WlConfig config,
-                                       const ShardedSignatureDictionary& dict,
+                                       const SignatureDictionary& dict,
                                        int oov_id)
     : config_(std::move(config)), dict_(&dict), oov_id_(oov_id) {
   validate_config(config_);
@@ -140,8 +133,7 @@ SparseVector FrozenWlFeaturizer::featurize(const LabeledGraph& g,
         if (const auto id = dict_->find(sig)) return *id;
         ++misses;
         return oov_id_;
-      },
-      nullptr);
+      });
   static obs::Counter& featurized =
       obs::MetricsRegistry::global().counter("kernel.wl.frozen_featurized");
   featurized.add();

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
+#include <string>
 #include <vector>
 
-#include "kernel/label_dict.hpp"
 #include "kernel/types.hpp"
 
 namespace cwgl::kernel {
@@ -42,11 +41,9 @@ struct WlConfig {
 ///
 /// A single instance interns signatures into one shared dictionary, so the
 /// whole corpus must pass through the same instance for comparable vectors.
-///
-/// The dictionary is sharded and lock-striped, so featurize() is safe to
-/// call concurrently from many threads (thread_safe() == true). Kernel
-/// values are identical whichever schedule interleaves the interning; only
-/// the private feature ids differ (see DESIGN.md "Concurrency model").
+/// featurize() interns, so it is not thread-safe; ids are dense in
+/// first-seen order, which makes the dictionary a pure function of the
+/// corpus and its order.
 ///
 /// Throws util::InvalidArgument at construction when
 /// `config.iteration_weights` is set but malformed (wrong arity or a
@@ -59,35 +56,15 @@ class WlSubtreeFeaturizer final : public Featurizer {
 
   std::string_view name() const noexcept override { return "wl-subtree"; }
 
-  bool thread_safe() const noexcept override { return true; }
-
   const WlConfig& config() const noexcept { return config_; }
 
-  /// Number of distinct (iteration, signature) features interned so far.
-  std::size_t dictionary_size() const noexcept { return dict_.size(); }
-
-  /// The shared signature dictionary — read-only access for the frozen
-  /// serving path and the model store's export hook.
-  const ShardedSignatureDictionary& dictionary() const noexcept { return dict_; }
-
-  /// Every (signature, id) pair interned so far, sorted by id (dense ids:
-  /// after serial featurization, entry i has id i). This is the fitted state
-  /// the model store serializes.
-  std::vector<std::pair<std::string, int>> dictionary_entries() const {
-    return dict_.entries();
-  }
-
-  /// The final per-vertex compressed colors of the last featurized graph —
-  /// exposed for refinement-convergence tests. Only meaningful when the
-  /// previous featurize() calls were serial (under concurrency "last" is
-  /// whichever call stored most recently).
-  const std::vector<int>& last_colors() const noexcept { return last_colors_; }
+  /// Every signature interned so far; entry i is the one with id i. This is
+  /// the fitted state the model store serializes.
+  std::vector<std::string> signatures() const { return dict_.signatures(); }
 
  private:
   WlConfig config_;
-  ShardedSignatureDictionary dict_;
-  std::mutex last_colors_mutex_;
-  std::vector<int> last_colors_;
+  SignatureDictionary dict_;
 };
 
 /// Read-only WL featurization against a FROZEN signature dictionary — the
@@ -105,14 +82,15 @@ class WlSubtreeFeaturizer final : public Featurizer {
 /// The referenced dictionary must outlive this featurizer and must not be
 /// mutated while featurize() runs (the serving engine guarantees both: the
 /// dictionary is owned by the loaded model and nothing interns into it).
-/// featurize() is const and safe to call from any number of threads.
+/// featurize() is const and reads the dictionary through its lock-free
+/// find(), so any number of threads may call it at once.
 class FrozenWlFeaturizer {
  public:
   /// `oov_id` must be outside the dictionary's dense id range; the model
   /// store uses `dictionary size` (one past the last real id). Throws
   /// util::InvalidArgument on a malformed config (same rules as
   /// WlSubtreeFeaturizer).
-  FrozenWlFeaturizer(WlConfig config, const ShardedSignatureDictionary& dict,
+  FrozenWlFeaturizer(WlConfig config, const SignatureDictionary& dict,
                      int oov_id);
 
   /// Maps a graph into the frozen feature space. When `oov_hits` is given it
@@ -126,7 +104,7 @@ class FrozenWlFeaturizer {
 
  private:
   WlConfig config_;
-  const ShardedSignatureDictionary* dict_;
+  const SignatureDictionary* dict_;
   int oov_id_;
 };
 

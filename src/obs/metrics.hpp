@@ -24,8 +24,8 @@ std::size_t thread_shard() noexcept;
 /// Monotonic event counter with a lock-free hot path.
 ///
 /// Writes go to one of `kShards` cache-line-padded relaxed atomics selected
-/// by the calling thread (mirroring the sharded WL label dictionary: shards
-/// proceed independently, a fold reconciles them at read time). `add()`
+/// by the calling thread (shards proceed independently, a fold reconciles
+/// them at read time). `add()`
 /// costs one uncontended relaxed fetch_add; `value()` folds the shards and
 /// is exact once concurrent writers are quiesced, a snapshot otherwise.
 class Counter {

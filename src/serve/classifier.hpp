@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/job_dag.hpp"
-#include "kernel/label_dict.hpp"
 #include "kernel/wl.hpp"
 #include "model/model.hpp"
 
@@ -31,16 +30,17 @@ struct Prediction {
 /// Classifier over a fitted model snapshot — the serving half of the
 /// train/serve split.
 ///
-/// Construction rehydrates the frozen signature dictionary (serial
-/// interning reproduces ids 0..n-1 exactly, because a single-threaded
-/// ShardedSignatureDictionary assigns ids in first-seen order) and wires a
+/// Construction rehydrates the frozen signature dictionary (interning the
+/// stored signatures in order reproduces ids 0..n-1 exactly, because
+/// SignatureDictionary assigns ids in first-seen order) and wires a
 /// FrozenWlFeaturizer over it. After the constructor returns the model, the
-/// dictionary and the scan order never change: classify() is const, uses
-/// only the dictionary's const find(), and maps unseen signatures to the
-/// model's reserved OOV id. The one piece of mutable state is the answer
-/// memo (below), whose slots are each filled at most once and published
-/// with a compare-and-swap. Any number of threads may call classify()
-/// concurrently — the TSan configuration holds this to account.
+/// dictionary and the scan order never change: classify() is const, reads
+/// the dictionary through its lock-free const find() (concurrent const
+/// reads of a map nothing writes do not race), and maps unseen signatures
+/// to the model's reserved OOV id. The one piece of mutable state is the
+/// answer memo (below), whose slots are each filled at most once and
+/// published with a compare-and-swap. Any number of threads may call
+/// classify() concurrently — the TSan configuration holds this to account.
 ///
 /// A job is assigned to the cluster of its most similar representative
 /// (normalized kernel similarity when the model was fitted with
@@ -138,7 +138,7 @@ class Classifier {
   };
 
   model::FittedModel model_;
-  kernel::ShardedSignatureDictionary dict_;
+  kernel::SignatureDictionary dict_;
   kernel::FrozenWlFeaturizer featurizer_;
   /// Flattened over model_.representatives at construction; accumulator i
   /// of a scan belongs to scan_[i].

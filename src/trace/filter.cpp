@@ -110,22 +110,21 @@ std::vector<std::size_t> variability_sample(const TraceIndex& index,
   // Stage 1 — coverage: one representative per distinct job size, so the
   // sample spans every topological scale the data offers (the paper's
   // experiment set covers 17 sizes).
+  // Buckets hold slots (positions in `candidates`), so a pick is marked
+  // taken without looking it up.
   std::map<std::size_t, std::vector<std::size_t>> by_size;
-  for (std::size_t j : candidates) {
-    by_size[index.jobs()[j].tasks.size()].push_back(j);
+  for (std::size_t s = 0; s < candidates.size(); ++s) {
+    by_size[index.jobs()[candidates[s]].tasks.size()].push_back(s);
   }
   std::vector<std::size_t> picked;
   picked.reserve(count);
   std::vector<char> taken(candidates.size(), 0);
-  std::map<std::size_t, std::size_t> candidate_slot;  // candidate -> slot
-  for (std::size_t s = 0; s < candidates.size(); ++s) candidate_slot[candidates[s]] = s;
-
   for (auto& [size, bucket] : by_size) {
     if (picked.size() == count) break;
-    const std::size_t pick =
+    const std::size_t slot =
         bucket[static_cast<std::size_t>(rng.uniform_u64(0, bucket.size() - 1))];
-    picked.push_back(pick);
-    taken[candidate_slot[pick]] = 1;
+    picked.push_back(candidates[slot]);
+    taken[slot] = 1;
   }
 
   // Stage 2 — natural fill: the remainder is drawn uniformly from the

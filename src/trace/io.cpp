@@ -95,6 +95,24 @@ std::string row_preview(std::span<const std::string_view> fields) {
   return out;
 }
 
+/// The one malformed-row path of the readers: counts the row in `count`,
+/// then throws ParseError naming `file` and the record in strict mode, or
+/// records a `kind` diagnostic in lenient mode.
+void malformed_row(const util::CsvScanner& scanner,
+                   std::span<const std::string_view> fields,
+                   std::string_view file, std::string_view kind,
+                   const TraceReadOptions& options, std::size_t& count) {
+  ++count;
+  if (!options.lenient) {
+    throw util::ParseError(std::string(file) + " record " +
+                           std::to_string(scanner.record_number()) +
+                           ": malformed row: " + row_preview(fields));
+  }
+  if (options.diagnostics != nullptr) {
+    options.diagnostics->record("ingest", kind, row_preview(fields));
+  }
+}
+
 }  // namespace
 
 void write_batch_task_csv(std::ostream& out, std::span<const TaskRecord> tasks) {
@@ -123,16 +141,8 @@ std::vector<TaskRecord> read_batch_task_csv(std::istream& in,
     if (auto rec = TaskRecord::from_fields(*fields)) {
       out.push_back(std::move(*rec));
     } else {
-      ++bad;
-      if (!options.lenient) {
-        throw util::ParseError("batch_task.csv record " +
-                               std::to_string(scanner.record_number()) +
-                               ": malformed row: " + row_preview(*fields));
-      }
-      if (options.diagnostics != nullptr) {
-        options.diagnostics->record("ingest", "malformed-row",
-                                    row_preview(*fields));
-      }
+      malformed_row(scanner, *fields, "batch_task.csv", "malformed-row",
+                    options, bad);
     }
   }
   if (skipped) *skipped = bad + scanner.quarantined();
@@ -149,16 +159,8 @@ std::vector<InstanceRecord> read_batch_instance_csv(
     if (auto rec = InstanceRecord::from_fields(*fields)) {
       out.push_back(std::move(*rec));
     } else {
-      ++bad;
-      if (!options.lenient) {
-        throw util::ParseError("batch_instance.csv record " +
-                               std::to_string(scanner.record_number()) +
-                               ": malformed row: " + row_preview(*fields));
-      }
-      if (options.diagnostics != nullptr) {
-        options.diagnostics->record("ingest", "malformed-instance-row",
-                                    row_preview(*fields));
-      }
+      malformed_row(scanner, *fields, "batch_instance.csv",
+                    "malformed-instance-row", options, bad);
     }
   }
   if (skipped) *skipped = bad + scanner.quarantined();
@@ -259,16 +261,8 @@ StreamStats consume_jobs_in_task_csv(
   while (const auto fields = scanner.next()) {
     auto rec = TaskRecord::from_fields(*fields);
     if (!rec) {
-      ++stats.malformed;
-      if (!options.lenient) {
-        throw util::ParseError("batch_task.csv record " +
-                               std::to_string(scanner.record_number()) +
-                               ": malformed row: " + row_preview(*fields));
-      }
-      if (options.diagnostics != nullptr) {
-        options.diagnostics->record("ingest", "malformed-row",
-                                    row_preview(*fields));
-      }
+      malformed_row(scanner, *fields, "batch_task.csv", "malformed-row",
+                    options, stats.malformed);
       continue;
     }
     ++stats.rows;

@@ -850,6 +850,59 @@ TEST(CliTable, FlagsHandlersHonorAreDeclared) {
   }
 }
 
+// A flag that counts, sizes or times something exits 2 on a negative value
+// or one its type cannot hold, naming the flag, before any work starts.
+// Every case but the first (which a build without the check runs as a
+// label-only characterize) also names a trace or model that does not exist:
+// such a build fails on that input instead of starting 4,294,967,295
+// workers or generating SIZE_MAX jobs.
+TEST(CliTable, NegativeOrOversizedCountsAreUsageErrors) {
+  const std::string trace = "/nonexistent/cwgl-trace";
+  const std::string model = "/nonexistent/cwgl-model.cwgl";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"characterize", "--wl-iterations", "-1"}, "--wl-iterations"},
+      {{"characterize", "--trace", trace, "--wl-iterations", "2147483648"},
+       "--wl-iterations"},
+      {{"fit", "--trace", trace, "--wl-iterations", "-1"}, "--wl-iterations"},
+      {{"characterize", "--trace", trace, "--sample", "-1"}, "--sample"},
+      {{"cluster", "--trace", trace, "--sample", "-1"}, "--sample"},
+      {{"similarity", "--trace", trace, "--wl-iterations", "-2"},
+       "--wl-iterations"},
+      {{"jct", "--trace", trace, "--sample", "-1"}, "--sample"},
+      {{"schedule", "--trace", trace, "--machines", "-1"}, "--machines"},
+      {{"ingest", "--trace", trace, "--threads", "-1"}, "--threads"},
+      {{"serve-bench", "--model", model, "--threads", "-1"}, "--threads"},
+      {{"serve-bench", "--model", model, "--threads", "4294967296"},
+       "--threads"},
+      {{"serve-bench", "--model", model, "--jobs", "-1"}, "--jobs"},
+      {{"serve", "--model", model, "--port", "0", "--threads", "-1"},
+       "--threads"},
+      {{"serve", "--model", model, "--port", "0", "--max-inflight", "-1"},
+       "--max-inflight"},
+      {{"serve", "--model", model, "--port", "0", "--max-batch", "-1"},
+       "--max-batch"},
+      {{"serve", "--model", model, "--port", "0", "--trace-buffer", "-1"},
+       "--trace-buffer"},
+      {{"serve", "--model", model, "--port", "0", "--deadline-ms", "-1"},
+       "--deadline-ms"},
+      {{"serve", "--model", model, "--port", "0", "--admission-wait-ms",
+        "-5"},
+       "--admission-wait-ms"},
+      {{"serve", "--model", model, "--port", "0", "--drain-timeout-ms", "-1"},
+       "--drain-timeout-ms"},
+      {{"serve", "--model", model, "--port", "0", "--service-delay-us", "-1"},
+       "--service-delay-us"},
+  };
+  for (const auto& [argv, flag] : cases) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 2) << argv[0] << " " << flag << ": " << r.err;
+    EXPECT_NE(r.err.find(flag + " must be an integer in [0, "),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.out, "") << argv[0] << " " << flag;
+  }
+}
+
 // Commands that read a trace generate 20000 jobs at seed 42 when they are
 // not given one.
 TEST(CliTable, TraceCommandsGenerateTwentyThousandJobsByDefault) {

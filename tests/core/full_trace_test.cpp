@@ -255,13 +255,20 @@ TEST(FullTrace, EmptyTraceThrows) {
   EXPECT_THROW(pipeline.run_full(empty), util::InvalidArgument);
 }
 
+// The full-trace pipeline featurizes once per distinct shape through the
+// sampled pipeline's one featurize step, with or without a pool.
 TEST(FullTrace, FittedFeaturesAlignWithShapes) {
   const auto trace = make_trace(2000, 17);
   const CharacterizationPipeline pipeline{PipelineConfig{}};
+  util::ThreadPool pool(4);
   FittedFeatures fitted;
-  const auto result = pipeline.run_full(trace, nullptr, &fitted);
+  const auto result = pipeline.run_full(trace, &pool, &fitted);
   EXPECT_EQ(fitted.vectors.size(), result.table.size());
   EXPECT_FALSE(fitted.dictionary.empty());
+  const FittedFeatures expected =
+      featurize_jobs(result.table.exemplars, pipeline.config().similarity);
+  EXPECT_EQ(fitted.vectors, expected.vectors);
+  EXPECT_EQ(fitted.dictionary, expected.dictionary);
 }
 
 }  // namespace

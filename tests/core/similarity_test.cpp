@@ -116,12 +116,42 @@ TEST(SimilarityAnalysis, EmptyCorpus) {
   EXPECT_EQ(stats.mean_offdiag, 0.0);
 }
 
+// The one featurize step: WL over the jobs in order through one fresh
+// dictionary, ids dense in first-seen order.
+TEST(SimilarityFeaturize, IdsAreDenseInFirstSeenOrder) {
+  const auto jobs = corpus();
+  const FittedFeatures features = featurize_jobs(jobs, {});
+  ASSERT_EQ(features.vectors.size(), jobs.size());
+  kernel::WlSubtreeFeaturizer reference(SimilarityOptions{}.wl);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    kernel::LabeledGraph g;
+    g.graph = jobs[i].dag;
+    g.labels = jobs[i].type_labels();
+    EXPECT_EQ(features.vectors[i], reference.featurize(g)) << jobs[i].job_name;
+  }
+  EXPECT_EQ(features.dictionary, reference.signatures());
+  // j_a is featurized first, so its ids are exactly 0..k-1.
+  const auto& first = features.vectors[0].items;
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    EXPECT_EQ(first[k].first, static_cast<int>(k));
+  }
+  // j_b repeats j_a: no new signature, the same vector.
+  EXPECT_EQ(features.vectors[1], features.vectors[0]);
+}
+
+// A pool runs only the dot products, so a pooled run exports the serial
+// fitted state and the serial Gram, bit for bit.
 TEST(SimilarityAnalysis, ParallelPoolMatchesSequential) {
   const auto jobs = corpus();
   util::ThreadPool pool(3);
-  const auto seq = SimilarityAnalysis::compute(jobs);
-  const auto par = SimilarityAnalysis::compute(jobs, {}, &pool);
-  EXPECT_LT(seq.gram.max_abs_diff(par.gram), 1e-14);
+  FittedFeatures seq_fitted, par_fitted;
+  const auto seq = SimilarityAnalysis::compute(jobs, {}, nullptr, &seq_fitted);
+  const auto par = SimilarityAnalysis::compute(jobs, {}, &pool, &par_fitted);
+  EXPECT_EQ(seq.gram.max_abs_diff(par.gram), 0.0);
+  EXPECT_EQ(par_fitted.vectors, seq_fitted.vectors);
+  EXPECT_EQ(par_fitted.dictionary, seq_fitted.dictionary);
+  const auto par_unfitted = SimilarityAnalysis::compute(jobs, {}, &pool);
+  EXPECT_EQ(par_unfitted.gram.max_abs_diff(seq.gram), 0.0);
 }
 
 }  // namespace

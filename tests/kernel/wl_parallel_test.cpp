@@ -1,19 +1,16 @@
-// Differential + property harness for concurrent WL featurization: the
-// parallel path (sharded dictionary, featurization fanned out on the pool)
-// must produce Gram matrices indistinguishable from the serial path, and
-// both must satisfy the kernel axioms on random job-DAG corpora.
+// Differential + property harness for the pooled Gram stage. Featurization
+// is serial; the pool runs only the tiled dot products. The pooled matrix
+// must be indistinguishable from the serial one, and both must satisfy the
+// kernel axioms on random job-DAG corpora.
 //
-// Why equality holds by construction: concurrent interning permutes the
-// private feature ids, but kernels only ever compare ids for equality
-// (sorted-merge dot products), so every kernel value is invariant under
-// that permutation. With unit iteration weights the counts are small
-// integers, whose products and sums are exact in double — serial and
-// parallel matrices are then bitwise identical; with sqrt-scaled weights
-// reassociation admits rounding at the 1e-12 scale.
+// Why equality holds by construction: both paths featurize serially through
+// a fresh dictionary, so their vectors carry the same ids, and every Gram
+// entry is one independent dot product whichever worker computes it. The
+// matrices are then bitwise identical; the normalized and weighted cases
+// assert the looser 1e-12 bound they were written with.
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <vector>
 
 #include "kernel/gram.hpp"
@@ -66,14 +63,14 @@ TEST(WlParallelDifferential, WeightedIterationsMatchSerialWithin1e12) {
 }
 
 TEST(WlParallelDifferential, FineGrainScheduleStillMatches) {
-  // Grain 1 maximizes interleaving of the concurrent interning — the
-  // hardest schedule for determinism.
+  // One-row tiles make every pair its own scheduling unit — the most
+  // interleaved schedule the pooled dot products can take.
   util::ThreadPool pool(4);
   proptest::run_cases(0xD1FF0004, 4, [&](util::Xoshiro256StarStar& rng) {
     const auto corpus = proptest::random_corpus(rng, 25);
     WlSubtreeFeaturizer serial_f, parallel_f;
     GramOptions fine;
-    fine.featurize_grain = 1;
+    fine.tile_rows = 1;
     const auto serial = gram_matrix(serial_f, corpus);
     const auto parallel = gram_matrix(parallel_f, corpus, fine, &pool);
     EXPECT_LE(serial.max_abs_diff(parallel), 1e-12);
@@ -121,39 +118,6 @@ TEST(WlParallelProperty, VertexPermutationInvariance) {
       EXPECT_NEAR(gram(p, p + 1), 1.0, 1e-12) << "pair " << p / 2;
     }
   });
-}
-
-TEST(WlParallelProperty, DictionarySizeIsScheduleInvariant) {
-  // The SET of interned signatures is schedule-independent even though the
-  // id order is not.
-  util::ThreadPool pool(4);
-  proptest::run_cases(0xD1FF0008, 4, [&](util::Xoshiro256StarStar& rng) {
-    const auto corpus = proptest::random_corpus(rng, 32);
-    WlSubtreeFeaturizer serial_f, parallel_f;
-    GramOptions fine;
-    fine.featurize_grain = 1;
-    (void)gram_matrix(serial_f, corpus);
-    (void)gram_matrix(parallel_f, corpus, fine, &pool);
-    EXPECT_EQ(serial_f.dictionary_size(), parallel_f.dictionary_size());
-  });
-}
-
-TEST(WlParallelProperty, ConcurrentFeaturizeOfSameGraphAgrees) {
-  // Many threads featurizing the SAME graph through one featurizer must all
-  // observe the same ids — the sharded dictionary can never hand the same
-  // signature two ids.
-  util::ThreadPool pool(4);
-  util::Xoshiro256StarStar rng(0xD1FF0009);
-  const auto g = proptest::random_job_graph(rng, 8, 14);
-  WlSubtreeFeaturizer f;
-  std::vector<std::future<SparseVector>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&f, &g] { return f.featurize(g); }));
-  }
-  const SparseVector reference = f.featurize(g);
-  for (auto& fu : futures) {
-    EXPECT_EQ(fu.get().items, reference.items);
-  }
 }
 
 TEST(WlParallelDifferential, NullPoolAndSerialFeaturizerAgree) {

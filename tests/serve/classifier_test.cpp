@@ -24,7 +24,7 @@
 
 #include "core/pipeline.hpp"
 #include "graph/digraph.hpp"
-#include "kernel/label_dict.hpp"
+#include "kernel/types.hpp"
 #include "kernel/wl.hpp"
 #include "model/fit.hpp"
 #include "model/format.hpp"
@@ -223,7 +223,7 @@ class ReferenceScan {
 
  private:
   model::FittedModel m_;
-  kernel::ShardedSignatureDictionary dict_;
+  kernel::SignatureDictionary dict_;
   kernel::FrozenWlFeaturizer featurizer_;
 };
 

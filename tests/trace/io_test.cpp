@@ -5,10 +5,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/generator.hpp"
+#include "util/diagnostics.hpp"
 #include "util/error.hpp"
 
 namespace cwgl::trace {
@@ -59,6 +63,72 @@ TEST(TraceIo, MalformedRowsSkippedNotFatal) {
   const auto tasks = read_batch_task_csv(buffer, &skipped);
   EXPECT_EQ(tasks.size(), 2u);
   EXPECT_EQ(skipped, 2u);
+}
+
+// The three readers share one malformed-row path: the same strict message
+// (file and record number), the same lenient diagnostic kind per file, and
+// the same count.
+TEST(TraceIo, MalformedRowsReadTheSameInEveryReader) {
+  const std::string task_rows =
+      "M1,2,j_1,1,Terminated,10,20,100.00,0.50\n"
+      "this,row,is,broken\n"
+      "R2_1,4,j_1,1,Terminated,30,40,100.00,0.50\n";
+  const std::string instance_rows =
+      "i_1,M1,j_1,1,Terminated,10,20,m_1,1,1,50.0,60.0,0.2,0.3\n"
+      "this,row,is,broken\n";
+  const auto read_tasks = [](std::istream& in, const TraceReadOptions& o) {
+    std::size_t malformed = 0;
+    read_batch_task_csv(in, &malformed, o);
+    return malformed;
+  };
+  const auto read_instances = [](std::istream& in, const TraceReadOptions& o) {
+    std::size_t malformed = 0;
+    read_batch_instance_csv(in, &malformed, o);
+    return malformed;
+  };
+  const auto stream_tasks = [](std::istream& in, const TraceReadOptions& o) {
+    const auto keep_going = [](std::string&&, std::vector<TaskRecord>&&) {
+      return true;
+    };
+    return consume_jobs_in_task_csv(in, keep_going, o).malformed;
+  };
+  struct Case {
+    std::string name;
+    std::string rows;
+    std::function<std::size_t(std::istream&, const TraceReadOptions&)> read;
+    std::string message;
+    std::string kind;
+  };
+  const std::vector<Case> cases = {
+      {"read_batch_task_csv", task_rows, read_tasks,
+       "batch_task.csv record 2: malformed row: this,row,is,broken",
+       "malformed-row"},
+      {"consume_jobs_in_task_csv", task_rows, stream_tasks,
+       "batch_task.csv record 2: malformed row: this,row,is,broken",
+       "malformed-row"},
+      {"read_batch_instance_csv", instance_rows, read_instances,
+       "batch_instance.csv record 2: malformed row: this,row,is,broken",
+       "malformed-instance-row"},
+  };
+  for (const Case& c : cases) {
+    std::stringstream lenient_in(c.rows);
+    util::Diagnostics diagnostics;
+    TraceReadOptions lenient;
+    lenient.diagnostics = &diagnostics;
+    EXPECT_EQ(c.read(lenient_in, lenient), 1u) << c.name;
+    EXPECT_EQ(diagnostics.count_of("ingest", c.kind), 1u) << c.name;
+    EXPECT_EQ(diagnostics.total(), 1u) << c.name;
+
+    std::stringstream strict_in(c.rows);
+    TraceReadOptions strict;
+    strict.lenient = false;
+    try {
+      c.read(strict_in, strict);
+      ADD_FAILURE() << c.name << " accepted a malformed row in strict mode";
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), c.message) << c.name;
+    }
+  }
 }
 
 TEST(TraceIo, DirectoryRoundTrip) {

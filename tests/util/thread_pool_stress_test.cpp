@@ -1,5 +1,5 @@
 // Stress coverage for the thread pool under the access patterns the
-// concurrent featurization path creates: many external producers, failure
+// pooled pipeline stages create: many external producers, failure
 // propagation at scale, parallel_for_chunked re-entered from pool tasks
 // (which requires the help-while-waiting protocol to avoid deadlock), and
 // shutdown with work still queued.
