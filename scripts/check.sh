@@ -4,8 +4,9 @@
 #   asan-ubsan   AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan         ThreadSanitizer (exercises the pooled Gram dot products,
 #                lock-free reads of a frozen signature dictionary by
-#                serving threads, and the work-helping thread pool under
-#                the race detector)
+#                serving threads, the mini-batch k-means restarts and the
+#                `fit` self-check on a pool, and the work-helping thread
+#                pool under the race detector)
 # — then rebuild with -DCWGL_FAILPOINTS=ON and run the fault passes:
 #   faults        full suite with the failpoint registry compiled in
 #   faults-asan   fault-relevant tests under ASan/UBSan (injected faults

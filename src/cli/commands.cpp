@@ -3,6 +3,7 @@
 #include "cli/args.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -57,20 +58,29 @@ struct UsageError : std::runtime_error {
 };
 
 /// Integer flag `key` as a T, or nullopt when absent: how every flag that
-/// counts, sizes or times something is read. A negative value, or one T
-/// cannot hold, is a UsageError naming the flag; cast instead,
-/// `--threads -1` would ask for 4,294,967,295 workers.
+/// counts, sizes or times something is read. A value outside [lo, hi] is a
+/// UsageError naming the flag; cast instead, `--threads -1` would ask for
+/// 4,294,967,295 workers.
 template <typename T>
-std::optional<T> non_negative(const Args& args, std::string_view key) {
+std::optional<T> in_range(const Args& args, std::string_view key,
+                          unsigned long long lo, unsigned long long hi) {
   const std::optional<long long> value = args.get_int(key);
   if (!value) return std::nullopt;
-  constexpr auto kMax =
-      static_cast<unsigned long long>(std::numeric_limits<T>::max());
-  if (*value < 0 || static_cast<unsigned long long>(*value) > kMax) {
-    throw UsageError("--" + std::string(key) + " must be an integer in [0, " +
-                     std::to_string(kMax) + "], got " + std::to_string(*value));
+  if (*value < 0 || static_cast<unsigned long long>(*value) < lo ||
+      static_cast<unsigned long long>(*value) > hi) {
+    throw UsageError("--" + std::string(key) + " must be an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) +
+                     "], got " + std::to_string(*value));
   }
   return static_cast<T>(*value);
+}
+
+/// `in_range` over everything T holds from 0 up.
+template <typename T>
+std::optional<T> non_negative(const Args& args, std::string_view key) {
+  return in_range<T>(
+      args, key, 0,
+      static_cast<unsigned long long>(std::numeric_limits<T>::max()));
 }
 
 /// The synthetic trace that --jobs N and --seed S configure, with the
@@ -116,18 +126,25 @@ trace::Trace load_or_generate(const Args& args, std::ostream& out) {
   return data;
 }
 
+/// The pipeline flags, range-checked before any trace is read: at least one
+/// cluster (more than the shapes are clamped later), and no more WL
+/// iterations than a model snapshot can hold.
 core::PipelineConfig pipeline_config(const Args& args) {
   core::PipelineConfig cfg;
   cfg.sample_size = non_negative<std::size_t>(args, "sample").value_or(100);
   if (args.has("natural")) cfg.sampling = core::SamplingMode::Natural;
-  cfg.clustering.clusters = static_cast<int>(args.get_int("clusters").value_or(5));
-  if (const auto h = non_negative<int>(args, "wl-iterations")) {
+  if (const auto k = in_range<int>(args, "clusters", 1,
+                                   std::numeric_limits<int>::max())) {
+    cfg.clustering.clusters = *k;
+  }
+  if (const auto h = in_range<int>(args, "wl-iterations", 0,
+                                   model::kMaxWlIterations)) {
     cfg.similarity.wl.iterations = *h;
   }
   return cfg;
 }
 
-/// Observability switches shared by `ingest` and `characterize`:
+/// Observability switches shared by `ingest`, `characterize` and `fit`:
 /// `--metrics[=FILE]` snapshots the global registry after the run (inline in
 /// the report, or to FILE when given) and `--trace-out FILE` records spans
 /// as Chrome trace-event JSON. Either switch opens the registry's timing
@@ -704,6 +721,7 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   core::PipelineConfig cfg = pipeline_config(args);
   if (args.has("conflated")) cfg.analyze_conflated = true;
   if (full && !parse_full_method(args, "fit", cfg, err)) return 2;
+  const ObsOptions obs_opts = start_observation(args);
 
   util::ThreadPool pool;
   obs::Stopwatch timer;  // reset once the trace is in hand (or streaming)
@@ -744,13 +762,25 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   // training job through it — each must land back in its own cluster, or
   // the model does not faithfully represent the fit.
   const serve::Classifier classifier(model::load_model(out_path));
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < check_jobs.size(); ++i) {
-    if (classifier.classify(check_jobs[i]).cluster == check_labels[i]) {
-      ++agree;
-    }
+  std::atomic<std::size_t> agreed{0};
+  {
+    obs::Span span("fit.selfcheck");
+    util::parallel_for_chunked(
+        pool, 0, check_jobs.size(), 16, [&](std::size_t lo, std::size_t hi) {
+          std::size_t hits = 0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (classifier.classify(check_jobs[i]).cluster == check_labels[i]) {
+              ++hits;
+            }
+          }
+          agreed += hits;
+        });
+    span.arg("shapes", check_jobs.size());
+    span.arg("agree", agreed.load());
   }
+  const std::size_t agree = agreed.load();
   const bool self_check_ok = agree == check_jobs.size();
+  const std::string metrics_json = finish_observation(obs_opts, err);
 
   if (as_json) {
     util::JsonWriter j(out);
@@ -793,6 +823,10 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
     j.field("total", check_jobs.size());
     j.field("ok", self_check_ok);
     j.end_object();
+    if (!metrics_json.empty()) {
+      j.key("metrics");
+      j.raw(metrics_json);
+    }
     j.end_object();
     out << "\n";
   } else {
@@ -817,6 +851,7 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
         << " reps=" << sections.reps << " shpc=" << sections.shpc << ")\n";
     out << "self-check: " << agree << "/" << check_jobs.size()
         << " training jobs reproduce their cluster\n";
+    print_metrics_text(obs_opts, out);
   }
   if (!self_check_ok) {
     err << "fit: self-check FAILED — snapshot disagrees with the pipeline\n";
@@ -1393,11 +1428,14 @@ constexpr Command kCommands[] = {
      "job; --full[=METHOD] fits EVERY eligible job, one representative\n"
      "per distinct shape with its count, and with --trace DIR streams\n"
      "DIR/batch_task.csv (job rows contiguous; batch_instance.csv is\n"
-     "never read); --json: schema cwgl-fit-v1 with section sizes and\n"
-     "self-check",
+     "never read); --json: schema cwgl-fit-v1 with section sizes,\n"
+     "self-check and, with --metrics, a \"metrics\" snapshot;\n"
+     "--trace-out writes Chrome trace-event JSON, the self-check as\n"
+     "its fit.selfcheck span",
      "(--trace DIR | [--jobs N] [--seed S]) [--out FILE] [--json]\n"
      "[--sample K] [--natural] [--clusters K] [--wl-iterations H]\n"
-     "[--conflated] [--full[=METHOD]]", 0, cmd_fit},
+     "[--conflated] [--full[=METHOD]] [--metrics[=FILE]]\n"
+     "[--trace-out FILE]", 0, cmd_fit},
     {"predict", "",
      "classify the DAG jobs of a task CSV against a fitted snapshot\n"
      "(cluster, similarity, forecast; --json: cwgl-predict-v1). The\n"

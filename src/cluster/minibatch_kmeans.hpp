@@ -8,6 +8,10 @@
 #include "kernel/types.hpp"
 #include "linalg/matrix.hpp"
 
+namespace cwgl::util {
+class ThreadPool;
+}
+
 namespace cwgl::cluster {
 
 /// Options for mini-batch k-means over sparse feature vectors.
@@ -17,7 +21,8 @@ struct MiniBatchOptions {
   /// Mini-batch SGD steps per restart.
   int max_batches = 200;
   /// Stop a restart early once the squared center movement of a batch
-  /// falls below this.
+  /// falls below this. The movement is bounded through norms, each
+  /// center's taken as it stood when the batch was assigned.
   double tol = 1e-9;
   /// Full weighted Lloyd iterations run after the mini-batch phase to
   /// polish the centers against ALL rows. A handful of passes is what
@@ -27,6 +32,9 @@ struct MiniBatchOptions {
   int restarts = 3;
   /// All restarts derive deterministically from this.
   std::uint64_t seed = 1;
+  /// Runs the restarts side by side; null (or a 1-worker pool) runs them
+  /// inline. The result is the same either way.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Result of a mini-batch k-means run.
@@ -42,7 +50,9 @@ struct MiniBatchResult {
 /// count-weighted: vector i stands for `weights[i]` identical points, so
 /// batch draws are weight-proportional and centroid updates use per-center
 /// learning rates eta = w / v_c. Never materializes an n x n Gram — memory
-/// is O(k * dims + nnz), time is O(batches * batch_size * k * nnz/row).
+/// is O(k * dims + nnz). A step costs O(k * nnz/row + dims): the assignment
+/// plus the dense shrink of one center. A batch adds O(k * dims) for the
+/// center norms, taken once after its steps.
 ///
 /// `points` need not be normalized, but feature ids must lie in
 /// [0, dims). Deterministic in `options.seed`. Empty clusters surviving

@@ -98,6 +98,9 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   if (m == 0) {
     throw util::InvalidArgument("run_full: no eligible DAG jobs in trace");
   }
+  if (config_.clustering.clusters < 1) {
+    throw util::InvalidArgument("run_full: need at least 1 cluster");
+  }
 
   const std::vector<JobDag>& exemplars = result.table.exemplars;
   std::vector<JobDag> conflated;
@@ -139,15 +142,14 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   }
 
   const std::vector<double> weights = result.table.weights();
-  const int k_eff =
-      static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(std::max(1, config_.clustering.clusters)),
-          m));
+  const int k_eff = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(config_.clustering.clusters), m));
 
   cluster::ScaleOptions scale_options;
   scale_options.method = config_.full_method;
   scale_options.clusters = k_eff;
   scale_options.seed = config_.clustering.seed;
+  scale_options.minibatch.pool = pool;
   cluster::ScaleResult scaled =
       cluster::cluster_at_scale(normalized, weights, dims, scale_options);
   result.method = scaled.method;

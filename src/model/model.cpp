@@ -47,8 +47,9 @@ std::uint64_t FittedModel::training_weight() const noexcept {
 
 void FittedModel::validate() const {
   // Kernel configuration.
-  if (wl.iterations < 0 || wl.iterations > 64) {
-    fail("wl.iterations out of range [0, 64]");
+  if (wl.iterations < 0 || wl.iterations > kMaxWlIterations) {
+    fail("wl.iterations out of range [0, " + std::to_string(kMaxWlIterations) +
+         "]");
   }
   if (!wl.iteration_weights.empty()) {
     if (wl.iteration_weights.size() !=

@@ -62,6 +62,9 @@ struct Representative {
   friend bool operator==(const Representative&, const Representative&) = default;
 };
 
+/// The most WL iterations a snapshot may record; `validate` rejects more.
+inline constexpr int kMaxWlIterations = 64;
+
 /// A fitted characterization snapshot: everything `serve::Classifier` needs
 /// to assign a cluster to a never-before-seen job DAG, decoupled from the
 /// trace and the pipeline that produced it.

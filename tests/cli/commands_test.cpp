@@ -567,6 +567,52 @@ TEST(Cli, FullTraceStreamKeepsTheStageSpans) {
             138.0);
 }
 
+// `fit` takes the observability flags `characterize` takes: --json embeds
+// the metrics snapshot, and --trace-out records the pipeline's stages and
+// then the self-check as `fit.selfcheck`, whose args repeat the JSON's
+// self-check counts. Text mode appends the snapshot. Neither flag changes
+// the snapshot.
+TEST(Cli, FullTraceFitMetricsAndSelfCheckSpan) {
+  const TraceCopy copy("cwgl_cli_fit_obs");
+  const std::filesystem::path model = copy.dir / "model.cwgl";
+  const std::filesystem::path observed = copy.dir / "observed.cwgl";
+  const std::filesystem::path trace_out = copy.dir / "spans.json";
+  const auto plain = run({"fit", "--full", "--trace", copy.dir.string(),
+                          "--out", model.string(), "--json"});
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  EXPECT_FALSE(util::parse_json(plain.out).contains("metrics"));
+  const auto r = run({"fit", "--full", "--trace", copy.dir.string(), "--out",
+                      observed.string(), "--json", "--metrics",
+                      "--trace-out", trace_out.string()});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(slurp(observed), slurp(model));
+  const util::JsonValue doc = util::parse_json(r.out);
+  EXPECT_GT(doc.at("metrics").at("counters").at("serve.classify.jobs")
+                .as_number(),
+            0.0);
+  std::map<std::string, std::vector<const util::JsonValue*>> ends;
+  const util::JsonValue spans = util::parse_json(slurp(trace_out));
+  for (const auto& e : spans.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "E") {
+      ends[e.at("name").as_string()].push_back(&e);
+    }
+  }
+  EXPECT_EQ(ends["pipeline.run_full"].size(), 1u);
+  EXPECT_EQ(ends["cluster.minibatch_kmeans"].size(), 1u);
+  ASSERT_EQ(ends["fit.selfcheck"].size(), 1u);
+  const util::JsonValue& args = ends["fit.selfcheck"][0]->at("args");
+  EXPECT_EQ(args.at("shapes").as_number(),
+            doc.at("self_check").at("total").as_number());
+  EXPECT_EQ(args.at("agree").as_number(),
+            doc.at("self_check").at("agree").as_number());
+
+  const auto text = run({"fit", "--full", "--trace", copy.dir.string(),
+                         "--out", observed.string(), "--metrics"});
+  ASSERT_EQ(text.code, 0) << text.err;
+  EXPECT_NE(text.out.find("\nmetrics:\n"), std::string::npos) << text.out;
+  EXPECT_NE(text.out.find("serve.classify.jobs"), std::string::npos);
+}
+
 // Without batch_task.csv there is nothing to stream: exit 1, naming it.
 TEST(Cli, FullTraceWithoutTaskFileNamesIt) {
   const TraceCopy copy("cwgl_cli_full_no_tasks");
@@ -851,7 +897,8 @@ TEST(CliTable, FlagsHandlersHonorAreDeclared) {
 }
 
 // A flag that counts, sizes or times something exits 2 on a negative value
-// or one its type cannot hold, naming the flag, before any work starts.
+// or one its type cannot hold, naming the flag, before any work starts; so
+// do fewer than 1 cluster and more WL iterations than a model holds (64).
 // Every case but the first (which a build without the check runs as a
 // label-only characterize) also names a trace or model that does not exist:
 // such a build fails on that input instead of starting 4,294,967,295
@@ -892,15 +939,40 @@ TEST(CliTable, NegativeOrOversizedCountsAreUsageErrors) {
        "--drain-timeout-ms"},
       {{"serve", "--model", model, "--port", "0", "--service-delay-us", "-1"},
        "--service-delay-us"},
+      {{"characterize", "--trace", trace, "--clusters", "0"}, "--clusters"},
+      {{"characterize", "--trace", trace, "--clusters", "-1"}, "--clusters"},
+      {{"characterize", "--trace", trace, "--full", "--clusters", "0"},
+       "--clusters"},
+      {{"characterize", "--trace", trace, "--wl-iterations", "65"},
+       "--wl-iterations"},
+      {{"cluster", "--trace", trace, "--clusters", "-2"}, "--clusters"},
+      {{"cluster", "--trace", trace, "--wl-iterations", "65"},
+       "--wl-iterations"},
+      {{"fit", "--trace", trace, "--clusters", "0"}, "--clusters"},
+      {{"fit", "--trace", trace, "--sample", "50", "--wl-iterations", "65"},
+       "--wl-iterations"},
+      {{"fit", "--full", "--trace", trace, "--clusters", "-3"}, "--clusters"},
+      {{"fit", "--full", "--trace", trace, "--wl-iterations", "65"},
+       "--wl-iterations"},
+      {{"schedule", "--trace", trace, "--clusters", "0"}, "--clusters"},
+      {{"schedule", "--trace", trace, "--wl-iterations", "65"},
+       "--wl-iterations"},
+      {{"similarity", "--trace", trace, "--wl-iterations", "65"},
+       "--wl-iterations"},
   };
   for (const auto& [argv, flag] : cases) {
     const auto r = run(argv);
     EXPECT_EQ(r.code, 2) << argv[0] << " " << flag << ": " << r.err;
-    EXPECT_NE(r.err.find(flag + " must be an integer in [0, "),
+    const std::string lowest = flag == "--clusters" ? "1" : "0";
+    EXPECT_NE(r.err.find(flag + " must be an integer in [" + lowest + ", "),
               std::string::npos)
         << r.err;
     EXPECT_EQ(r.out, "") << argv[0] << " " << flag;
   }
+  const auto wl = run({"fit", "--trace", trace, "--wl-iterations", "65"});
+  EXPECT_NE(wl.err.find("--wl-iterations must be an integer in [0, 64], got 65"),
+            std::string::npos)
+      << wl.err;
 }
 
 // Commands that read a trace generate 20000 jobs at seed 42 when they are

@@ -86,6 +86,24 @@ TEST(MiniBatchKMeans, InvalidArgumentsThrow) {
                util::InvalidArgument);
 }
 
+TEST(MiniBatchKMeans, StopsOnceABatchBarelyMoves) {
+  // Unit rows never reach the default tol within 50 batches; a coarse tol
+  // ends the restart once the learning rates have decayed.
+  const auto blobs = make_sparse_blobs(3, 30, 41);
+  MiniBatchOptions opt;
+  opt.restarts = 1;
+  opt.max_batches = 50;
+  EXPECT_EQ(minibatch_kmeans(blobs.points, blobs.weights, blobs.dims, 3, opt)
+                .batches,
+            50);
+  opt.tol = 1e-3;
+  const auto stopped =
+      minibatch_kmeans(blobs.points, blobs.weights, blobs.dims, 3, opt);
+  EXPECT_GT(stopped.batches, 1);
+  EXPECT_LT(stopped.batches, 50);
+  EXPECT_GT(adjusted_rand_index(stopped.labels, blobs.truth), 0.99);
+}
+
 TEST(MiniBatchKMeans, WeightsShiftTheCenters) {
   // Two distinct points; k = 1. The single center must sit at the weighted
   // mean, far closer to the heavy point.

@@ -233,6 +233,8 @@ TEST(FullTrace, PooledMatchesSerial) {
   const auto pooled = pipeline.run_full(trace, &pool);
   EXPECT_EQ(pooled.shape_labels, serial.shape_labels);
   EXPECT_EQ(pooled.shape_of, serial.shape_of);
+  // The mini-batch restarts run on the pool; the best one is the same.
+  EXPECT_EQ(pooled.inertia, serial.inertia);
   EXPECT_DOUBLE_EQ(pooled.agreement.ari, serial.agreement.ari);
 }
 
@@ -253,6 +255,22 @@ TEST(FullTrace, EmptyTraceThrows) {
   trace::Trace empty;
   const CharacterizationPipeline pipeline{PipelineConfig{}};
   EXPECT_THROW(pipeline.run_full(empty), util::InvalidArgument);
+}
+
+// Fewer than one cluster is an error, not a silent single group; more
+// clusters than shapes are clamped to the shapes.
+TEST(FullTrace, ClusterCountBelowOneThrows) {
+  const auto trace = make_trace(600, 19);
+  PipelineConfig cfg;
+  for (const int clusters : {0, -3}) {
+    cfg.clustering.clusters = clusters;
+    EXPECT_THROW(CharacterizationPipeline(cfg).run_full(trace),
+                 util::InvalidArgument)
+        << clusters;
+  }
+  cfg.clustering.clusters = 100000;
+  const auto clamped = CharacterizationPipeline(cfg).run_full(trace);
+  EXPECT_LE(clamped.groups.size(), clamped.table.size());
 }
 
 // The full-trace pipeline featurizes once per distinct shape through the

@@ -16,19 +16,19 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstddef>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 
 #include "core/pipeline.hpp"
 #include "core/report_json.hpp"
+#include "support/golden.hpp"
 #include "trace/generator.hpp"
 
 namespace cwgl::core {
 namespace {
+
+using golden::committed;
+using golden::expect_identical;
 
 /// The document `characterize` prints for the paper configuration, with
 /// the CLI's defaults (100-job sample, 5 clusters) and its trailing newline.
@@ -44,29 +44,6 @@ std::string rebuild(SamplingMode sampling) {
   write_json(out, CharacterizationPipeline(cfg).run(data));
   out << "\n";
   return out.str();
-}
-
-std::string committed(const std::string& name) {
-  std::ifstream in(std::string(CWGL_TEST_DATA_DIR) + "/golden/" + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << name;
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// Byte comparison that reports where the documents part, with context,
-/// instead of dumping two 150 KB strings.
-void expect_identical(const std::string& expected, const std::string& actual) {
-  if (expected == actual) return;
-  const std::size_t at = static_cast<std::size_t>(
-      std::mismatch(expected.begin(), expected.end(), actual.begin(),
-                    actual.end())
-          .first -
-      expected.begin());
-  const std::size_t from = at < 80 ? 0 : at - 80;
-  ADD_FAILURE() << "documents differ at byte " << at << " (sizes "
-                << expected.size() << " vs " << actual.size() << ")\n"
-                << "  golden: ..." << expected.substr(from, 160) << "\n"
-                << "  actual: ..." << actual.substr(from, 160);
 }
 
 TEST(PaperGolden, CharacterizeSeed42) {
