@@ -109,7 +109,10 @@ run_config() {
 # implementation per stage, unit weights the direct case, k-means seeds
 # drawn over jobs through the shape map) under both sanitizers, and
 # PaperGolden runs the one sampled pipeline end to end under both.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden'
+#  PredictDifferential/Cli.Predict cover `cwgl predict` on the pooled
+# ingest stream: classify and render on the workers, batches recycled on
+# the reader, and the I/O-error and fragmented-file exits.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

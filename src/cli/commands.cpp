@@ -1,6 +1,7 @@
 #include "cli/commands.hpp"
 
 #include "cli/args.hpp"
+#include "cli/predict.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -144,11 +145,12 @@ core::PipelineConfig pipeline_config(const Args& args) {
   return cfg;
 }
 
-/// Observability switches shared by `ingest`, `characterize` and `fit`:
-/// `--metrics[=FILE]` snapshots the global registry after the run (inline in
-/// the report, or to FILE when given) and `--trace-out FILE` records spans
-/// as Chrome trace-event JSON. Either switch opens the registry's timing
-/// gate for the duration of the command so latency histograms fill in.
+/// Observability switches shared by `ingest`, `characterize`, `fit`,
+/// `predict` and `serve-bench`: `--metrics[=FILE]` snapshots the global
+/// registry after the run (inline in the report, or to FILE when given) and
+/// `--trace-out FILE` records spans as Chrome trace-event JSON. Either
+/// switch opens the registry's timing gate for the duration of the command
+/// so latency histograms fill in.
 struct ObsOptions {
   bool metrics = false;
   std::string metrics_file;
@@ -174,22 +176,25 @@ ObsOptions start_observation(const Args& args) {
   return o;
 }
 
-/// Disarms collection and writes the side files. Returns the snapshot JSON
-/// for inline embedding when --metrics was given, "" otherwise.
-std::string finish_observation(const ObsOptions& o, std::ostream& err) {
+/// Stops the tracer and writes the --trace-out file.
+void finish_trace(const ObsOptions& o, std::ostream& err) {
+  if (o.trace_file.empty()) return;
+  auto& tracer = obs::Tracer::global();
+  tracer.stop();
+  std::ofstream file(o.trace_file);
+  if (file) {
+    tracer.write_json(file);
+    file << "\n";
+  } else {
+    err << "warning: cannot write trace to " << o.trace_file << "\n";
+  }
+}
+
+/// Disarms metric timing and writes the --metrics side file. Returns the
+/// snapshot JSON for inline embedding when --metrics was given, "" otherwise.
+std::string finish_metrics(const ObsOptions& o, std::ostream& err) {
   if (!o.engaged()) return "";
   obs::MetricsRegistry::global().set_timing_enabled(false);
-  if (!o.trace_file.empty()) {
-    auto& tracer = obs::Tracer::global();
-    tracer.stop();
-    std::ofstream file(o.trace_file);
-    if (file) {
-      tracer.write_json(file);
-      file << "\n";
-    } else {
-      err << "warning: cannot write trace to " << o.trace_file << "\n";
-    }
-  }
   if (!o.metrics) return "";
   const auto snapshot = obs::MetricsRegistry::global().snapshot();
   std::ostringstream json;
@@ -203,6 +208,13 @@ std::string finish_observation(const ObsOptions& o, std::ostream& err) {
     }
   }
   return json.str();
+}
+
+/// Disarms collection and writes the side files, for a command whose report
+/// follows its last span. Returns what finish_metrics returns.
+std::string finish_observation(const ObsOptions& o, std::ostream& err) {
+  finish_trace(o, err);
+  return finish_metrics(o, err);
 }
 
 /// Text-mode tail: prints the snapshot inline unless it went to a file.
@@ -860,7 +872,10 @@ int cmd_fit(const Args& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// `predict`: classify incoming jobs against a fitted snapshot.
+/// `predict`: classify incoming jobs against a fitted snapshot. The task
+/// file streams through the ingest on the command's pool, and each job is
+/// classified and rendered on the worker that built its DAG; the report is
+/// written in trace order once the whole file has been read cleanly.
 int cmd_predict(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string model_path = args.get("model");
   const std::string input = args.positional(0);
@@ -871,70 +886,51 @@ int cmd_predict(const Args& args, std::ostream& out, std::ostream& err) {
            "regression is `cwgl jct`\n";
     return 2;
   }
+  const ObsOptions obs_opts = start_observation(args);
 
-  const serve::Classifier classifier(model::load_model(model_path));
+  const serve::Classifier classifier = [&] {
+    obs::Span span("predict.load");
+    return serve::Classifier(model::load_model(model_path));
+  }();
   std::ifstream file(input);
   if (!file) {
     err << "predict: cannot open " << input << "\n";
     return 2;
   }
-  std::size_t skipped = 0;
-  trace::Trace incoming;
-  incoming.tasks = trace::read_batch_task_csv(file, &skipped);
-  const auto jobs =
-      core::build_all_dag_jobs(incoming, trace::SamplingCriteria{});
+  util::ThreadPool pool;
+  core::IngestStats stats;
+  const std::vector<std::string> jobs = core::stream_transformed(
+      file, core::IngestOptions{}, &pool, stats,
+      PredictionRenderer(classifier, as_json));
+  // A stream that died mid-read ends like a short file, and a job whose
+  // rows reappear after its group closed would be classified as two jobs.
+  if (file.bad()) {
+    err << "predict: I/O error while reading " << input << "\n";
+    return 1;
+  }
+  if (const std::size_t fragmented = stats.stream.fragmented) {
+    throw util::ParseError(
+        "predict: " + std::to_string(fragmented) +
+        " job group(s) reappear after their job's rows ended; a job's "
+        "task rows must be contiguous (sort " + input + " by job)");
+  }
   if (jobs.empty()) {
     err << "predict: no classifiable DAG jobs in " << input << " ("
-        << incoming.tasks.size() << " rows, " << skipped << " malformed)\n";
+        << stats.stream.rows << " rows, " << stats.stream.malformed
+        << " malformed)\n";
     return 2;
   }
 
-  if (as_json) {
-    util::JsonWriter j(out);
-    j.begin_object();
-    j.field("schema", "cwgl-predict-v1");
-    j.field("model", model_path);
-    j.field("clusters", classifier.num_clusters());
-    j.key("jobs");
-    j.begin_array();
-    for (const core::JobDag& job : jobs) {
-      const serve::Prediction p = classifier.classify(job);
-      j.begin_object();
-      j.field("job", job.job_name);
-      j.field("tasks", static_cast<std::size_t>(job.size()));
-      j.field("cluster", std::string(1, p.cluster_letter));
-      j.field("similarity", p.similarity);
-      j.field("nearest", p.nearest_job);
-      j.field("oov_hits", p.oov_hits);
-      j.key("predicted");
-      j.begin_object();
-      j.field("critical_path", p.predicted_critical_path);
-      j.field("width", p.predicted_width);
-      j.end_object();
-      j.end_object();
-    }
-    j.end_array();
-    j.end_object();
-    out << "\n";
-    return 0;
+  // The snapshot is taken first so the write span can close the trace.
+  const std::string metrics_json = finish_metrics(obs_opts, err);
+  {
+    obs::Span span("predict.write");
+    span.arg("jobs", jobs.size());
+    write_predictions(out, jobs, model_path, classifier.num_clusters(),
+                      as_json, metrics_json);
+    if (!as_json) print_metrics_text(obs_opts, out);
   }
-
-  out << "classified " << jobs.size() << " DAG jobs against " << model_path
-      << " (" << classifier.num_clusters() << " clusters)\n";
-  out << util::pad_right("job", 14) << util::pad_left("tasks", 6)
-      << util::pad_left("group", 6) << util::pad_left("similarity", 12)
-      << util::pad_left("oov", 5) << "  nearest / forecast (cp, width)\n";
-  for (const core::JobDag& job : jobs) {
-    const serve::Prediction p = classifier.classify(job);
-    out << util::pad_right(job.job_name, 14)
-        << util::pad_left(std::to_string(job.size()), 6)
-        << util::pad_left(std::string(1, p.cluster_letter), 6)
-        << util::pad_left(util::format_double(p.similarity, 4), 12)
-        << util::pad_left(std::to_string(p.oov_hits), 5) << "  "
-        << p.nearest_job << " ("
-        << util::format_double(p.predicted_critical_path, 1) << ", "
-        << util::format_double(p.predicted_width, 1) << ")\n";
-  }
+  finish_trace(obs_opts, err);
   return 0;
 }
 
@@ -1438,9 +1434,14 @@ constexpr Command kCommands[] = {
      "[--trace-out FILE]", 0, cmd_fit},
     {"predict", "",
      "classify the DAG jobs of a task CSV against a fitted snapshot\n"
-     "(cluster, similarity, forecast; --json: cwgl-predict-v1). The\n"
-     "completion-time regression is `cwgl jct`",
-     "--model FILE TASK_CSV [--json]", 1, cmd_predict},
+     "(cluster, similarity, forecast; --json: cwgl-predict-v1, with\n"
+     "--metrics a \"metrics\" snapshot). The file is streamed, so a\n"
+     "job's task rows must be contiguous (sort it by job); nothing is\n"
+     "printed unless all of it reads cleanly. --trace-out writes\n"
+     "Chrome trace-event JSON. The completion-time regression is\n"
+     "`cwgl jct`",
+     "--model FILE TASK_CSV [--json] [--metrics[=FILE]]\n"
+     "[--trace-out FILE]", 1, cmd_predict},
     {"jct", "", "completion-time regression, R^2/MAE on a held-out half",
      "(--trace DIR | [--jobs N] [--seed S]) [--sample K] [--natural]", 0,
      cmd_jct},

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <exception>
 #include <future>
+#include <iterator>
+#include <mutex>
+#include <optional>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -16,16 +21,75 @@ namespace cwgl::core {
 
 namespace {
 
-/// One job's rows, owned (moved out of the reader's grouping loop).
-struct RawGroup {
-  std::string job_name;
-  std::vector<trace::TaskRecord> tasks;
-};
-
-/// A run of consecutive groups; first_seq restores trace order at the end.
+/// A run of consecutive job groups, packed flat: group i is `names[i]`
+/// with rows [ends[i - 1], ends[i]) of `rows` (from 0 for i = 0).
+/// first_seq restores trace order at the end.
 struct Batch {
   std::size_t first_seq = 0;
-  std::vector<RawGroup> groups;
+  std::vector<std::string> names;
+  std::vector<std::size_t> ends;
+  std::vector<trace::TaskRecord> rows;
+
+  std::size_t jobs() const noexcept { return names.size(); }
+
+  std::span<const trace::TaskRecord> rows_of(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return {rows.data() + begin, ends[i] - begin};
+  }
+
+  /// Appends one group. Its rows are moved out one by one, so `tasks`
+  /// keeps its capacity for the stream's next group.
+  void add(std::string&& job, std::vector<trace::TaskRecord>& tasks) {
+    names.push_back(std::move(job));
+    rows.insert(rows.end(), std::make_move_iterator(tasks.begin()),
+                std::make_move_iterator(tasks.end()));
+    ends.push_back(rows.size());
+  }
+
+  void clear() noexcept {
+    names.clear();
+    ends.clear();
+    rows.clear();
+  }
+};
+
+/// Spent batches on their way from the workers back to the reader. The
+/// reader clears and refills them, so every batch buffer, and every string
+/// the parser allocated into its rows, is allocated and freed on the
+/// reader; freeing them on the workers stalled the reader (DESIGN.md §9).
+/// A plain mutex-guarded list, not a second BoundedQueue, so recycling
+/// adds no `queue.*` counts and no queue failpoint hits.
+class SpentBatches {
+ public:
+  /// `most` bounds the batches alive at once, so put() never reallocates.
+  explicit SpentBatches(std::size_t most) { spent_.reserve(most); }
+
+  void put(Batch&& batch) {
+    std::lock_guard lock(mutex_);
+    spent_.push_back(std::move(batch));
+  }
+
+  /// A spent batch, cleared, or a new one when none is back yet.
+  Batch take() {
+    Batch batch;
+    {
+      std::lock_guard lock(mutex_);
+      if (spent_.empty()) return batch;
+      batch = std::move(spent_.back());
+      spent_.pop_back();
+    }
+    batch.clear();
+    ++recycled_;
+    return batch;
+  }
+
+  /// Batches take() handed out again (read on the reader only).
+  std::size_t recycled() const noexcept { return recycled_; }
+
+ private:
+  std::mutex mutex_;
+  std::vector<Batch> spent_;
+  std::size_t recycled_ = 0;
 };
 
 trace::TraceReadOptions read_options(const IngestOptions& options) {
@@ -37,7 +101,7 @@ trace::TraceReadOptions read_options(const IngestOptions& options) {
 /// strict and are quarantined into diagnostics under lenient; filtering
 /// kinds (non-DAG names) are skipped quietly in both modes, with only a
 /// count kept so reports can show how much the eligibility rules removed.
-std::optional<JobDag> build_with_posture(std::string&& job,
+std::optional<JobDag> build_with_posture(std::string job,
                                          std::span<const trace::TaskRecord> tasks,
                                          const IngestOptions& options) {
   std::vector<BuildIssue> issues;
@@ -59,21 +123,12 @@ std::optional<JobDag> build_with_posture(std::string&& job,
   return std::nullopt;
 }
 
-/// The streaming machinery is generic over a per-job Transform
-/// `Out transform(std::size_t seq, JobDag&&)` applied to every built DAG:
-/// the plain ingest uses the identity (collect the DAGs themselves), the
-/// interning ingest feeds a ShapeStore and collects shape handles. The
-/// transform runs on the building thread (workers, in pooled mode), so it
-/// must be thread-safe for pooled use; `seq` is the job's trace sequence.
-template <typename Transform>
-using transformed_t =
-    std::decay_t<std::invoke_result_t<Transform&, std::size_t, JobDag&&>>;
+bool runs_pooled(const util::ThreadPool* pool) {
+  return pool != nullptr && pool->size() >= 2;
+}
 
-template <typename Transform>
-std::vector<transformed_t<Transform>> stream_transformed_serial(
-    std::istream& in, const IngestOptions& options, IngestStats& stats,
-    Transform& transform) {
-  std::vector<transformed_t<Transform>> out;
+void stream_serial(std::istream& in, const IngestOptions& options,
+                   IngestStats& stats, const detail::DagSink& sink) {
   std::size_t seq = 0;
   stats.stream = trace::consume_jobs_in_task_csv(
       in,
@@ -84,54 +139,54 @@ std::vector<transformed_t<Transform>> stream_transformed_serial(
         ++stats.eligible;
         if (auto dag = build_with_posture(std::move(job), tasks, options)) {
           ++stats.dags;
-          out.push_back(transform(s, std::move(*dag)));
+          sink(0, s, std::move(*dag));
         }
         return true;
       },
       read_options(options));
-  return out;
 }
 
-template <typename Transform>
-std::vector<transformed_t<Transform>> stream_transformed_pooled(
-    std::istream& in, const IngestOptions& options, util::ThreadPool& pool,
-    IngestStats& stats, Transform& transform) {
-  using Out = transformed_t<Transform>;
-  struct WorkerResult {
-    std::vector<std::pair<std::size_t, Out>> built;
+void stream_pooled(std::istream& in, const IngestOptions& options,
+                   util::ThreadPool& pool, IngestStats& stats,
+                   const detail::DagSink& sink) {
+  struct WorkerCounts {
     std::size_t eligible = 0;
+    std::size_t built = 0;
   };
   util::BoundedQueue<Batch> queue(options.queue_capacity);
+  // Alive at once: the reader's, the queued ones, and one per worker.
+  SpentBatches spent(queue.capacity() + pool.size() + 1);
   const std::size_t batch_jobs = std::max<std::size_t>(1, options.batch_jobs);
 
-  std::vector<std::future<WorkerResult>> futures;
+  std::vector<std::future<WorkerCounts>> futures;
   futures.reserve(pool.size());
   try {
     for (std::size_t w = 0; w < pool.size(); ++w) {
-      futures.push_back(pool.submit([&queue, &options, &transform] {
+      futures.push_back(pool.submit([&queue, &spent, &options, &sink, w] {
         try {
           obs::Span span("ingest.worker");
-          WorkerResult result;
+          WorkerCounts counts;
           std::size_t batches = 0;
           while (auto batch = queue.pop()) {
             CWGL_FAILPOINT("ingest.worker_batch");
             ++batches;
-            std::size_t seq = batch->first_seq;
-            for (RawGroup& group : batch->groups) {
-              const std::size_t s = seq++;
-              if (!trace::passes_criteria(group.tasks, options.criteria))
-                continue;
-              ++result.eligible;
-              if (auto dag = build_with_posture(std::move(group.job_name),
-                                                group.tasks, options)) {
-                result.built.emplace_back(s, transform(s, std::move(*dag)));
+            for (std::size_t i = 0; i < batch->jobs(); ++i) {
+              const auto rows = batch->rows_of(i);
+              if (!trace::passes_criteria(rows, options.criteria)) continue;
+              ++counts.eligible;
+              // The name is copied: the batch's own goes back to the reader.
+              if (auto dag =
+                      build_with_posture(batch->names[i], rows, options)) {
+                ++counts.built;
+                sink(w, batch->first_seq + i, std::move(*dag));
               }
             }
+            spent.put(std::move(*batch));
           }
           span.arg("batches", batches);
-          span.arg("eligible", result.eligible);
-          span.arg("built", result.built.size());
-          return result;
+          span.arg("eligible", counts.eligible);
+          span.arg("built", counts.built);
+          return counts;
         } catch (...) {
           // Close *before* the exception reaches the future: the reader's
           // next push fails immediately instead of blocking until the main
@@ -162,37 +217,39 @@ std::vector<transformed_t<Transform>> stream_transformed_pooled(
   std::exception_ptr reader_error;
   std::thread reader([&] {
     obs::Span span("ingest.reader");
+    std::size_t pushed = 0;
     try {
-      Batch batch;
+      Batch batch = spent.take();
       std::size_t seq = 0;
       stats.stream = trace::consume_jobs_in_task_csv(
           in,
           [&](std::string&& job, std::vector<trace::TaskRecord>&& tasks) {
             CWGL_FAILPOINT("ingest.reader_group");
-            if (batch.groups.empty()) batch.first_seq = seq;
-            batch.groups.push_back(RawGroup{std::move(job), std::move(tasks)});
+            if (batch.jobs() == 0) batch.first_seq = seq;
             ++seq;
-            if (batch.groups.size() < batch_jobs) return true;
+            batch.add(std::move(job), tasks);
+            if (batch.jobs() < batch_jobs) return true;
             const bool accepted = queue.push(std::move(batch));
-            batch = Batch{};
+            pushed += accepted ? 1 : 0;
+            batch = spent.take();
             return accepted;
           },
           read_options(options));
-      if (!batch.groups.empty()) queue.push(std::move(batch));
+      if (batch.jobs() > 0 && queue.push(std::move(batch))) ++pushed;
     } catch (...) {
       reader_error = std::current_exception();
     }
     queue.close();
+    span.arg("batches", pushed);
+    span.arg("recycled", spent.recycled());
   });
 
-  std::vector<std::pair<std::size_t, Out>> built;
   std::exception_ptr worker_error;
   for (auto& future : futures) {
     try {
-      WorkerResult result = future.get();
-      stats.eligible += result.eligible;
-      built.insert(built.end(), std::make_move_iterator(result.built.begin()),
-                   std::make_move_iterator(result.built.end()));
+      const WorkerCounts counts = future.get();
+      stats.eligible += counts.eligible;
+      stats.dags += counts.built;
     } catch (...) {
       if (!worker_error) worker_error = std::current_exception();
       queue.close();  // belt-and-braces: the worker already closed on throw
@@ -208,23 +265,25 @@ std::vector<transformed_t<Transform>> stream_transformed_pooled(
   reader.join();
   if (reader_error) std::rethrow_exception(reader_error);
   if (worker_error) std::rethrow_exception(worker_error);
-
-  std::sort(built.begin(), built.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Out> out;
-  out.reserve(built.size());
-  for (auto& [seq, item] : built) out.push_back(std::move(item));
-  stats.dags = out.size();
-  return out;
 }
 
-template <typename Transform>
-std::vector<transformed_t<Transform>> stream_transformed(
-    std::istream& in, const IngestOptions& options, util::ThreadPool* pool,
-    IngestStats& stats, Transform transform) {
-  return (pool == nullptr || pool->size() < 2)
-             ? stream_transformed_serial(in, options, stats, transform)
-             : stream_transformed_pooled(in, options, *pool, stats, transform);
+}  // namespace
+
+namespace detail {
+
+std::size_t stream_slots(const util::ThreadPool* pool) {
+  return runs_pooled(pool) ? pool->size() : 1;
+}
+
+void stream_built_dags(std::istream& task_csv, const IngestOptions& options,
+                       util::ThreadPool* pool, IngestStats& stats,
+                       const DagSink& sink) {
+  stats = IngestStats{};
+  if (runs_pooled(pool)) {
+    stream_pooled(task_csv, options, *pool, stats, sink);
+  } else {
+    stream_serial(task_csv, options, stats, sink);
+  }
 }
 
 void publish_stream_metrics(obs::Span& span, const IngestStats& stats) {
@@ -241,18 +300,16 @@ void publish_stream_metrics(obs::Span& span, const IngestStats& stats) {
   registry.counter("ingest.dag.built").add(stats.dags);
 }
 
-}  // namespace
+}  // namespace detail
 
 std::vector<JobDag> stream_dag_jobs(std::istream& task_csv,
                                     const IngestOptions& options,
                                     util::ThreadPool* pool,
                                     IngestStats* stats) {
-  obs::Span span("ingest.stream");
   IngestStats local;
   std::vector<JobDag> out = stream_transformed(
       task_csv, options, pool, local,
       [](std::size_t /*seq*/, JobDag&& dag) { return std::move(dag); });
-  publish_stream_metrics(span, local);
   if (stats) *stats = local;
   return out;
 }
@@ -278,7 +335,6 @@ InternedIngest stream_shape_jobs(std::istream& task_csv,
   }
   out.intern = store.stats();
   span.arg("shapes", out.intern.distinct_shapes);
-  publish_stream_metrics(span, out.stats);
   return out;
 }
 

@@ -2,11 +2,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/job_dag.hpp"
 #include "core/shape_store.hpp"
+#include "obs/tracer.hpp"
 #include "trace/filter.hpp"
 #include "trace/io.hpp"
 #include "util/diagnostics.hpp"
@@ -44,15 +48,50 @@ struct IngestStats {
   std::size_t dags = 0;        ///< JobDags actually built
 };
 
-/// Builds every eligible DAG job straight from a `batch_task.csv` stream
-/// without materializing a Trace — the zero-copy front half of the pipeline.
+namespace detail {
+
+/// Slots of a stream's DAG sink: one per pool worker on the pooled path,
+/// one on the serial path (no pool, or fewer than two workers).
+std::size_t stream_slots(const util::ThreadPool* pool);
+
+/// Receives every built DAG on the thread that built it: `slot` is that
+/// thread's slot in [0, stream_slots(pool)), `seq` the job's position among
+/// the stream's job groups. Within one slot, calls come in ascending `seq`.
+using DagSink =
+    std::function<void(std::size_t slot, std::size_t seq, JobDag&& dag)>;
+
+/// The reader/worker loop behind stream_transformed; fills `stats`.
+void stream_built_dags(std::istream& task_csv, const IngestOptions& options,
+                       util::ThreadPool* pool, IngestStats& stats,
+                       const DagSink& sink);
+
+/// Puts a finished stream's counts on its span and into the
+/// `ingest.stream.*` and `ingest.dag.*` counters.
+void publish_stream_metrics(obs::Span& span, const IngestStats& stats);
+
+}  // namespace detail
+
+/// What `transform(seq, JobDag&&)` returns, per job.
+template <typename Transform>
+using transformed_t =
+    std::decay_t<std::invoke_result_t<Transform&, std::size_t, JobDag&&>>;
+
+/// The streaming ingest: builds every eligible DAG job straight from a
+/// `batch_task.csv` stream without materializing a Trace, and applies
+/// `transform(seq, JobDag&&)` to each on the thread that built it. `seq` is
+/// the job's position among the stream's job groups. Returns the results
+/// in trace order, and fills `stats`. stream_dag_jobs collects the DAGs,
+/// stream_shape_jobs interns them, and `cwgl predict` classifies and
+/// renders each job.
 ///
 /// With `pool == nullptr` (or a single-thread pool) everything runs inline
 /// on the calling thread. Otherwise a dedicated reader thread scans, parses,
-/// and groups rows (CsvScanner → TaskRecord spans → job groups) and feeds a
-/// bounded queue while pool workers filter groups and build JobDags, so
-/// parsing overlaps DAG construction. Output order matches the serial path
-/// (trace order) regardless of scheduling.
+/// and groups rows (CsvScanner → TaskRecord spans → job groups) into flat
+/// batches and feeds a bounded queue while pool workers filter groups,
+/// build JobDags and run the transform, so parsing overlaps DAG
+/// construction. The transform must then be safe to call concurrently.
+/// Workers hand spent batches back to the reader, which clears and refills
+/// them, so every batch buffer is allocated and freed on the reader.
 ///
 /// Unlike the TraceIndex-based build_all_dag_jobs, a job whose rows
 /// re-occur after its group was emitted yields separate groups (counted in
@@ -61,9 +100,57 @@ struct IngestStats {
 /// running on `pool` (the caller blocks on pool results).
 ///
 /// Failure posture follows `options.strict` (see IngestOptions). In pooled
-/// mode a failing worker closes the queue before its exception propagates,
-/// so the reader thread can never deadlock on a full queue; the first error
-/// (reader's preferred) is rethrown after both sides shut down cleanly.
+/// mode a failing worker (DAG build or transform) closes the queue before
+/// its exception propagates, so the reader thread can never deadlock on a
+/// full queue; the first error (reader's preferred) is rethrown after both
+/// sides shut down cleanly. Records an `ingest.stream` span ⊃
+/// `ingest.reader` + one `ingest.worker` per pool thread, and the
+/// `ingest.stream.*` and `ingest.dag.*` counters.
+template <typename Transform>
+std::vector<transformed_t<Transform>> stream_transformed(
+    std::istream& task_csv, const IngestOptions& options,
+    util::ThreadPool* pool, IngestStats& stats, Transform transform) {
+  using Out = transformed_t<Transform>;
+  obs::Span span("ingest.stream");
+  struct Slot {
+    std::vector<std::size_t> seqs;
+    std::vector<Out> items;
+  };
+  std::vector<Slot> slots(detail::stream_slots(pool));
+  detail::stream_built_dags(
+      task_csv, options, pool, stats,
+      [&](std::size_t slot, std::size_t seq, JobDag&& dag) {
+        slots[slot].items.push_back(transform(seq, std::move(dag)));
+        slots[slot].seqs.push_back(seq);
+      });
+  // Each slot is in trace order already. One (the serial path) is the
+  // result; several are merged by sequence, the lowest head first (a
+  // handful of slots, one per worker).
+  std::vector<Out> out;
+  if (slots.size() == 1) {
+    out = std::move(slots.front().items);
+  } else {
+    out.reserve(stats.dags);
+    std::vector<std::size_t> head(slots.size(), 0);
+    for (;;) {
+      std::size_t next = slots.size();
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        if (head[s] < slots[s].seqs.size() &&
+            (next == slots.size() ||
+             slots[s].seqs[head[s]] < slots[next].seqs[head[next]])) {
+          next = s;
+        }
+      }
+      if (next == slots.size()) break;
+      out.push_back(std::move(slots[next].items[head[next]++]));
+    }
+  }
+  detail::publish_stream_metrics(span, stats);
+  return out;
+}
+
+/// stream_transformed collecting the DAGs themselves: every eligible DAG
+/// job of the stream, in trace order.
 std::vector<JobDag> stream_dag_jobs(std::istream& task_csv,
                                     const IngestOptions& options = {},
                                     util::ThreadPool* pool = nullptr,
@@ -81,9 +168,8 @@ struct InternedIngest {
   ShapeStore::Stats intern;
 };
 
-/// Shape-interning variant of stream_dag_jobs: identical reader/worker
-/// machinery and failure posture, but every built JobDag is interned into a
-/// sharded ShapeStore instead of accumulated, so memory and downstream work
+/// stream_transformed interning every built JobDag into a sharded
+/// ShapeStore instead of accumulating it, so memory and downstream work
 /// scale with *distinct shapes*, not jobs. Failpoints: the stream_dag_jobs
 /// set plus `shape.intern`.
 InternedIngest stream_shape_jobs(std::istream& task_csv,

@@ -500,11 +500,9 @@ TEST(Cli, FullTraceReadsOnlyTheTaskFile) {
   }
 }
 
-// A task file whose jobs reappear after their rows ended is refused: exit
-// 1, the count named, and no snapshot written.
-TEST(Cli, FullTraceRejectsAFragmentedTaskFile) {
-  const TraceCopy copy("cwgl_cli_full_fragmented");
-  const std::filesystem::path tasks = copy.dir / "batch_task.csv";
+/// Moves the last row of the first `jobs` multi-row jobs of `tasks` to the
+/// end of the file, so those jobs' rows are no longer contiguous.
+void fragment_task_file(const std::filesystem::path& tasks, std::size_t jobs) {
   std::vector<std::string> rows;
   {
     std::ifstream in(tasks);
@@ -514,21 +512,25 @@ TEST(Cli, FullTraceRejectsAFragmentedTaskFile) {
     const std::size_t a = row.find(',', row.find(',') + 1) + 1;
     return row.substr(a, row.find(',', a) - a);
   };
-  // Move the last row of the first 11 multi-row jobs to the end.
   std::vector<std::string> kept, moved;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const bool last =
         i + 1 == rows.size() || job_of(rows[i + 1]) != job_of(rows[i]);
     const bool multi = i > 0 && job_of(rows[i - 1]) == job_of(rows[i]);
-    (last && multi && moved.size() < 11 ? moved : kept).push_back(rows[i]);
+    (last && multi && moved.size() < jobs ? moved : kept).push_back(rows[i]);
   }
-  ASSERT_EQ(moved.size(), 11u);
-  {
-    std::ofstream out(tasks, std::ios::trunc);
-    for (const auto* part : {&kept, &moved}) {
-      for (const std::string& row : *part) out << row << "\n";
-    }
+  ASSERT_EQ(moved.size(), jobs);
+  std::ofstream out(tasks, std::ios::trunc);
+  for (const auto* part : {&kept, &moved}) {
+    for (const std::string& row : *part) out << row << "\n";
   }
+}
+
+// A task file whose jobs reappear after their rows ended is refused: exit
+// 1, the count named, and no snapshot written.
+TEST(Cli, FullTraceRejectsAFragmentedTaskFile) {
+  const TraceCopy copy("cwgl_cli_full_fragmented");
+  fragment_task_file(copy.dir / "batch_task.csv", 11);
   const std::string model = (copy.dir / "model.cwgl").string();
   const auto fit = run({"fit", "--full", "--trace", copy.dir.string(),
                         "--out", model});
@@ -539,6 +541,87 @@ TEST(Cli, FullTraceRejectsAFragmentedTaskFile) {
                            copy.dir.string(), "--json"});
   EXPECT_EQ(report.code, 1);
   EXPECT_NE(report.err.find("contiguous"), std::string::npos) << report.err;
+}
+
+// `predict` streams its task file too, under the same rule: a fragmented
+// file exits 1 naming the count, and prints no partial report.
+TEST(Cli, PredictRejectsAFragmentedTaskFile) {
+  const TraceCopy copy("cwgl_cli_predict_fragmented");
+  const std::filesystem::path tasks = copy.dir / "batch_task.csv";
+  fragment_task_file(tasks, 3);
+  const std::string model =
+      std::string(CWGL_TEST_DATA_DIR) + "/example_model.cwgl";
+  for (const bool json : {false, true}) {
+    std::vector<std::string> argv{"predict", "--model", model, tasks.string()};
+    if (json) argv.push_back("--json");
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 1) << r.out;
+    EXPECT_NE(r.err.find("3 job group"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("contiguous"), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "");
+  }
+}
+
+// A task file that opens but cannot be read, here a directory, is an I/O
+// error naming the file, not a file without jobs; stdout stays empty.
+TEST(Cli, PredictOnAnUnreadableTaskFileIsAnIoError) {
+  const std::string model =
+      std::string(CWGL_TEST_DATA_DIR) + "/example_model.cwgl";
+  const std::string dir = std::string(CWGL_TEST_DATA_DIR) + "/example_trace";
+  for (const bool json : {false, true}) {
+    std::vector<std::string> argv{"predict", "--model", model, dir};
+    if (json) argv.push_back("--json");
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 1) << r.err;
+    EXPECT_NE(r.err.find("predict: I/O error while reading " + dir),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.out, "");
+  }
+}
+
+// `predict` takes the observation switches `fit` takes: --json --metrics
+// appends the snapshot as a "metrics" member, and --trace-out records the
+// snapshot load, the stream and the write. Neither changes a prediction.
+TEST(Cli, PredictMetricsAndSpans) {
+  const TraceCopy copy("cwgl_cli_predict_obs");
+  const std::string model =
+      std::string(CWGL_TEST_DATA_DIR) + "/example_model.cwgl";
+  const std::string tasks = (copy.dir / "batch_task.csv").string();
+  const std::filesystem::path trace_out = copy.dir / "spans.json";
+  const auto plain = run({"predict", "--model", model, tasks, "--json"});
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  const auto observed = run({"predict", "--model", model, tasks, "--json",
+                             "--metrics", "--trace-out", trace_out.string()});
+  ASSERT_EQ(observed.code, 0) << observed.err;
+  // Same document up to its closing brace, plus the metrics member.
+  const std::string head = plain.out.substr(0, plain.out.size() - 2);
+  EXPECT_EQ(observed.out.compare(0, head.size(), head), 0) << observed.out;
+  EXPECT_EQ(observed.out.compare(head.size(), 11, ",\"metrics\":"), 0);
+  const util::JsonValue doc = util::parse_json(observed.out);
+  const auto& counters = doc.at("metrics").at("counters");
+  EXPECT_EQ(counters.at("ingest.stream.rows").as_number(), 795.0);
+  EXPECT_EQ(counters.at("serve.classify.jobs").as_number(),
+            static_cast<double>(doc.at("jobs").as_array().size()));
+
+  std::map<std::string, std::vector<const util::JsonValue*>> ends;
+  const util::JsonValue spans = util::parse_json(slurp(trace_out));
+  for (const auto& e : spans.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "E") {
+      ends[e.at("name").as_string()].push_back(&e);
+    }
+  }
+  for (const char* name : {"predict.load", "ingest.stream", "predict.write"}) {
+    EXPECT_EQ(ends[name].size(), 1u) << name;
+  }
+  ASSERT_EQ(ends["predict.write"].size(), 1u);
+  EXPECT_EQ(ends["predict.write"][0]->at("args").at("jobs").as_number(),
+            static_cast<double>(doc.at("jobs").as_array().size()));
+
+  const auto text = run({"predict", "--model", model, tasks, "--metrics"});
+  ASSERT_EQ(text.code, 0) << text.err;
+  EXPECT_NE(text.out.find("\nmetrics:\n"), std::string::npos) << text.out;
+  EXPECT_EQ(text.out.compare(0, 11, "classified "), 0) << text.out;
 }
 
 // A streamed run records the same stage spans as a generated one: the

@@ -62,19 +62,27 @@ TEST(StreamDagJobs, PooledMatchesSerialIncludingOrder) {
   const auto serial = stream_dag_jobs(serial_in, {}, nullptr, &serial_stats);
 
   util::ThreadPool pool(4);
-  // Tiny batches so many queue hand-offs (and reorderings) actually happen.
-  IngestOptions options;
-  options.batch_jobs = 3;
-  options.queue_capacity = 2;
-  std::istringstream pooled_in(csv);
-  IngestStats pooled_stats;
-  const auto pooled = stream_dag_jobs(pooled_in, options, &pool, &pooled_stats);
+  // Small batches and queues make many hand-offs and reorderings, and keep
+  // the reader refilling spent batches while workers still hold others.
+  for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
+    for (const std::size_t queue_capacity : {1u, 2u, 64u}) {
+      SCOPED_TRACE("batch_jobs " + std::to_string(batch_jobs) +
+                   ", queue_capacity " + std::to_string(queue_capacity));
+      IngestOptions options;
+      options.batch_jobs = batch_jobs;
+      options.queue_capacity = queue_capacity;
+      std::istringstream pooled_in(csv);
+      IngestStats pooled_stats;
+      const auto pooled =
+          stream_dag_jobs(pooled_in, options, &pool, &pooled_stats);
 
-  expect_same_jobs(pooled, serial);
-  EXPECT_EQ(pooled_stats.eligible, serial_stats.eligible);
-  EXPECT_EQ(pooled_stats.dags, serial_stats.dags);
-  EXPECT_EQ(pooled_stats.stream.rows, serial_stats.stream.rows);
-  EXPECT_EQ(pooled_stats.stream.jobs, serial_stats.stream.jobs);
+      expect_same_jobs(pooled, serial);
+      EXPECT_EQ(pooled_stats.eligible, serial_stats.eligible);
+      EXPECT_EQ(pooled_stats.dags, serial_stats.dags);
+      EXPECT_EQ(pooled_stats.stream.rows, serial_stats.stream.rows);
+      EXPECT_EQ(pooled_stats.stream.jobs, serial_stats.stream.jobs);
+    }
+  }
 }
 
 TEST(StreamDagJobs, CriteriaAreApplied) {
