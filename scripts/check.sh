@@ -112,7 +112,10 @@ run_config() {
 #  PredictDifferential/Cli.Predict cover `cwgl predict` on the pooled
 # ingest stream: classify and render on the workers, batches recycled on
 # the reader, and the I/O-error and fragmented-file exits.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict'
+#  JsonWriter runs the string-building writer, its std::to_chars number
+# buffers, its spilled nesting stack and its stream adapter (including the
+# JsonWriterDifferential tests against the iostream oracle) under both.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict|JsonWriter'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

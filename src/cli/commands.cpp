@@ -580,7 +580,6 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
   options.diagnostics = &diagnostics;
   core::IngestStats stats;
   core::InternedIngest shapes;
-  std::vector<core::JobDag> dag_jobs;
   std::size_t dag_count = 0;
   obs::Stopwatch timer;
   if (intern) {
@@ -588,15 +587,16 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
     stats = shapes.stats;
     dag_count = shapes.shape_of.size();
   } else {
-    dag_jobs = core::stream_dag_jobs(*in, options, serial ? nullptr : &*pool,
-                                     &stats);
-    dag_count = dag_jobs.size();
+    // Count the DAGs in stats.dags without keeping them.
+    core::stream_transformed(*in, options, serial ? nullptr : &*pool, stats,
+                             [](std::size_t, core::JobDag&&) {});
+    dag_count = stats.dags;
   }
   const double ms = timer.millis();
   const double seconds = std::max(ms, 0.001) / 1000.0;
   const double mb = static_cast<double>(input_bytes) / (1024.0 * 1024.0);
   const double rows_per_s = static_cast<double>(stats.stream.rows) / seconds;
-  // stream_dag_jobs falls back to the serial path when the pool has fewer
+  // The stream falls back to the serial path when the pool has fewer
   // than two workers (e.g. --threads defaulting on a single-core machine);
   // report the mode that actually ran, not the one requested.
   const bool pooled = !serial && pool->size() >= 2;
@@ -633,7 +633,6 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
     j.field("rows_per_s", rows_per_s);
     j.field("mb_per_s", mb / seconds);
     j.end_object();
-    // Keep the DAGs alive through the timing so build cost is included.
     j.field("dag_count", dag_count);
     if (intern) {
       j.key("intern");
@@ -675,7 +674,6 @@ int cmd_ingest(const Args& args, std::ostream& out, std::ostream& err) {
   out << "time:        " << util::format_double(ms, 1) << " ms\n";
   out << "throughput:  " << util::format_double(mb / seconds, 1) << " MB/s, "
       << util::format_double(rows_per_s / 1e6, 2) << " M rows/s\n";
-  // Keep the DAGs alive through the timing so build cost is included.
   out << "(checksum: " << dag_count << " dags)\n";
   if (intern) {
     out << "shapes:      " << shapes.intern.distinct_shapes << " distinct of "

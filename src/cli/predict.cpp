@@ -1,7 +1,7 @@
 #include "cli/predict.hpp"
 
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -11,13 +11,18 @@ namespace cwgl::cli {
 std::string PredictionRenderer::operator()(std::size_t /*seq*/,
                                            core::JobDag&& job) const {
   const serve::Prediction p = classifier_->classify(job);
-  std::ostringstream text;
+  const std::string_view cluster(&p.cluster_letter, 1);
+  // Each thread renders into a buffer of its own that keeps its capacity
+  // from job to job, and returns an exact-size copy, so the results held
+  // until the stream ends cost only their bytes.
+  thread_local std::string text;
+  text.clear();
   if (json_) {
     util::JsonWriter j(text);
     j.begin_object();
     j.field("job", job.job_name);
     j.field("tasks", static_cast<std::size_t>(job.size()));
-    j.field("cluster", std::string(1, p.cluster_letter));
+    j.field("cluster", cluster);
     j.field("similarity", p.similarity);
     j.field("nearest", p.nearest_job);
     j.field("oov_hits", p.oov_hits);
@@ -28,16 +33,20 @@ std::string PredictionRenderer::operator()(std::size_t /*seq*/,
     j.end_object();
     j.end_object();
   } else {
-    text << util::pad_right(job.job_name, 14)
-         << util::pad_left(std::to_string(job.size()), 6)
-         << util::pad_left(std::string(1, p.cluster_letter), 6)
-         << util::pad_left(util::format_double(p.similarity, 4), 12)
-         << util::pad_left(std::to_string(p.oov_hits), 5) << "  "
-         << p.nearest_job << " ("
-         << util::format_double(p.predicted_critical_path, 1) << ", "
-         << util::format_double(p.predicted_width, 1) << ")\n";
+    text += util::pad_right(job.job_name, 14);
+    text += util::pad_left(std::to_string(job.size()), 6);
+    text += util::pad_left(cluster, 6);
+    text += util::pad_left(util::format_double(p.similarity, 4), 12);
+    text += util::pad_left(std::to_string(p.oov_hits), 5);
+    text += "  ";
+    text += p.nearest_job;
+    text += " (";
+    text += util::format_double(p.predicted_critical_path, 1);
+    text += ", ";
+    text += util::format_double(p.predicted_width, 1);
+    text += ")\n";
   }
-  return text.str();
+  return std::string(text);
 }
 
 void write_predictions(std::ostream& out, std::span<const std::string> jobs,

@@ -82,7 +82,8 @@ using transformed_t =
 /// the job's position among the stream's job groups. Returns the results
 /// in trace order, and fills `stats`. stream_dag_jobs collects the DAGs,
 /// stream_shape_jobs interns them, and `cwgl predict` classifies and
-/// renders each job.
+/// renders each job; `cwgl ingest` passes a transform that returns void
+/// (the overload below).
 ///
 /// With `pool == nullptr` (or a single-thread pool) everything runs inline
 /// on the calling thread. Otherwise a dedicated reader thread scans, parses,
@@ -107,6 +108,7 @@ using transformed_t =
 /// `ingest.reader` + one `ingest.worker` per pool thread, and the
 /// `ingest.stream.*` and `ingest.dag.*` counters.
 template <typename Transform>
+  requires(!std::is_void_v<transformed_t<Transform>>)
 std::vector<transformed_t<Transform>> stream_transformed(
     std::istream& task_csv, const IngestOptions& options,
     util::ThreadPool* pool, IngestStats& stats, Transform transform) {
@@ -147,6 +149,23 @@ std::vector<transformed_t<Transform>> stream_transformed(
   }
   detail::publish_stream_metrics(span, stats);
   return out;
+}
+
+/// stream_transformed with a transform that returns void: it keeps
+/// nothing, so each DAG is freed on the thread that built it and memory
+/// does not grow with the stream's jobs. `stats.dags` counts them.
+template <typename Transform>
+  requires std::is_void_v<transformed_t<Transform>>
+void stream_transformed(std::istream& task_csv, const IngestOptions& options,
+                        util::ThreadPool* pool, IngestStats& stats,
+                        Transform transform) {
+  obs::Span span("ingest.stream");
+  detail::stream_built_dags(
+      task_csv, options, pool, stats,
+      [&](std::size_t /*slot*/, std::size_t seq, JobDag&& dag) {
+        transform(seq, std::move(dag));
+      });
+  detail::publish_stream_metrics(span, stats);
 }
 
 /// stream_transformed collecting the DAGs themselves: every eligible DAG

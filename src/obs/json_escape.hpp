@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdio>
 #include <ostream>
 #include <string_view>
 
@@ -27,6 +28,17 @@ inline void write_json_string(std::ostream& out, std::string_view s) {
     }
   }
   out << '"';
+}
+
+/// Writes `v` as printf's "%.12g": 12 significant digits, trailing zeros
+/// dropped, an exponent outside [1e-4, 1e12). That is not a round trip
+/// (0.1 + 0.2 prints 0.3); it is the format util::JsonWriter gives finite
+/// doubles. Non-finite values print as nan, inf or -inf, so a JSON writer
+/// must put null in their place itself.
+inline void write_double_g12(std::ostream& out, double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.12g", v);
+  out << buffer;
 }
 
 }  // namespace cwgl::obs

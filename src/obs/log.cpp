@@ -29,12 +29,6 @@ void write_timestamp(std::ostream& out) {
   out << buffer;
 }
 
-void write_double_value(std::ostream& out, double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.12g", v);
-  out << buffer;
-}
-
 void write_field_value_json(std::ostream& out, const LogField& f) {
   switch (f.kind) {
     case LogField::Kind::String:
@@ -47,7 +41,7 @@ void write_field_value_json(std::ostream& out, const LogField& f) {
       out << f.signed_value;
       break;
     case LogField::Kind::Double:
-      write_double_value(out, f.double_value);
+      write_double_g12(out, f.double_value);
       break;
     case LogField::Kind::Bool:
       out << (f.bool_value ? "true" : "false");
@@ -67,7 +61,7 @@ void write_field_value_text(std::ostream& out, const LogField& f) {
       out << f.signed_value;
       break;
     case LogField::Kind::Double:
-      write_double_value(out, f.double_value);
+      write_double_g12(out, f.double_value);
       break;
     case LogField::Kind::Bool:
       out << (f.bool_value ? "true" : "false");

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
 #include "obs/json_escape.hpp"
@@ -17,16 +16,13 @@ std::string_view stage_subsystem(std::string_view name) {
   return dot == std::string_view::npos ? name : name.substr(0, dot);
 }
 
-/// Shortest-round-trip double formatting matching util::JsonWriter (obs
-/// cannot link util, so the format is duplicated, not shared).
+/// A JSON number in util::JsonWriter's format; null when not finite.
 void write_json_double(std::ostream& out, double v) {
   if (!(v == v) || v > 1.7976931348623157e308 || v < -1.7976931348623157e308) {
     out << "null";
     return;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.12g", v);
-  out << buffer;
+  write_double_g12(out, v);
 }
 
 }  // namespace

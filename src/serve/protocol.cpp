@@ -79,7 +79,7 @@ std::string_view to_string(ResponseStatus s) noexcept {
 }
 
 std::string encode_request(const Request& r) {
-  std::ostringstream out;
+  std::string out;
   util::JsonWriter j(out);
   j.begin_object();
   j.field("type", to_string(r.type));
@@ -96,7 +96,7 @@ std::string encode_request(const Request& r) {
     j.field("model", r.model_path);
   }
   j.end_object();
-  return out.str();
+  return out;
 }
 
 Request decode_request(std::string_view json) {
@@ -147,7 +147,7 @@ Request decode_request(std::string_view json) {
 }
 
 std::string encode_response(const Response& r) {
-  std::ostringstream out;
+  std::string out;
   util::JsonWriter j(out);
   j.begin_object();
   j.field("id", static_cast<unsigned long long>(r.id));
@@ -182,7 +182,7 @@ std::string encode_response(const Response& r) {
     j.raw(r.payload);  // daemon-built JSON document, embedded verbatim
   }
   j.end_object();
-  return out.str();
+  return out;
 }
 
 Response decode_response(std::string_view json) {

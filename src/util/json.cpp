@@ -1,123 +1,170 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.hpp"
 
 namespace cwgl::util {
 
+JsonWriter::~JsonWriter() {
+  if (stream_ == nullptr) return;
+  try {
+    flush();
+  } catch (...) {
+    // A stream that throws on failure set its badbit before throwing, so
+    // the caller still sees the failed write in the stream's state.
+  }
+}
+
+void JsonWriter::flush() {
+  if (buffer_.empty()) return;
+  stream_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+}
+
+JsonWriter::Frame& JsonWriter::top() noexcept {
+  return depth_ <= kInlineDepth ? inline_frames_[depth_ - 1]
+                                : deep_frames_[depth_ - 1 - kInlineDepth];
+}
+
+void JsonWriter::push(Frame frame) {
+  if (depth_ < kInlineDepth) {
+    inline_frames_[depth_] = frame;
+  } else {
+    deep_frames_.push_back(frame);
+  }
+  ++depth_;
+  first_ = true;
+}
+
+void JsonWriter::pop() noexcept {
+  --depth_;
+  if (depth_ >= kInlineDepth) deep_frames_.pop_back();
+  first_ = false;
+}
+
 void JsonWriter::before_value() {
-  if (stack_.empty()) {
+  if (depth_ == 0) {
     if (root_written_) {
       throw InvalidArgument("JsonWriter: multiple root values");
     }
     root_written_ = true;
     return;
   }
-  Frame& top = stack_.back();
-  if (top == Frame::Object) {
+  Frame& frame = top();
+  if (frame == Frame::Object) {
     throw InvalidArgument("JsonWriter: value inside object requires key()");
   }
-  if (top == Frame::ObjectAwaitingValue) {
-    top = Frame::Object;
+  if (frame == Frame::ObjectAwaitingValue) {
+    frame = Frame::Object;
     return;  // comma already handled by key()
   }
   // Array element.
-  if (!first_.back()) out_ << ',';
-  first_.back() = false;
+  if (!first_) out_->push_back(',');
+  first_ = false;
 }
 
 void JsonWriter::begin_object() {
   before_value();
-  stack_.push_back(Frame::Object);
-  first_.push_back(true);
-  out_ << '{';
+  push(Frame::Object);
+  out_->push_back('{');
 }
 
 void JsonWriter::end_object() {
-  if (stack_.empty() || (stack_.back() != Frame::Object)) {
+  if (depth_ == 0 || top() != Frame::Object) {
     throw InvalidArgument("JsonWriter: end_object without open object");
   }
-  stack_.pop_back();
-  first_.pop_back();
-  out_ << '}';
+  pop();
+  out_->push_back('}');
+  after_token();
 }
 
 void JsonWriter::begin_array() {
   before_value();
-  stack_.push_back(Frame::Array);
-  first_.push_back(true);
-  out_ << '[';
+  push(Frame::Array);
+  out_->push_back('[');
 }
 
 void JsonWriter::end_array() {
-  if (stack_.empty() || stack_.back() != Frame::Array) {
+  if (depth_ == 0 || top() != Frame::Array) {
     throw InvalidArgument("JsonWriter: end_array without open array");
   }
-  stack_.pop_back();
-  first_.pop_back();
-  out_ << ']';
+  pop();
+  out_->push_back(']');
+  after_token();
 }
 
 void JsonWriter::key(std::string_view name) {
-  if (stack_.empty() || stack_.back() != Frame::Object) {
+  if (depth_ == 0 || top() != Frame::Object) {
     throw InvalidArgument("JsonWriter: key() outside object");
   }
-  if (!first_.back()) out_ << ',';
-  first_.back() = false;
+  if (!first_) out_->push_back(',');
+  first_ = false;
   write_escaped(name);
-  out_ << ':';
-  stack_.back() = Frame::ObjectAwaitingValue;
+  out_->push_back(':');
+  top() = Frame::ObjectAwaitingValue;
 }
 
 void JsonWriter::value(std::string_view text) {
   before_value();
   write_escaped(text);
+  after_token();
 }
 
 void JsonWriter::value(double number) {
   before_value();
   if (!std::isfinite(number)) {
-    out_ << "null";
-    return;
+    out_->append("null");
+  } else {
+    // %.12g needs at most 19 characters: sign, 12 digits, point, e+308.
+    char buffer[32];
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, number,
+                                      std::chars_format::general, 12);
+    out_->append(buffer, result.ptr);
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.12g", number);
-  out_ << buffer;
+  after_token();
 }
 
 void JsonWriter::value(long long number) {
   before_value();
-  out_ << number;
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, number);
+  out_->append(buffer, result.ptr);
+  after_token();
 }
 
 void JsonWriter::value(unsigned long long number) {
   before_value();
-  out_ << number;
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, number);
+  out_->append(buffer, result.ptr);
+  after_token();
 }
 
 void JsonWriter::value(bool flag) {
   before_value();
-  out_ << (flag ? "true" : "false");
+  out_->append(flag ? "true" : "false");
+  after_token();
 }
 
 void JsonWriter::null() {
   before_value();
-  out_ << "null";
+  out_->append("null");
+  after_token();
 }
 
 void JsonWriter::raw(std::string_view json) {
   before_value();
-  out_ << json;
+  out_->append(json);
+  after_token();
 }
 
 bool JsonWriter::complete() const noexcept {
-  return stack_.empty() && root_written_;
+  return depth_ == 0 && root_written_;
 }
 
 bool JsonValue::as_bool() const {
@@ -444,31 +491,37 @@ void write_json(std::ostream& out, const JsonValue& v) {
 }
 
 std::string to_json_string(const JsonValue& v) {
-  std::ostringstream out;
-  write_json(out, v);
-  return out.str();
+  std::string out;
+  JsonWriter j(out);
+  write_value(j, v);
+  return out;
 }
 
 void JsonWriter::write_escaped(std::string_view text) {
-  out_ << '"';
-  for (char c : text) {
+  std::string& out = *out_;
+  out.push_back('"');
+  // Bytes that need no escape go out in runs, one append per run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out_ << "\\\""; break;
-      case '\\': out_ << "\\\\"; break;
-      case '\n': out_ << "\\n"; break;
-      case '\r': out_ << "\\r"; break;
-      case '\t': out_ << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out_ << buffer;
-        } else {
-          out_ << c;
-        }
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
-  out_ << '"';
+  out.append(text.data() + run, text.size() - run);
+  out.push_back('"');
 }
 
 }  // namespace cwgl::util

@@ -11,22 +11,51 @@
 
 namespace cwgl::util {
 
-/// Minimal streaming JSON writer with automatic comma management.
+/// Minimal JSON writer with automatic comma management. It builds the
+/// document in a std::string, one append per token.
 ///
 /// Usage:
+///   std::string out;
 ///   JsonWriter j(out);
 ///   j.begin_object();
 ///     j.key("name"); j.value("cwgl");
 ///     j.key("sizes"); j.begin_array(); j.value(1); j.value(2); j.end_array();
 ///   j.end_object();
 ///
-/// Misuse (key outside an object, unbalanced end, two keys in a row) throws
-/// InvalidArgument. Non-finite doubles serialize as null. Strings are
-/// escaped per RFC 8259.
+/// Two constructors, one output:
+///  - JsonWriter(std::string&) appends to the caller's string.
+///  - JsonWriter(std::ostream&) builds the document in a buffer of its own
+///    and writes the buffer to the stream when the root value closes, when
+///    the buffer reaches kStreamFlushBytes, and in the destructor. So once
+///    complete() is true, the stream has every byte. Do not write to the
+///    stream yourself while the writer holds an open document: its
+///    buffered bytes would land after yours.
+///
+/// Number formats, independent of locale and stream flags:
+///  - doubles as printf's "%.12g" (std::to_chars, general, precision 12):
+///    12 significant digits, trailing zeros dropped, an exponent outside
+///    [1e-4, 1e12). That is not a round trip: 0.1 + 0.2 prints 0.3.
+///    Non-finite doubles serialize as null.
+///  - integers in plain decimal.
+///
+/// Strings are escaped per RFC 8259: `"`, `\`, \n, \r and \t by name,
+/// other bytes below 0x20 as \u00xx, every other byte verbatim. Misuse (key
+/// outside an object, unbalanced end, two keys in a row, two roots) throws
+/// InvalidArgument. Nesting up to kInlineDepth levels uses no heap.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& out) : out_(out) {}
-  ~JsonWriter() = default;
+  /// The stream adapter's buffer size that triggers a write.
+  static constexpr std::size_t kStreamFlushBytes = 64 * 1024;
+  /// Open containers kept in the writer itself; deeper ones spill to a
+  /// vector.
+  static constexpr std::size_t kInlineDepth = 16;
+
+  explicit JsonWriter(std::string& out) noexcept : out_(&out) {}
+  explicit JsonWriter(std::ostream& out) : stream_(&out), out_(&buffer_) {}
+  /// The stream adapter writes what it still buffers, such as the open
+  /// document a misuse left behind. A failed write stays in the stream's
+  /// state.
+  ~JsonWriter();
 
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -65,13 +94,31 @@ class JsonWriter {
   bool complete() const noexcept;
 
  private:
-  enum class Frame { Object, ObjectAwaitingValue, Array };
+  enum class Frame : std::uint8_t { Object, ObjectAwaitingValue, Array };
+  Frame& top() noexcept;
+  void push(Frame frame);
+  void pop() noexcept;
   void before_value();
   void write_escaped(std::string_view text);
+  /// Stream adapter: writes the buffer once the root closed or the buffer
+  /// is full.
+  void after_token() {
+    if (stream_ != nullptr &&
+        (depth_ == 0 || buffer_.size() >= kStreamFlushBytes)) {
+      flush();
+    }
+  }
+  void flush();
 
-  std::ostream& out_;
-  std::vector<Frame> stack_;
-  std::vector<bool> first_;  ///< per open container: no element yet
+  std::ostream* stream_ = nullptr;  ///< the adapter's target, else null
+  std::string buffer_;              ///< the adapter's buffer
+  std::string* out_;                ///< where tokens are appended
+  Frame inline_frames_[kInlineDepth] = {};
+  std::vector<Frame> deep_frames_;  ///< frames past kInlineDepth
+  std::size_t depth_ = 0;           ///< open containers
+  /// The innermost open container has no element yet. Its parent never
+  /// needs the flag: it got an element when the child opened.
+  bool first_ = false;
   bool root_written_ = false;
 };
 

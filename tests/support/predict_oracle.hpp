@@ -5,8 +5,10 @@
 // builds every DAG through the TraceIndex (build_all_dag_jobs), then
 // classifies and renders one job at a time on the calling thread. The loop
 // and its output code are kept verbatim, so the rendering here is its own
-// copy, not the CLI's. tests/cli/predict_differential_test.cpp holds the
-// streamed command to it byte for byte.
+// copy, not the CLI's, and its JSON goes through the iostream writer of
+// support/json_oracle.hpp, not util::JsonWriter.
+// tests/cli/predict_differential_test.cpp holds the streamed command to it
+// byte for byte.
 
 #include <cstddef>
 #include <fstream>
@@ -16,9 +18,9 @@
 #include "core/pipeline.hpp"
 #include "model/format.hpp"
 #include "serve/classifier.hpp"
+#include "support/json_oracle.hpp"
 #include "trace/filter.hpp"
 #include "trace/io.hpp"
-#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace cwgl::oracle {
@@ -46,7 +48,7 @@ inline int predict(const std::string& model_path, const std::string& input,
   }
 
   if (as_json) {
-    util::JsonWriter j(out);
+    JsonWriter j(out);
     j.begin_object();
     j.field("schema", "cwgl-predict-v1");
     j.field("model", model_path);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <streambuf>
 
 #include "util/error.hpp"
 
@@ -143,6 +144,43 @@ TEST(JsonWriter, RawEmbedsPreSerializedValue) {
   j.end_object();
   EXPECT_TRUE(j.complete());
   EXPECT_EQ(out.str(), R"({"metrics":{"counters":{"a.b.c":1}},"after":2})");
+}
+
+/// A stream buffer that accepts nothing.
+class FailingBuffer : public std::streambuf {
+ protected:
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+TEST(JsonWriter, StreamFailureStaysInTheStreamState) {
+  FailingBuffer buffer;
+  {
+    std::ostream out(&buffer);
+    {
+      JsonWriter j(out);
+      j.begin_object();
+      j.field("open", true);
+    }  // the destructor's write fails quietly
+    EXPECT_TRUE(out.bad());
+  }
+  {
+    std::ostream out(&buffer);
+    out.exceptions(std::ios::badbit);
+    {
+      JsonWriter j(out);
+      j.begin_array();
+      j.value(1);
+      EXPECT_THROW(j.end_array(), std::ios_base::failure);
+    }
+    EXPECT_TRUE(out.bad());
+    out.clear();
+    {
+      JsonWriter j(out);
+      j.begin_array();
+    }  // a throwing stream does not throw out of the destructor
+    EXPECT_TRUE(out.bad());
+  }
 }
 
 TEST(JsonParse, Scalars) {
