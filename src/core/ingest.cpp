@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <future>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "obs/stopwatch.hpp"
 #include "obs/tracer.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/error.hpp"
@@ -21,35 +21,45 @@ namespace cwgl::core {
 
 namespace {
 
-/// A run of consecutive job groups, packed flat: group i is `names[i]`
-/// with rows [ends[i - 1], ends[i]) of `rows` (from 0 for i = 0).
-/// first_seq restores trace order at the end.
+/// A run of consecutive job groups, packed flat: group i is rows
+/// [ends[i - 1], ends[i]) of `rows` (from 0 for i = 0), and its name is
+/// those rows' job name. The records outlive clear(): only the first `used`
+/// hold this batch's rows, and the reader parses each new row into the
+/// next record in place, reusing its strings. first_seq restores trace
+/// order at the end.
 struct Batch {
   std::size_t first_seq = 0;
-  std::vector<std::string> names;
   std::vector<std::size_t> ends;
   std::vector<trace::TaskRecord> rows;
+  std::size_t used = 0;
 
-  std::size_t jobs() const noexcept { return names.size(); }
+  std::size_t jobs() const noexcept { return ends.size(); }
 
   std::span<const trace::TaskRecord> rows_of(std::size_t i) const {
     const std::size_t begin = i == 0 ? 0 : ends[i - 1];
     return {rows.data() + begin, ends[i] - begin};
   }
 
-  /// Appends one group. Its rows are moved out one by one, so `tasks`
-  /// keeps its capacity for the stream's next group.
-  void add(std::string&& job, std::vector<trace::TaskRecord>& tasks) {
-    names.push_back(std::move(job));
-    rows.insert(rows.end(), std::make_move_iterator(tasks.begin()),
-                std::make_move_iterator(tasks.end()));
-    ends.push_back(rows.size());
+  const std::string& name_of(std::size_t i) const {
+    return rows[i == 0 ? 0 : ends[i - 1]].job_name;
   }
 
+  /// The record the next row is parsed into.
+  trace::TaskRecord& slot() {
+    if (used == rows.size()) rows.emplace_back();
+    return rows[used];
+  }
+
+  /// True when rows after the last closed group are held.
+  bool open() const noexcept {
+    return used > (ends.empty() ? 0 : ends.back());
+  }
+
+  void close_group() { ends.push_back(used); }
+
   void clear() noexcept {
-    names.clear();
     ends.clear();
-    rows.clear();
+    used = 0;
   }
 };
 
@@ -127,32 +137,93 @@ bool runs_pooled(const util::ThreadPool* pool) {
   return pool != nullptr && pool->size() >= 2;
 }
 
+struct WorkerCounts {
+  std::size_t eligible = 0;
+  std::size_t built = 0;
+};
+
+/// Filters the groups of `batch`, builds the DAGs of the eligible ones and
+/// hands each to `sink` as slot `slot`.
+void build_batch(const Batch& batch, const IngestOptions& options,
+                 std::size_t slot, const detail::DagSink& sink,
+                 WorkerCounts& counts) {
+  for (std::size_t i = 0; i < batch.jobs(); ++i) {
+    const auto rows = batch.rows_of(i);
+    if (!trace::passes_criteria(rows, options.criteria)) continue;
+    ++counts.eligible;
+    // The name is copied: the batch's own goes back to the reader.
+    if (auto dag = build_with_posture(batch.name_of(i), rows, options)) {
+      ++counts.built;
+      sink(slot, batch.first_seq + i, std::move(*dag));
+    }
+  }
+}
+
+/// The reader loop of both paths. It parses each row straight into the
+/// next record of the batch being filled. Once the batch holds `batch_jobs`
+/// complete groups, `take()` supplies the batch to fill next and `emit`
+/// receives the full one; `emit` returning false stops the stream. Only
+/// the row that opens the next batch's first group moves, swapped into
+/// that batch. The last batch is emitted at the end, however full.
+template <typename Take, typename Emit>
+trace::StreamStats read_batches(std::istream& in, const IngestOptions& options,
+                                std::size_t batch_jobs, Take&& take,
+                                Emit&& emit) {
+  using Row = trace::TaskRowReader::Row;
+  trace::TaskRowReader reader(in, read_options(options));
+  Batch batch = take();
+  batch.first_seq = 0;
+  std::size_t groups = 0;  // closed so far
+  for (;;) {
+    const Row row = reader.next(batch.slot());
+    if (row == Row::kEnd) break;
+    if (row == Row::kNewJob && batch.open()) {
+      batch.close_group();
+      CWGL_FAILPOINT("ingest.reader_group");
+      ++groups;
+      if (batch.jobs() == batch_jobs) {
+        Batch next = take();
+        next.first_seq = groups;
+        std::swap(next.slot(), batch.slot());
+        if (!emit(std::move(batch))) return reader.stats();
+        batch = std::move(next);
+      }
+    }
+    ++batch.used;
+  }
+  if (batch.open()) {
+    batch.close_group();
+    CWGL_FAILPOINT("ingest.reader_group");
+  }
+  if (batch.jobs() > 0) emit(std::move(batch));
+  return reader.stats();
+}
+
+/// One group a batch: each group is built as soon as the row after it is
+/// read, the order in which the reader reports its diagnostics.
 void stream_serial(std::istream& in, const IngestOptions& options,
                    IngestStats& stats, const detail::DagSink& sink) {
-  std::size_t seq = 0;
-  stats.stream = trace::consume_jobs_in_task_csv(
-      in,
-      [&](std::string&& job, std::vector<trace::TaskRecord>&& tasks) {
-        CWGL_FAILPOINT("ingest.reader_group");
-        const std::size_t s = seq++;
-        if (!trace::passes_criteria(tasks, options.criteria)) return true;
-        ++stats.eligible;
-        if (auto dag = build_with_posture(std::move(job), tasks, options)) {
-          ++stats.dags;
-          sink(0, s, std::move(*dag));
-        }
-        return true;
+  WorkerCounts counts;
+  Batch spare;
+  stats.stream = read_batches(
+      in, options, 1,
+      [&] {
+        Batch batch = std::move(spare);
+        batch.clear();
+        return batch;
       },
-      read_options(options));
+      [&](Batch&& batch) {
+        build_batch(batch, options, 0, sink, counts);
+        spare = std::move(batch);
+        return true;
+      });
+  stats.eligible = counts.eligible;
+  stats.dags = counts.built;
 }
 
 void stream_pooled(std::istream& in, const IngestOptions& options,
                    util::ThreadPool& pool, IngestStats& stats,
                    const detail::DagSink& sink) {
-  struct WorkerCounts {
-    std::size_t eligible = 0;
-    std::size_t built = 0;
-  };
   util::BoundedQueue<Batch> queue(options.queue_capacity);
   // Alive at once: the reader's, the queued ones, and one per worker.
   SpentBatches spent(queue.capacity() + pool.size() + 1);
@@ -165,27 +236,22 @@ void stream_pooled(std::istream& in, const IngestOptions& options,
       futures.push_back(pool.submit([&queue, &spent, &options, &sink, w] {
         try {
           obs::Span span("ingest.worker");
+          const std::uint64_t cpu_start =
+              span.active() ? obs::thread_cpu_us() : 0;
           WorkerCounts counts;
           std::size_t batches = 0;
           while (auto batch = queue.pop()) {
             CWGL_FAILPOINT("ingest.worker_batch");
             ++batches;
-            for (std::size_t i = 0; i < batch->jobs(); ++i) {
-              const auto rows = batch->rows_of(i);
-              if (!trace::passes_criteria(rows, options.criteria)) continue;
-              ++counts.eligible;
-              // The name is copied: the batch's own goes back to the reader.
-              if (auto dag =
-                      build_with_posture(batch->names[i], rows, options)) {
-                ++counts.built;
-                sink(w, batch->first_seq + i, std::move(*dag));
-              }
-            }
+            build_batch(*batch, options, w, sink, counts);
             spent.put(std::move(*batch));
           }
           span.arg("batches", batches);
           span.arg("eligible", counts.eligible);
           span.arg("built", counts.built);
+          if (span.active()) {
+            span.arg("cpu_us", obs::thread_cpu_us() - cpu_start);
+          }
           return counts;
         } catch (...) {
           // Close *before* the exception reaches the future: the reader's
@@ -217,31 +283,23 @@ void stream_pooled(std::istream& in, const IngestOptions& options,
   std::exception_ptr reader_error;
   std::thread reader([&] {
     obs::Span span("ingest.reader");
+    const std::uint64_t cpu_start = span.active() ? obs::thread_cpu_us() : 0;
     std::size_t pushed = 0;
     try {
-      Batch batch = spent.take();
-      std::size_t seq = 0;
-      stats.stream = trace::consume_jobs_in_task_csv(
-          in,
-          [&](std::string&& job, std::vector<trace::TaskRecord>&& tasks) {
-            CWGL_FAILPOINT("ingest.reader_group");
-            if (batch.jobs() == 0) batch.first_seq = seq;
-            ++seq;
-            batch.add(std::move(job), tasks);
-            if (batch.jobs() < batch_jobs) return true;
+      stats.stream = read_batches(
+          in, options, batch_jobs, [&] { return spent.take(); },
+          [&](Batch&& batch) {
             const bool accepted = queue.push(std::move(batch));
             pushed += accepted ? 1 : 0;
-            batch = spent.take();
             return accepted;
-          },
-          read_options(options));
-      if (batch.jobs() > 0 && queue.push(std::move(batch))) ++pushed;
+          });
     } catch (...) {
       reader_error = std::current_exception();
     }
     queue.close();
     span.arg("batches", pushed);
     span.arg("recycled", spent.recycled());
+    if (span.active()) span.arg("cpu_us", obs::thread_cpu_us() - cpu_start);
   });
 
   std::exception_ptr worker_error;

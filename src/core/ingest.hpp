@@ -86,9 +86,10 @@ using transformed_t =
 /// (the overload below).
 ///
 /// With `pool == nullptr` (or a single-thread pool) everything runs inline
-/// on the calling thread. Otherwise a dedicated reader thread scans, parses,
-/// and groups rows (CsvScanner → TaskRecord spans → job groups) into flat
-/// batches and feeds a bounded queue while pool workers filter groups,
+/// on the calling thread. Otherwise a dedicated reader thread scans rows and
+/// parses each in place into the next record of a flat batch of job groups
+/// (trace::TaskRowReader), and feeds a bounded queue while pool workers
+/// filter groups,
 /// build JobDags and run the transform, so parsing overlaps DAG
 /// construction. The transform must then be safe to call concurrently.
 /// Workers hand spent batches back to the reader, which clears and refills
@@ -105,7 +106,8 @@ using transformed_t =
 /// its exception propagates, so the reader thread can never deadlock on a
 /// full queue; the first error (reader's preferred) is rethrown after both
 /// sides shut down cleanly. Records an `ingest.stream` span ⊃
-/// `ingest.reader` + one `ingest.worker` per pool thread, and the
+/// `ingest.reader` + one `ingest.worker` per pool thread, each with a
+/// `cpu_us` arg (its thread's CPU time inside the span), and the
 /// `ingest.stream.*` and `ingest.dag.*` counters.
 template <typename Transform>
   requires(!std::is_void_v<transformed_t<Transform>>)

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 
 namespace cwgl::obs {
 
@@ -37,5 +38,16 @@ class Stopwatch {
  private:
   clock::time_point start_;
 };
+
+/// CPU time the calling thread has used, in whole microseconds
+/// (CLOCK_THREAD_CPUTIME_ID). The difference of two readings on one thread
+/// is what a span's `cpu_us` arg reports: set against the span's wall time,
+/// it tells a thread that computes from one that waits or is preempted.
+inline std::uint64_t thread_cpu_us() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000u +
+         static_cast<std::uint64_t>(ts.tv_nsec) / 1000u;
+}
 
 }  // namespace cwgl::obs

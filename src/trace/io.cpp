@@ -22,64 +22,6 @@ util::CsvScanPolicy scan_policy(const TraceReadOptions& options) {
   return util::CsvScanPolicy{options.lenient, options.diagnostics};
 }
 
-/// The job names a stream has grouped so far, kept to spot a job whose rows
-/// reappear after its group closed. It holds one entry per job of the file,
-/// so it is packed: the names sit in one arena, each behind its 4-byte
-/// length, and an open-addressing table at most half full holds their
-/// arena offsets. That is about 30-50 B a short name, where a node-based
-/// set of strings takes about 75.
-class SeenJobs {
- public:
-  /// Records `name`; false when it was recorded before.
-  bool insert(std::string_view name) {
-    if (name.size() > std::numeric_limits<std::uint32_t>::max()) {
-      throw util::ParseError("batch_task.csv: job name longer than 4 GiB");
-    }
-    if (2 * (count_ + 1) > slots_.size()) grow();
-    const std::size_t slot = find(name);
-    if (slots_[slot] != kEmpty) return false;
-    slots_[slot] = arena_.size();
-    const auto length = static_cast<std::uint32_t>(name.size());
-    arena_.append(reinterpret_cast<const char*>(&length), sizeof length);
-    arena_.append(name);
-    ++count_;
-    return true;
-  }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  std::string_view name_at(std::uint64_t offset) const {
-    std::uint32_t length = 0;
-    std::memcpy(&length, arena_.data() + offset, sizeof length);
-    return {arena_.data() + offset + sizeof length, length};
-  }
-
-  /// The slot holding `name`, or the empty slot where it belongs.
-  std::size_t find(std::string_view name) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t slot = std::hash<std::string_view>{}(name) & mask;
-    while (slots_[slot] != kEmpty && name_at(slots_[slot]) != name) {
-      slot = (slot + 1) & mask;
-    }
-    return slot;
-  }
-
-  /// Doubles the table and re-indexes every name from the arena.
-  void grow() {
-    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
-    for (std::uint64_t offset = 0; offset < arena_.size();) {
-      const std::string_view name = name_at(offset);
-      slots_[find(name)] = offset;
-      offset += sizeof(std::uint32_t) + name.size();
-    }
-  }
-
-  std::string arena_;
-  std::vector<std::uint64_t> slots_;  ///< arena offsets; size a power of two
-  std::size_t count_ = 0;
-};
-
 /// Reassembles a row preview ("f0,f1,...") for error messages and samples.
 std::string row_preview(std::span<const std::string_view> fields) {
   std::string out;
@@ -236,48 +178,100 @@ Trace read_trace(const std::filesystem::path& dir, std::size_t* skipped,
   return trace;
 }
 
+bool TaskRowReader::ClosedJobs::insert(std::string_view name) {
+  if (name.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw util::ParseError("batch_task.csv: job name longer than 4 GiB");
+  }
+  if (2 * (count_ + 1) > slots_.size()) grow();
+  const std::size_t slot = find(name);
+  if (slots_[slot] != kEmpty) return false;
+  slots_[slot] = arena_.size();
+  const auto length = static_cast<std::uint32_t>(name.size());
+  arena_.append(reinterpret_cast<const char*>(&length), sizeof length);
+  arena_.append(name);
+  ++count_;
+  return true;
+}
+
+std::string_view TaskRowReader::ClosedJobs::name_at(
+    std::uint64_t offset) const {
+  std::uint32_t length = 0;
+  std::memcpy(&length, arena_.data() + offset, sizeof length);
+  return {arena_.data() + offset + sizeof length, length};
+}
+
+std::size_t TaskRowReader::ClosedJobs::find(std::string_view name) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+  while (slots_[slot] != kEmpty && name_at(slots_[slot]) != name) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void TaskRowReader::ClosedJobs::grow() {
+  slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
+  for (std::uint64_t offset = 0; offset < arena_.size();) {
+    const std::string_view name = name_at(offset);
+    slots_[find(name)] = offset;
+    offset += sizeof(std::uint32_t) + name.size();
+  }
+}
+
+TaskRowReader::TaskRowReader(std::istream& in, const TraceReadOptions& options)
+    : scanner_(in, util::CsvScanner::kDefaultBlockSize, scan_policy(options)),
+      options_(options) {}
+
+TaskRowReader::Row TaskRowReader::next(TaskRecord& rec) {
+  while (const auto fields = scanner_.next()) {
+    if (!rec.assign_fields(*fields)) {
+      malformed_row(scanner_, *fields, "batch_task.csv", "malformed-row",
+                    options_, stats_.malformed);
+      continue;
+    }
+    ++stats_.rows;
+    if (open_ && rec.job_name == open_job_) return Row::kSameJob;
+    close_group();
+    open_job_.assign(rec.job_name);
+    open_ = true;
+    return Row::kNewJob;
+  }
+  close_group();
+  return Row::kEnd;
+}
+
+void TaskRowReader::close_group() {
+  if (!open_) return;
+  open_ = false;
+  ++stats_.jobs;
+  if (!closed_.insert(open_job_)) ++stats_.fragmented;
+}
+
+StreamStats TaskRowReader::stats() const noexcept {
+  StreamStats out = stats_;
+  out.malformed += scanner_.quarantined();
+  return out;
+}
+
 StreamStats consume_jobs_in_task_csv(
     std::istream& in,
     const std::function<bool(std::string&& job_name,
                              std::vector<TaskRecord>&& tasks)>& fn,
     const TraceReadOptions& options) {
-  StreamStats stats;
-  std::string current_job;
+  TaskRowReader reader(in, options);
   std::vector<TaskRecord> group;
-  SeenJobs seen_jobs;
-  bool stopped = false;
-
-  const auto flush = [&]() -> bool {
-    if (group.empty()) return true;
-    ++stats.jobs;
-    if (!seen_jobs.insert(current_job)) ++stats.fragmented;
-    const bool keep_going = fn(std::string(current_job), std::move(group));
-    group.clear();
-    return keep_going;
-  };
-
-  util::CsvScanner scanner(in, util::CsvScanner::kDefaultBlockSize,
-                           scan_policy(options));
-  while (const auto fields = scanner.next()) {
-    auto rec = TaskRecord::from_fields(*fields);
-    if (!rec) {
-      malformed_row(scanner, *fields, "batch_task.csv", "malformed-row",
-                    options, stats.malformed);
-      continue;
+  TaskRecord row;
+  for (;;) {
+    const TaskRowReader::Row kind = reader.next(row);
+    if (kind != TaskRowReader::Row::kSameJob && !group.empty()) {
+      std::string job = group.front().job_name;
+      if (!fn(std::move(job), std::move(group))) break;
+      group.clear();
     }
-    ++stats.rows;
-    if (rec->job_name != current_job) {
-      if (!flush()) {
-        stopped = true;
-        break;
-      }
-      current_job = rec->job_name;
-    }
-    group.push_back(std::move(*rec));
+    if (kind == TaskRowReader::Row::kEnd) break;
+    group.push_back(row);
   }
-  stats.malformed += scanner.quarantined();
-  if (!stopped) flush();
-  return stats;
+  return reader.stats();
 }
 
 }  // namespace cwgl::trace

@@ -29,30 +29,33 @@ std::vector<std::string> TaskRecord::to_fields() const {
           util::format_double(plan_mem, 2)};
 }
 
-std::optional<TaskRecord> TaskRecord::from_fields(
-    std::span<const std::string_view> f) {
-  if (f.size() != 9) return std::nullopt;
+bool TaskRecord::assign_fields(std::span<const std::string_view> f) {
+  if (f.size() != 9) return false;
   const auto inst = util::to_int(f[1]);
   const auto type = util::to_int(f[3]);
   const auto start = util::to_int(f[5]);
   const auto end = util::to_int(f[6]);
   const auto cpu = util::to_double(f[7]);
   const auto mem = util::to_double(f[8]);
-  if (!inst || !type || !start || !end || !cpu || !mem) return std::nullopt;
-  // Built directly inside the returned optional (NRVO) — this runs once per
-  // row on the streaming-ingest hot path and TaskRecord holds two strings,
-  // so a move out of a local would cost measurably.
+  if (!inst || !type || !start || !end || !cpu || !mem) return false;
+  // assign() keeps each string's capacity: a recycled record holding a
+  // longer name allocates nothing.
+  task_name.assign(f[0]);
+  instance_num = static_cast<int>(*inst);
+  job_name.assign(f[2]);
+  task_type = static_cast<int>(*type);
+  status = parse_status(f[4]);
+  start_time = *start;
+  end_time = *end;
+  plan_cpu = *cpu;
+  plan_mem = *mem;
+  return true;
+}
+
+std::optional<TaskRecord> TaskRecord::from_fields(
+    std::span<const std::string_view> f) {
   std::optional<TaskRecord> out(std::in_place);
-  TaskRecord& r = *out;
-  r.task_name = f[0];
-  r.instance_num = static_cast<int>(*inst);
-  r.job_name = f[2];
-  r.task_type = static_cast<int>(*type);
-  r.status = parse_status(f[4]);
-  r.start_time = *start;
-  r.end_time = *end;
-  r.plan_cpu = *cpu;
-  r.plan_mem = *mem;
+  if (!out->assign_fields(f)) return std::nullopt;
   return out;
 }
 
@@ -95,7 +98,8 @@ std::optional<InstanceRecord> InstanceRecord::from_fields(
       !mem_m) {
     return std::nullopt;
   }
-  // In-place construction (NRVO) for the same hot-path reason as TaskRecord.
+  // Built directly inside the returned optional (NRVO): the record holds
+  // four strings, so a move out of a local would cost measurably per row.
   std::optional<InstanceRecord> out(std::in_place);
   InstanceRecord& r = *out;
   r.instance_name = f[0];

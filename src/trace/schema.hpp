@@ -60,10 +60,15 @@ struct TaskRecord {
   /// Serializes to the nine CSV fields in trace column order.
   std::vector<std::string> to_fields() const;
 
-  /// Parses from CSV fields; returns nullopt if the row has the wrong arity
-  /// or un-parseable numerics (malformed rows exist in production traces
-  /// and are skipped, not fatal). The span overload is the zero-copy hot
-  /// path used by the streaming ingest (views need only outlive the call).
+  /// Parses CSV fields into this record in place, reusing the capacity of
+  /// its strings: the streaming ingest parses every row into a record it
+  /// recycles. Returns false, leaving the record unchanged, if the row has
+  /// the wrong arity or un-parseable numerics (malformed rows exist in
+  /// production traces and are skipped, not fatal). The views need only
+  /// outlive the call.
+  bool assign_fields(std::span<const std::string_view> f);
+
+  /// assign_fields into a new record; nullopt on a malformed row.
   static std::optional<TaskRecord> from_fields(
       std::span<const std::string_view> f);
   static std::optional<TaskRecord> from_fields(const std::vector<std::string>& f);

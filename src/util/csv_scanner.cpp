@@ -6,6 +6,10 @@
 #include <cstring>
 #include <istream>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "obs/metrics.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
@@ -15,20 +19,54 @@ namespace cwgl::util {
 
 namespace {
 
+// The fast path probes kProbeBytes of a record at once for the four CSV
+// special bytes ',' '\n' '\r' '"'. probe() returns a mask with one hit per
+// flagged byte; first_hit() is the lowest-address hit's byte index and
+// clear_first() drops it. A probe may flag a byte that is not special (the
+// SWAR fallback does), so callers recheck the byte, but it never misses one.
+#if defined(__SSE2__)
+
+constexpr std::size_t kProbeBytes = 16;
+using Hits = std::uint32_t;
+
+/// Bit i is set exactly when byte i of the 16 at `p` is special.
+inline Hits probe(const char* p) noexcept {
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i hits = _mm_or_si128(
+      _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8(',')),
+                   _mm_cmpeq_epi8(v, _mm_set1_epi8('\n'))),
+      _mm_or_si128(_mm_cmpeq_epi8(v, _mm_set1_epi8('\r')),
+                   _mm_cmpeq_epi8(v, _mm_set1_epi8('"'))));
+  return static_cast<Hits>(_mm_movemask_epi8(hits));
+}
+
+constexpr std::size_t first_hit(Hits mask) noexcept {
+  return static_cast<std::size_t>(std::countr_zero(mask));
+}
+
+constexpr Hits clear_first(Hits mask, std::size_t /*idx*/) noexcept {
+  return mask & (mask - 1);
+}
+
+#else
+
+constexpr std::size_t kProbeBytes = 8;
+using Hits = std::uint64_t;
+
 // Flags bytes of `word` below 0x30 ('0') by setting their high bit. Every
 // CSV special byte — ',' 0x2C, '\n' 0x0A, '\r' 0x0D, '"' 0x22 — is below
 // '0', while trace payload is almost entirely alphanumeric, so one probe
 // covers all four. Borrow propagation may over-flag a byte directly above a
-// true hit and bytes like '.' flag too, so callers must recheck the byte —
-// but a genuine special byte is never missed.
-constexpr std::uint64_t flag_special(std::uint64_t word) noexcept {
+// true hit and bytes like '.' flag too — hence the callers' recheck.
+inline Hits probe(const char* p) noexcept {
   constexpr std::uint64_t kOnes = 0x0101010101010101ull;
   constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, 8);  // fixed size: a single unaligned load
   return (word - kOnes * 0x30) & ~word & kHigh;
 }
 
-/// Index (in memory order) of the lowest-address flagged byte.
-constexpr std::size_t first_flagged(std::uint64_t mask) noexcept {
+constexpr std::size_t first_hit(Hits mask) noexcept {
   if constexpr (std::endian::native == std::endian::little) {
     return static_cast<std::size_t>(std::countr_zero(mask)) >> 3;
   } else {
@@ -36,14 +74,15 @@ constexpr std::size_t first_flagged(std::uint64_t mask) noexcept {
   }
 }
 
-constexpr std::uint64_t clear_flagged(std::uint64_t mask,
-                                      std::size_t idx) noexcept {
+constexpr Hits clear_first(Hits mask, std::size_t idx) noexcept {
   if constexpr (std::endian::native == std::endian::little) {
     return mask & (mask - 1);
   } else {
     return mask & ~(0x8000000000000000ull >> (idx * 8));
   }
 }
+
+#endif
 
 }  // namespace
 
@@ -124,9 +163,9 @@ std::optional<std::span<const std::string_view>> CsvScanner::next() {
   // Parse attempts restart from the top whenever a refill is needed:
   // refilling compacts the buffer (invalidating in-progress views), and a
   // record can straddle block boundaries only O(record/block) times, so the
-  // rescan cost is bounded. Each attempt first tries the vectorized fast
-  // path (memchr terminator + quote probe + memchr field splits) that covers
-  // every record of the real traces; records containing a quote fall back to
+  // rescan cost is bounded. Each attempt first tries the probing fast path
+  // that covers every record of the real traces; records containing a
+  // quote fall back to
   // a state machine that mirrors CsvReader exactly, where `copy` switches a
   // field from the zero-copy slice to unescaped copy-out storage the moment
   // quoting makes the raw bytes differ from the field.
@@ -135,9 +174,10 @@ std::optional<std::span<const std::string_view>> CsvScanner::next() {
     unescaped_.clear();
 
     // --- fast path: unquoted record fully resident in the buffer ---
-    // A single word-at-a-time sweep finds commas, the record terminator, and
-    // any quote at once; the first quote bails out to the exact state
-    // machine, and running off the buffered bytes triggers a refill.
+    // One sweep of kProbeBytes-wide probes finds commas, the record
+    // terminator, and any quote at once; the first quote bails out to the
+    // exact state machine, and running off the buffered bytes triggers a
+    // refill.
     {
       const char* rec = buffer_.data() + begin_;
       const char* lim = buffer_.data() + end_;
@@ -156,21 +196,25 @@ std::optional<std::span<const std::string_view>> CsvScanner::next() {
           state = kDone;
           break;
         }
-        std::uint64_t word = 0;
         std::size_t n = static_cast<std::size_t>(lim - p);
-        if (n >= 8) {
-          n = 8;
-          std::memcpy(&word, p, 8);  // fixed size: a single unaligned load
+        Hits hits = 0;
+        if (n >= kProbeBytes) {
+          n = kProbeBytes;
+          hits = probe(p);
         } else {
-          std::memcpy(&word, p, n);  // zero padding flags only harmless bytes
+          // The buffer's last bytes: probe a zero-padded copy, so no load
+          // reaches past them. A padding byte is never a hit the loop
+          // below acts on.
+          char tail[kProbeBytes] = {};
+          std::memcpy(tail, p, n);
+          hits = probe(tail);
         }
-        std::uint64_t special = flag_special(word);
-        while (special != 0) {
-          const std::size_t off = first_flagged(special);
-          special = clear_flagged(special, off);
-          if (off >= n) break;  // padding byte of the final partial word
+        while (hits != 0) {
+          const std::size_t off = first_hit(hits);
+          hits = clear_first(hits, off);
+          if (off >= n) break;  // padding byte of the final partial probe
           const char* at = p + off;
-          const char c = *at;  // flag_special over-flags; recheck the byte
+          const char c = *at;  // a probe may over-flag; recheck the byte
           if (c == ',') {
             fields_.emplace_back(field_start,
                                  static_cast<std::size_t>(at - field_start));

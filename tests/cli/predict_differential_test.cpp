@@ -23,6 +23,7 @@
 #include "support/predict_oracle.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cwgl {
@@ -113,6 +114,12 @@ class PredictDifferential : public ::testing::Test {
         const Output r = run_cli(argv);
         ASSERT_EQ(r.code, 0) << r.err;
       }
+      if (!diverse) {
+        conflated_ = (dir / "model_conflated.cwgl").string();
+        const Output r = run_cli(
+            {"fit", "--trace", train, "--conflated", "--out", conflated_});
+        ASSERT_EQ(r.code, 0) << r.err;
+      }
       for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         const std::filesystem::path held =
             dir / ("held" + std::to_string(seed));
@@ -131,6 +138,8 @@ class PredictDifferential : public ::testing::Test {
       std::filesystem::temp_directory_path() /
       ("cwgl_predict_differential_" + std::to_string(::getpid()));
   inline static std::vector<Mix> mixes_;
+  /// A `fit --conflated` snapshot of the paper mix's training trace.
+  inline static std::string conflated_;
 };
 
 TEST_F(PredictDifferential, ProbeJobsAgainstTheExampleModel) {
@@ -182,6 +191,113 @@ TEST_F(PredictDifferential, PooledStreamMatchesTheOracle) {
           golden::expect_identical(expected.out, out.str());
         }
       }
+    }
+  }
+}
+
+/// One job's rows: `tasks` are task names, all terminated and available.
+void add_job(std::string& csv, const std::string& job,
+             const std::vector<std::string>& tasks) {
+  int n = 0;
+  for (const std::string& task : tasks) {
+    ++n;
+    csv += task + "," + std::to_string(n) + "," + job + ",1,Terminated," +
+           std::to_string(10 * n) + "," + std::to_string(10 * n + 5) +
+           ",100.00,0.50\n";
+  }
+}
+
+/// Jobs that probe the memo's key: exact repeats under other names
+/// (including names that need JSON escaping or overflow the text column),
+/// jobs sharing a graph but differing in one task type, and isomorphic jobs
+/// whose tasks are numbered or ordered differently.
+std::string memo_probe_csv() {
+  const std::vector<std::vector<std::string>> graphs = {
+      {"M1", "R2_1", "R3_2"},
+      {"M1", "M2", "R3_1_2"},
+      {"M1", "R2_1", "R3_1", "J4_2_3"},
+      {"M1", "M2", "M3", "R4_1_2_3", "R5_4"},
+  };
+  const std::vector<std::vector<std::string>> variants = {
+      // one task type changed
+      {"M1", "J2_1", "R3_2"},
+      {"M1", "R2", "R3_1_2"},
+      {"M1", "R2_1", "M3_1", "J4_2_3"},
+      {"M1", "M2", "M3", "J4_1_2_3", "R5_4"},
+      // isomorphic, numbered differently
+      {"M2", "R3_2", "R1_3"},
+      {"M3", "M1", "R2_1_3"},
+      // isomorphic, rows in another order
+      {"J4_2_3", "R3_1", "R2_1", "M1"},
+      {"R5_4", "R4_1_2_3", "M3", "M2", "M1"},
+  };
+  std::string csv;
+  int job = 0;
+  const auto name = [&job](const char* suffix) {
+    return "j_" + std::to_string(job++) + suffix;
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& g : graphs) add_job(csv, name(""), g);
+    for (const auto& v : variants) add_job(csv, name(""), v);
+    for (const auto& g : graphs) {
+      add_job(csv, "\"" + name("_\"\"quoted\\") + "\"", g);
+      add_job(csv, name("_a_name_longer_than_the_text_column"), g);
+    }
+  }
+  return csv;
+}
+
+// The memo key holds every input of Classifier::classify: a key without
+// the task types would hand a label variant its base graph's answer.
+TEST_F(PredictDifferential, MemoKeySeparatesWhatClassifyReads) {
+  const std::filesystem::path dir = root_ / "memo_probe";
+  std::filesystem::create_directories(dir);
+  const std::string input = (dir / "batch_task.csv").string();
+  {
+    std::ofstream out(input);
+    out << memo_probe_csv();
+  }
+  ASSERT_FALSE(mixes_.empty());
+  const std::string& full = mixes_.front().models.back();
+  const std::string& sampled = mixes_.front().models.front();
+
+  // The probe discriminates: on the type-labelled snapshot, a label
+  // variant's answer differs from its base graph's.
+  const Output labelled = run_oracle(full, input, true);
+  ASSERT_EQ(labelled.code, 0) << labelled.err;
+  const util::JsonValue doc = util::parse_json(labelled.out);
+  const auto& jobs = doc.at("jobs").as_array();
+  ASSERT_EQ(jobs.size(), 3u * (4 + 8 + 8));
+  const auto answer = [&jobs](std::size_t i) {
+    const util::JsonValue& j = jobs[i];
+    return std::to_string(j.at("similarity").as_number()) + " " +
+           j.at("nearest").as_string() + " " +
+           std::to_string(j.at("oov_hits").as_number());
+  };
+  std::size_t differing = 0;
+  for (std::size_t g = 0; g < 4; ++g) differing += answer(g) != answer(4 + g);
+  EXPECT_GT(differing, 0u);
+
+  util::ThreadPool pool(4);
+  for (const std::string& model : {full, conflated_, sampled}) {
+    SCOPED_TRACE(model);
+    expect_predict_matches_oracle(model, input);
+    // Four workers sharing the memo, one job a batch.
+    const serve::Classifier classifier(model::load_model(model));
+    for (const bool json : {false, true}) {
+      const Output expected = run_oracle(model, input, json);
+      core::IngestOptions options;
+      options.batch_jobs = 1;
+      options.queue_capacity = 1;
+      std::ifstream in(input);
+      core::IngestStats stats;
+      const std::vector<std::string> rendered = core::stream_transformed(
+          in, options, &pool, stats,
+          cli::PredictionRenderer(classifier, json));
+      std::ostringstream out;
+      cli::write_predictions(out, rendered, model, classifier.num_clusters(),
+                             json);
+      golden::expect_identical(expected.out, out.str());
     }
   }
 }

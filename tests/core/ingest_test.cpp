@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
+#include "util/csv_scanner.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cwgl::core {
@@ -209,6 +212,199 @@ TEST(StreamDagJobs, EmptyInput) {
   EXPECT_TRUE(dags.empty());
   EXPECT_EQ(stats.stream.rows, 0u);
   EXPECT_EQ(stats.dags, 0u);
+}
+
+/// Every field the DAG build copies out of a row, so a record recycled
+/// with a stale field shows.
+void expect_same_dags(const std::vector<JobDag>& a,
+                      const std::vector<JobDag>& b) {
+  expect_same_jobs(a, b);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].tasks.size(), b[i].tasks.size());
+    for (std::size_t t = 0; t < a[i].tasks.size(); ++t) {
+      const TaskMeta& x = a[i].tasks[t];
+      const TaskMeta& y = b[i].tasks[t];
+      EXPECT_EQ(x.name, y.name);
+      EXPECT_EQ(x.type, y.type);
+      EXPECT_EQ(x.index, y.index);
+      EXPECT_EQ(x.instance_num, y.instance_num);
+      EXPECT_EQ(x.start_time, y.start_time);
+      EXPECT_EQ(x.end_time, y.end_time);
+      EXPECT_EQ(x.plan_cpu, y.plan_cpu);
+      EXPECT_EQ(x.plan_mem, y.plan_mem);
+    }
+  }
+}
+
+void expect_same_stats(const IngestStats& a, const IngestStats& b) {
+  EXPECT_EQ(a.stream.rows, b.stream.rows);
+  EXPECT_EQ(a.stream.malformed, b.stream.malformed);
+  EXPECT_EQ(a.stream.jobs, b.stream.jobs);
+  EXPECT_EQ(a.stream.fragmented, b.stream.fragmented);
+  EXPECT_EQ(a.eligible, b.eligible);
+  EXPECT_EQ(a.dags, b.dags);
+}
+
+/// A task file built to trip the in-place reader:
+///  - a malformed row before every fourth job's first row, where batches
+///    are cut;
+///  - in every ninth job, a malformed row naming another job between two of
+///    its rows;
+///  - every fifth job named past the short-string buffer and every seventh
+///    with task names past it, so recycled records go long, short, long;
+///  - rows ending in \n, \r\n or a lone \r at random, over more than one
+///    scanner block, with a \r\n pair split by the first block's end.
+/// `groups` receives the job count.
+std::string damaged_task_csv(std::size_t& groups) {
+  std::mt19937_64 rng(2021);
+  std::string out;
+  const char* endings[] = {"\n", "\r\n", "\r"};
+  const auto end_row = [&] { out += endings[rng() % 3]; };
+  const auto row = [&](const std::string& task, const std::string& job,
+                       int n) {
+    // Every sixth job failed, so the criteria filter it out.
+    out += task + "," + std::to_string(n % 5 + 1) + "," + job + ",1," +
+           (n / 10 % 6 == 5 ? "Failed" : "Terminated") + "," +
+           std::to_string(100 + n) + "," + std::to_string(200 + 2 * n) + "," +
+           std::to_string(n % 400) + ".50," + std::to_string(n % 7) + ".25";
+  };
+  groups = 0;
+  bool split_block_end = false;
+  for (int j = 0; out.size() < 600'000; ++j) {
+    // One filler job whose \r\n pair straddles the first refill. A job
+    // takes well under 1 KB, so the filler's name stays positive.
+    constexpr std::size_t kBlock = util::CsvScanner::kDefaultBlockSize;
+    if (!split_block_end && out.size() + 2000 > kBlock) {
+      const std::string head = "M1,1,j_fill";
+      const std::string tail = ",1,Terminated,10,20,1.00,1.00";
+      out += head;
+      out += std::string(kBlock - 1 - out.size() - tail.size(), 'x');
+      out += tail;
+      EXPECT_EQ(out.size(), kBlock - 1);
+      out += "\r\n";
+      ++groups;
+      split_block_end = true;
+    }
+    const std::string job =
+        j % 5 == 0 ? "j_a_job_name_well_past_sso_" + std::to_string(j)
+                   : "j_" + std::to_string(j);
+    if (j % 4 == 0) {
+      out += "garbage,row";
+      end_row();
+    }
+    const int tasks = 1 + j % 9;
+    for (int t = 1; t <= tasks; ++t) {
+      const char type = "MRJ"[(j + t) % 3];
+      std::string name(1, type);
+      name += std::to_string(t);
+      // Long names depend on every earlier task; short ones on the last.
+      for (int d = j % 7 == 0 ? 1 : t - 1; d >= 1 && d < t; ++d) {
+        name += '_';
+        name += std::to_string(d);
+      }
+      row(name, job, j * 10 + t);
+      end_row();
+      if (j % 9 == 0 && t == 1 && tasks > 1) {
+        row("R9_8", "j_someone_else", -1);
+        out += ",extra";
+        end_row();
+      }
+    }
+    ++groups;
+  }
+  return out;
+}
+
+TEST(InPlaceReader, PooledMatchesSerialOnDamagedInput) {
+  std::size_t groups = 0;
+  const std::string csv = damaged_task_csv(groups);
+
+  util::Diagnostics serial_diagnostics;
+  IngestOptions serial_options;
+  serial_options.diagnostics = &serial_diagnostics;
+  std::istringstream serial_in(csv);
+  IngestStats serial_stats;
+  const auto serial =
+      stream_dag_jobs(serial_in, serial_options, nullptr, &serial_stats);
+  // A malformed row inside a group never splits it.
+  EXPECT_EQ(serial_stats.stream.jobs, groups);
+  EXPECT_EQ(serial_stats.stream.fragmented, 0u);
+  EXPECT_GT(serial_stats.stream.malformed, 100u);
+  EXPECT_GT(serial_stats.dags, 1000u);
+
+  // The in-memory reader and the TraceIndex build agree with the stream.
+  std::istringstream oracle_in(csv);
+  std::size_t skipped = 0;
+  trace::Trace data;
+  data.tasks = trace::read_batch_task_csv(oracle_in, &skipped);
+  EXPECT_EQ(skipped, serial_stats.stream.malformed);
+  EXPECT_EQ(data.tasks.size(), serial_stats.stream.rows);
+  expect_same_dags(serial, build_all_dag_jobs(data, trace::SamplingCriteria{}));
+
+  util::ThreadPool pool(4);
+  for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
+    for (const std::size_t queue_capacity : {1u, 64u}) {
+      SCOPED_TRACE("batch_jobs " + std::to_string(batch_jobs) +
+                   ", queue_capacity " + std::to_string(queue_capacity));
+      util::Diagnostics diagnostics;
+      IngestOptions options;
+      options.batch_jobs = batch_jobs;
+      options.queue_capacity = queue_capacity;
+      options.diagnostics = &diagnostics;
+      std::istringstream in(csv);
+      IngestStats stats;
+      const auto pooled = stream_dag_jobs(in, options, &pool, &stats);
+      expect_same_dags(pooled, serial);
+      expect_same_stats(stats, serial_stats);
+      EXPECT_EQ(diagnostics.count_of("ingest", "malformed-row"),
+                serial_diagnostics.count_of("ingest", "malformed-row"));
+    }
+  }
+}
+
+// Strict mode stops at the first malformed row with the same message on
+// both paths, and at an unterminated quote too.
+TEST(InPlaceReader, StrictErrorTextMatchesAcrossPaths) {
+  std::size_t groups = 0;
+  const std::string damaged = damaged_task_csv(groups);
+  const std::string quoted =
+      task_csv(make_trace(200, 5)) + "M1,1,\"j_open,1,Terminated\n";
+  util::ThreadPool pool(4);
+  for (const std::string* csv : {&damaged, &quoted}) {
+    const auto error_of = [&](util::ThreadPool* p, std::size_t batch_jobs) {
+      IngestOptions options;
+      options.strict = true;
+      options.batch_jobs = batch_jobs;
+      std::istringstream in(*csv);
+      try {
+        stream_dag_jobs(in, options, p);
+      } catch (const util::ParseError& e) {
+        return std::string(e.what());
+      }
+      return std::string("no ParseError");
+    };
+    const std::string serial = error_of(nullptr, 64);
+    EXPECT_NE(serial, "no ParseError");
+    for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
+      EXPECT_EQ(error_of(&pool, batch_jobs), serial) << batch_jobs;
+    }
+  }
+}
+
+// The serial path builds each group as soon as the row after it is read,
+// before reading on: a corrupt job escalates before a malformed row that
+// follows its successor's first row is even parsed.
+TEST(InPlaceReader, SerialBuildsEachGroupBeforeReadingOn) {
+  std::stringstream in;
+  in << "M1_2,1,j_cycle,1,Terminated,10,20,100.00,0.50\n";
+  in << "R2_1,1,j_cycle,1,Terminated,30,40,100.00,0.50\n";
+  in << "M1,1,j_ok,1,Terminated,10,20,100.00,0.50\n";
+  in << "garbage,row\n";
+  in << "R2_1,1,j_ok,1,Terminated,30,40,100.00,0.50\n";
+  IngestOptions strict;
+  strict.strict = true;
+  EXPECT_THROW(stream_dag_jobs(in, strict), util::GraphError);
 }
 
 TEST(Pipeline, BuildAllDagsStreamingOverloadAgrees) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ingest.hpp"
@@ -203,6 +205,27 @@ TEST(Tracer, PooledIngestEmitsWellFormedSpanTree) {
   EXPECT_NE(text.find("ingest.stream"), std::string::npos);
   EXPECT_NE(text.find("ingest.reader"), std::string::npos);
   EXPECT_NE(text.find("ingest.worker"), std::string::npos);
+
+  // The reader and each worker report the CPU their thread spent inside
+  // the span, which cannot exceed the span's wall time.
+  std::map<std::string, std::size_t> with_cpu;
+  std::map<std::pair<std::string, int>, std::uint64_t> begin_ts;
+  for (const TraceEvent& e : tracer.events()) {
+    if (e.name != "ingest.reader" && e.name != "ingest.worker") continue;
+    if (e.phase == 'B') {
+      begin_ts[{e.name, e.tid}] = e.ts_us;
+      continue;
+    }
+    for (const auto& [key, value] : e.args) {
+      if (key != "cpu_us") continue;
+      ++with_cpu[e.name];
+      // Thread CPU clocks tick in coarser steps than the wall clock.
+      EXPECT_LE(value, e.ts_us - begin_ts.at({e.name, e.tid}) + 10'000)
+          << e.name;
+    }
+  }
+  EXPECT_EQ(with_cpu["ingest.reader"], 1u);
+  EXPECT_EQ(with_cpu["ingest.worker"], 2u);
 }
 
 TEST(Tracer, WriteJsonEscapesAndCarriesArgs) {

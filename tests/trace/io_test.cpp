@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/generator.hpp"
@@ -304,6 +305,78 @@ TEST(TraceIoStream, ConsumeVariantTransfersOwnership) {
   EXPECT_EQ(stats.rows, trace.tasks.size());
   EXPECT_EQ(rows, trace.tasks.size());
   EXPECT_EQ(groups.size(), stats.jobs);
+}
+
+// next() says where each group opens; a malformed row inside a group,
+// even one naming another job, neither splits the group nor touches the
+// record; a group closes only when the next one opens or at the end.
+TEST(TaskRowReader, ReportsWhereGroupsOpen) {
+  using Row = TaskRowReader::Row;
+  std::stringstream buffer;
+  buffer << "M1,1,j_1,1,Terminated,10,20,100.00,0.50\n";
+  buffer << "R2_1,ten,j_2,1,Terminated,30,40,100.00,0.50\n";  // malformed
+  buffer << "R2_1,1,j_1,1,Terminated,30,40,100.00,0.50\n";
+  buffer << "M1,1,j_2,1,Terminated,50,60,100.00,0.50\n";
+  TaskRowReader reader(buffer);
+  TaskRecord rec;
+  EXPECT_EQ(reader.next(rec), Row::kNewJob);
+  EXPECT_EQ(rec.job_name, "j_1");
+  EXPECT_EQ(reader.next(rec), Row::kSameJob);
+  EXPECT_EQ(rec.task_name, "R2_1");
+  EXPECT_EQ(rec.job_name, "j_1");
+  EXPECT_EQ(reader.stats().jobs, 0u);
+  EXPECT_EQ(reader.stats().malformed, 1u);
+  EXPECT_EQ(reader.next(rec), Row::kNewJob);
+  EXPECT_EQ(rec.job_name, "j_2");
+  EXPECT_EQ(reader.stats().jobs, 1u);
+  const auto before_end = rec.to_fields();
+  EXPECT_EQ(reader.next(rec), Row::kEnd);
+  EXPECT_EQ(rec.to_fields(), before_end);
+  EXPECT_EQ(reader.next(rec), Row::kEnd);  // the end stays the end
+  const StreamStats stats = reader.stats();
+  EXPECT_EQ(stats.rows, 3u);
+  EXPECT_EQ(stats.malformed, 1u);
+  EXPECT_EQ(stats.jobs, 2u);
+  EXPECT_EQ(stats.fragmented, 0u);
+}
+
+// One record parses every row in place: names beyond the short-string
+// buffer, then short ones, then long again. Every field comes from its own
+// row, never from the one before.
+TEST(TaskRowReader, RecycledRecordTakesEveryFieldOfItsRow) {
+  const std::vector<std::string> rows = {
+      "J9_1_2_3_4_5_6_7_8,12,j_a_job_name_well_past_sso,3,Failed,5,9,"
+      "12.50,0.75",
+      "M1,1,j_b,1,Terminated,10,20,100.00,0.50",
+      "R22_1_2_3_4_5_6_7_8_9_10,7,j_another_long_job_name_x,2,Running,0,0,"
+      "0.00,0.00",
+      "M2,3,j_c,1,Waiting,1,2,3.00,4.00",
+  };
+  std::stringstream buffer;
+  for (const std::string& row : rows) buffer << row << "\n";
+  TaskRowReader reader(buffer);
+  TaskRecord rec;
+  for (const std::string& row : rows) {
+    ASSERT_EQ(reader.next(rec), TaskRowReader::Row::kNewJob) << row;
+    std::stringstream one(row);
+    const auto fresh = read_batch_task_csv(one);
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_EQ(rec.to_fields(), fresh.front().to_fields()) << row;
+  }
+  EXPECT_EQ(reader.next(rec), TaskRowReader::Row::kEnd);
+}
+
+TEST(TaskRowReader, MalformedRowLeavesTheRecordUnchanged) {
+  TaskRecord rec;
+  const std::vector<std::string_view> good = {
+      "M1", "1", "j_1", "1", "Terminated", "10", "20", "100.00", "0.50"};
+  ASSERT_TRUE(rec.assign_fields(good));
+  const auto before = rec.to_fields();
+  const std::vector<std::string_view> bad = {
+      "R2_1", "1", "j_2", "1", "Terminated", "30", "x", "100.00", "0.50"};
+  EXPECT_FALSE(rec.assign_fields(bad));
+  EXPECT_FALSE(rec.assign_fields(std::vector<std::string_view>{"short"}));
+  EXPECT_EQ(rec.to_fields(), before);
 }
 
 TEST(TraceIo, WriteTraceThrowsWhenFileCannotBeOpened) {

@@ -101,6 +101,39 @@ TEST(CsvScanner, DifferentialRandomized) {
   });
 }
 
+// The fast path probes 16 bytes at a time (8 without SSE2). Each terminator
+// here lands at every offset of a probe in turn, on blocks whose ends fall
+// on, just before and just after probe edges, so a CRLF pair or a lone CR
+// is split across a probe, a refill, or both; the final record ends in the
+// buffer's last bytes, which the probe reads through a padded copy.
+TEST(CsvScanner, TerminatorsOnProbeAndRefillEdgesMatchReader) {
+  for (const char* ending : {"\n", "\r\n", "\r"}) {
+    std::string text;
+    for (std::size_t len = 0; len < 40; ++len) {
+      std::string field(len, 'x');
+      for (std::size_t i = 4; i < len; i += 5) field[i] = ',';
+      text += field + ending;
+    }
+    text += "tail,no,terminator";
+    const auto expected = read_all(text);
+    for (const std::size_t block :
+         {1u, 5u, 15u, 16u, 17u, 31u, 32u, 33u, 48u, 4096u}) {
+      EXPECT_EQ(scan_all(text, block), expected)
+          << "block=" << block << " ending=" << testing::PrintToString(ending);
+    }
+    // Ending at the buffer's last byte, with and without a terminator.
+    for (std::size_t len = 1; len < 40; ++len) {
+      const std::string row = std::string(len, 'y') + ending;
+      EXPECT_EQ(scan_all(row, CsvScanner::kDefaultBlockSize), read_all(row))
+          << "len=" << len;
+      const std::string bare(len, 'z');
+      EXPECT_EQ(scan_all(bare, CsvScanner::kDefaultBlockSize),
+                read_all(bare))
+          << "len=" << len;
+    }
+  }
+}
+
 TEST(CsvScanner, UnterminatedQuoteThrowsLikeReader) {
   for (const char* text : {"\"oops", "a,\"x\nnope", "\"\"\""}) {
     EXPECT_THROW(read_all(text), ParseError) << text;
