@@ -115,11 +115,16 @@ run_config() {
 #  JsonWriter runs the string-building writer, its std::to_chars number
 # buffers, its spilled nesting stack and its stream adapter (including the
 # JsonWriterDifferential tests against the iostream oracle) under both.
-#  InPlaceReader/TaskRowReader cover rows parsed in place into recycled
-# batch records, pooled against serial on damaged input; with CsvScanner
-# they run the 16-byte probe's padded tail loads under ASan, and
-# PredictDifferential runs the workers' shared predict memo under TSan.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|InPlaceReader|TaskRowReader|CsvScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict|JsonWriter'
+#  InPlaceReader/GroupStream/ChunkEdges cover the chunked job stream:
+# rows parsed in place into each worker's recycled records, the ordered
+# stitch of jobs cut by chunk edges, the exact-scanner fallback and the
+# per-worker name tables, pooled against serial and against the serial
+# reader oracle on damaged input at chunk sizes down to 1 byte; with
+# CsvScanner they run the 16-byte probe's padded tail loads under ASan,
+# and PredictDifferential runs the workers' shared predict memo under TSan.
+#  Crc32 runs the slice-by-8 checksum's word loads under ASan, and
+# BuildJobDag the one-pass DAG build's per-thread scratch.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|InPlaceReader|GroupStream|ChunkEdges|TraceIoStream|Crc32|BuildJobDag|CsvScanner|CsvBlockScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict|JsonWriter'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

@@ -12,6 +12,7 @@
 #include "core/shape_store.hpp"
 #include "obs/tracer.hpp"
 #include "trace/filter.hpp"
+#include "trace/group_stream.hpp"
 #include "trace/io.hpp"
 #include "util/diagnostics.hpp"
 #include "util/thread_pool.hpp"
@@ -22,12 +23,10 @@ namespace cwgl::core {
 struct IngestOptions {
   /// Job eligibility (same Section IV-B semantics as build_all_dag_jobs).
   trace::SamplingCriteria criteria;
-  /// Bounded-queue capacity in *batches*: caps reader lead over the workers
-  /// at queue_capacity * batch_jobs job groups, keeping memory bounded on a
-  /// 270 GB input no matter how fast parsing runs.
-  std::size_t queue_capacity = 64;
-  /// Job groups per queue item (batching amortizes queue synchronization).
-  std::size_t batch_jobs = 64;
+  /// Bytes a worker reads at a time (trace::GroupStreamOptions): memory is
+  /// bounded by workers x chunk on a 270 GB input, and any size from 1
+  /// byte up yields the same result.
+  std::size_t chunk_bytes = trace::kDefaultChunkBytes;
   /// Failure posture. Lenient (default, the production posture) quarantines
   /// damaged input — malformed rows, unterminated quotes, corrupt jobs
   /// (duplicate indices, missing dependencies, cycles) — into `diagnostics`
@@ -36,8 +35,8 @@ struct IngestOptions {
   /// merely *filtered* (non-DAG task names, the paper's eligibility rules)
   /// are skipped in both modes, never escalated.
   bool strict = false;
-  /// Optional sink for quarantine counts and samples (thread-safe; shared by
-  /// the reader and all workers in pooled mode).
+  /// Optional sink for quarantine counts and samples, delivered in file
+  /// order on both paths.
   util::Diagnostics* diagnostics = nullptr;
 };
 
@@ -50,17 +49,16 @@ struct IngestStats {
 
 namespace detail {
 
-/// Slots of a stream's DAG sink: one per pool worker on the pooled path,
-/// one on the serial path (no pool, or fewer than two workers).
-std::size_t stream_slots(const util::ThreadPool* pool);
-
 /// Receives every built DAG on the thread that built it: `slot` is that
-/// thread's slot in [0, stream_slots(pool)), `seq` the job's position among
-/// the stream's job groups. Within one slot, calls come in ascending `seq`.
+/// thread's slot in [0, trace::group_stream_slots(pool)), `seq` orders the
+/// jobs in trace order (trace::StreamedGroup::seq). Within one slot, jobs
+/// cut by a chunk edge can arrive after later ones: the worker that holds
+/// the stitch builds them.
 using DagSink =
     std::function<void(std::size_t slot, std::size_t seq, JobDag&& dag)>;
 
-/// The reader/worker loop behind stream_transformed; fills `stats`.
+/// The worker loop behind stream_transformed: trace::stream_job_groups
+/// with the filter and the DAG build per group; fills `stats`.
 void stream_built_dags(std::istream& task_csv, const IngestOptions& options,
                        util::ThreadPool* pool, IngestStats& stats,
                        const DagSink& sink);
@@ -78,22 +76,20 @@ using transformed_t =
 
 /// The streaming ingest: builds every eligible DAG job straight from a
 /// `batch_task.csv` stream without materializing a Trace, and applies
-/// `transform(seq, JobDag&&)` to each on the thread that built it. `seq` is
-/// the job's position among the stream's job groups. Returns the results
-/// in trace order, and fills `stats`. stream_dag_jobs collects the DAGs,
-/// stream_shape_jobs interns them, and `cwgl predict` classifies and
-/// renders each job; `cwgl ingest` passes a transform that returns void
-/// (the overload below).
+/// `transform(seq, JobDag&&)` to each on the thread that built it. `seq`
+/// orders the jobs in trace order: the stream offset of the job's first
+/// row. Returns the results in trace order, and fills `stats`.
+/// stream_dag_jobs collects the DAGs, stream_shape_jobs interns them, and
+/// `cwgl predict` classifies and renders each job; `cwgl ingest` passes a
+/// transform that returns void (the overload below).
 ///
 /// With `pool == nullptr` (or a single-thread pool) everything runs inline
-/// on the calling thread. Otherwise a dedicated reader thread scans rows and
-/// parses each in place into the next record of a flat batch of job groups
-/// (trace::TaskRowReader), and feeds a bounded queue while pool workers
-/// filter groups,
-/// build JobDags and run the transform, so parsing overlaps DAG
-/// construction. The transform must then be safe to call concurrently.
-/// Workers hand spent batches back to the reader, which clears and refills
-/// them, so every batch buffer is allocated and freed on the reader.
+/// on the calling thread. Otherwise every pool worker reads, scans, parses
+/// and groups its own chunk of whole rows, filters and builds the jobs
+/// that open and close inside it and runs the transform on them, and
+/// takes an ordered turn to stitch the jobs cut by chunk edges
+/// (trace::stream_job_groups). The transform must then be safe to call
+/// concurrently. The result equals the serial path's at every chunk size.
 ///
 /// Unlike the TraceIndex-based build_all_dag_jobs, a job whose rows
 /// re-occur after its group was emitted yields separate groups (counted in
@@ -101,14 +97,12 @@ using transformed_t =
 /// which the released trace is. Must not be called from inside a task
 /// running on `pool` (the caller blocks on pool results).
 ///
-/// Failure posture follows `options.strict` (see IngestOptions). In pooled
-/// mode a failing worker (DAG build or transform) closes the queue before
-/// its exception propagates, so the reader thread can never deadlock on a
-/// full queue; the first error (reader's preferred) is rethrown after both
-/// sides shut down cleanly. Records an `ingest.stream` span ⊃
-/// `ingest.reader` + one `ingest.worker` per pool thread, each with a
-/// `cpu_us` arg (its thread's CPU time inside the span), and the
-/// `ingest.stream.*` and `ingest.dag.*` counters.
+/// Failure posture follows `options.strict` (see IngestOptions); both
+/// paths rethrow the first offense in file order, a corrupt job ranking
+/// at the row that closes its group, after every worker stopped. Records
+/// an `ingest.stream` span ⊃ one `ingest.worker` per pool thread (args
+/// `chunks`, `groups`, `cpu_us`, `input_wait_us`, `stitch_wait_us`), and
+/// the `ingest.stream.*` and `ingest.dag.*` counters.
 template <typename Transform>
   requires(!std::is_void_v<transformed_t<Transform>>)
 std::vector<transformed_t<Transform>> stream_transformed(
@@ -120,16 +114,24 @@ std::vector<transformed_t<Transform>> stream_transformed(
     std::vector<std::size_t> seqs;
     std::vector<Out> items;
   };
-  std::vector<Slot> slots(detail::stream_slots(pool));
+  std::vector<Slot> slots(trace::group_stream_slots(pool));
   detail::stream_built_dags(
       task_csv, options, pool, stats,
       [&](std::size_t slot, std::size_t seq, JobDag&& dag) {
-        slots[slot].items.push_back(transform(seq, std::move(dag)));
-        slots[slot].seqs.push_back(seq);
+        Slot& s = slots[slot];
+        s.items.push_back(transform(seq, std::move(dag)));
+        s.seqs.push_back(seq);
+        // A job cut by a chunk edge can follow later ones (DagSink): move
+        // it back past the few that belong after it.
+        for (std::size_t i = s.seqs.size() - 1; i > 0 && s.seqs[i - 1] > seq;
+             --i) {
+          std::swap(s.seqs[i - 1], s.seqs[i]);
+          std::swap(s.items[i - 1], s.items[i]);
+        }
       });
-  // Each slot is in trace order already. One (the serial path) is the
-  // result; several are merged by sequence, the lowest head first (a
-  // handful of slots, one per worker).
+  // Each slot is now in trace order. One (the serial path) is the result;
+  // several are merged by sequence, the lowest head first (a handful of
+  // slots, one per worker).
   std::vector<Out> out;
   if (slots.size() == 1) {
     out = std::move(slots.front().items);

@@ -3,10 +3,12 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/digraph.hpp"
 #include "kernel/types.hpp"
+#include "trace/filter.hpp"
 #include "trace/schema.hpp"
 
 namespace cwgl::core {
@@ -87,9 +89,21 @@ struct BuildIssue {
 /// is not a well-formed dependency DAG: any non-grammar task name, duplicate
 /// task indices, a dependency on a missing index, or (pathological names) a
 /// dependency cycle. This mirrors the paper's restriction to DAG batch jobs.
-std::optional<JobDag> build_job_dag(std::string job_name,
+/// Each name is parsed once into per-thread scratch, which is freed again
+/// after a job of more than a few thousand tasks; the JobDag's own vectors
+/// are the only allocations of a successful build.
+std::optional<JobDag> build_job_dag(std::string_view job_name,
                                     std::span<const trace::TaskRecord> tasks,
                                     std::vector<BuildIssue>* issues = nullptr);
+
+/// trace::passes_criteria and build_job_dag over one parse of the task
+/// names, the streaming ingest's step per job group. `eligible` says
+/// whether the job passes `criteria`; a job that does not is skipped with
+/// nothing in `issues`, and one that does gets build_job_dag's result.
+std::optional<JobDag> build_eligible_dag(
+    std::string_view job_name, std::span<const trace::TaskRecord> tasks,
+    const trace::SamplingCriteria& criteria, bool& eligible,
+    std::vector<BuildIssue>* issues = nullptr);
 
 /// Conflates a job's interchangeable sibling tasks (Section IV-C), merging
 /// metadata: instance counts and planned resources sum; the time window is

@@ -125,7 +125,8 @@ class CharacterizationPipeline {
 
   /// Streams a `batch_task.csv` and builds every DAG job passing this
   /// pipeline's criteria, without materializing the trace. With a pool,
-  /// parsing overlaps DAG construction (see core::stream_dag_jobs).
+  /// every worker reads, parses and builds its own chunks of the file
+  /// (see core::stream_dag_jobs).
   std::vector<JobDag> build_all_dags(std::istream& task_csv,
                                      util::ThreadPool* pool = nullptr,
                                      IngestStats* stats = nullptr) const;
@@ -155,12 +156,13 @@ class CharacterizationPipeline {
                            FittedFeatures* fitted = nullptr) const;
 
   /// Streaming overload: same result straight from a `batch_task.csv`
-  /// stream (core::stream_shape_jobs machinery — a pool overlaps parsing
-  /// with DAG building + interning). Each job is interned as soon as its
-  /// rows are grouped, so no task row outlives its job. A job's rows must
-  /// be contiguous: a stream whose jobs reappear after their group closed
-  /// (stats->stream.fragmented > 0) throws ParseError, and a stream that
-  /// went bad mid-read throws Error, both before anything is clustered.
+  /// stream (core::stream_shape_jobs machinery — with a pool every worker
+  /// parses, builds and interns its own chunks). Each job is interned as
+  /// soon as its rows are grouped, so no task row outlives its job. A
+  /// job's rows must be contiguous: a stream whose jobs reappear after
+  /// their group closed (stats->stream.fragmented > 0) throws ParseError,
+  /// and a stream that went bad mid-read throws Error, both before
+  /// anything is clustered.
   FullTraceResult run_full(std::istream& task_csv,
                            util::ThreadPool* pool = nullptr,
                            FittedFeatures* fitted = nullptr,

@@ -30,7 +30,33 @@ std::optional<std::vector<int>> topological_sort(const Digraph& g) {
   return order;
 }
 
-bool is_dag(const Digraph& g) { return topological_sort(g).has_value(); }
+bool is_dag(const Digraph& g, std::vector<int>& scratch) {
+  // Kahn's algorithm keeping only a count: any order of the ready vertices
+  // removes all of them exactly when there is no cycle.
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  scratch.resize(2 * n);
+  int* indeg = scratch.data();
+  int* ready = scratch.data() + n;
+  std::size_t top = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    indeg[v] = g.in_degree(static_cast<int>(v));
+    if (indeg[v] == 0) ready[top++] = static_cast<int>(v);
+  }
+  std::size_t removed = 0;
+  while (top > 0) {
+    const int v = ready[--top];
+    ++removed;
+    for (const int w : g.successors(v)) {
+      if (--indeg[w] == 0) ready[top++] = w;
+    }
+  }
+  return removed == n;
+}
+
+bool is_dag(const Digraph& g) {
+  std::vector<int> scratch;
+  return is_dag(g, scratch);
+}
 
 std::vector<int> sources(const Digraph& g) {
   std::vector<int> out;

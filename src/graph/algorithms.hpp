@@ -11,8 +11,13 @@ namespace cwgl::graph {
 /// Kahn topological order, or nullopt if the graph contains a cycle.
 std::optional<std::vector<int>> topological_sort(const Digraph& g);
 
-/// True iff the graph is acyclic (self-loops count as cycles).
+/// True iff the graph is acyclic (self-loops count as cycles). Counts the
+/// vertices Kahn's algorithm removes instead of ordering them.
 bool is_dag(const Digraph& g);
+
+/// is_dag working in `scratch` (resized to 2n), so a caller that keeps
+/// it checks graph after graph without allocating.
+bool is_dag(const Digraph& g, std::vector<int>& scratch);
 
 /// Vertices with in-degree zero, ascending ("input" tasks).
 std::vector<int> sources(const Digraph& g);

@@ -55,6 +55,58 @@ Digraph::Digraph(int num_vertices, std::span<const Edge> edges) : n_(num_vertice
   build_csr(n_, unique_edges, /*by_source=*/false, pred_off_, pred_);
 }
 
+Digraph Digraph::from_predecessors(int num_vertices, std::vector<int> offsets,
+                                   std::vector<int> sources) {
+  const auto n = static_cast<std::size_t>(std::max(num_vertices, 0));
+  if (num_vertices < 0 || offsets.size() != n + 1 || offsets.front() != 0 ||
+      static_cast<std::size_t>(offsets.back()) != sources.size()) {
+    throw util::GraphError("Digraph: predecessor offsets do not match");
+  }
+  // Sort and deduplicate each row, compacting the rows to the front.
+  int kept = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const int begin = offsets[v];
+    const int end = offsets[v + 1];
+    if (begin > end) {
+      throw util::GraphError("Digraph: predecessor offsets do not match");
+    }
+    for (int i = begin; i < end; ++i) {
+      if (sources[i] < 0 || sources[i] >= num_vertices) {
+        throw util::GraphError("Digraph: edge (" + std::to_string(sources[i]) +
+                               "," + std::to_string(v) + ") outside [0," +
+                               std::to_string(num_vertices) + ")");
+      }
+    }
+    std::sort(sources.begin() + begin, sources.begin() + end);
+    offsets[v] = kept;
+    for (int i = begin; i < end; ++i) {
+      if (i == begin || sources[i] != sources[i - 1]) sources[kept++] = sources[i];
+    }
+  }
+  offsets[n] = kept;
+  sources.resize(static_cast<std::size_t>(kept));
+
+  Digraph g;
+  g.n_ = num_vertices;
+  // Successor rows: succ_off_[u] is u's start while counting and then its
+  // fill cursor, which ends at u's end; one shift turns ends into starts.
+  // Visiting heads in ascending order leaves every row sorted.
+  g.succ_off_.assign(n + 1, 0);
+  for (const int u : sources) ++g.succ_off_[static_cast<std::size_t>(u) + 1];
+  for (std::size_t u = 0; u < n; ++u) g.succ_off_[u + 1] += g.succ_off_[u];
+  for (std::size_t u = n; u > 0; --u) g.succ_off_[u] = g.succ_off_[u - 1];
+  g.succ_.resize(sources.size());
+  for (std::size_t v = 0; v < n; ++v) {
+    for (int i = offsets[v]; i < offsets[v + 1]; ++i) {
+      g.succ_[g.succ_off_[static_cast<std::size_t>(sources[i]) + 1]++] =
+          static_cast<int>(v);
+    }
+  }
+  g.pred_off_ = std::move(offsets);
+  g.pred_ = std::move(sources);
+  return g;
+}
+
 bool Digraph::has_edge(int from, int to) const noexcept {
   if (from < 0 || from >= n_ || to < 0 || to >= n_) return false;
   const auto row = successors(from);

@@ -29,6 +29,16 @@ class Digraph {
   /// graph non-acyclic and are reported by `is_dag`).
   Digraph(int num_vertices, std::span<const Edge> edges);
 
+  /// Builds from predecessor lists, with no edge list in between: row v,
+  /// `sources[offsets[v] .. offsets[v + 1])`, names the tails of v's
+  /// in-edges in any order, repeats allowed. The rows are sorted and
+  /// deduplicated in place and become the predecessor side; the successor
+  /// side is counted out of them. Equals Digraph(n, edges) for the same
+  /// edges. Throws GraphError if a vertex lies outside [0, num_vertices)
+  /// or `offsets` does not describe num_vertices rows of `sources`.
+  static Digraph from_predecessors(int num_vertices, std::vector<int> offsets,
+                                   std::vector<int> sources);
+
   int num_vertices() const noexcept { return n_; }
   int num_edges() const noexcept { return static_cast<int>(succ_.size()); }
 

@@ -49,13 +49,15 @@ bool passes_availability(const Trace& trace, const JobGroup& job) {
 
 bool is_dag_job(const Trace& trace, const JobGroup& job) {
   if (job.tasks.size() < 2) return false;
-  bool any_dep = false;
+  std::vector<int> deps;  // one for the whole job, not one per name
   for (std::size_t i : job.tasks) {
-    const auto parsed = parse_task_name(trace.tasks[i].task_name);
-    if (!parsed) return false;
-    any_dep = any_dep || !parsed->deps.empty();
+    char type = '?';
+    int index = 0;
+    if (!parse_task_name(trace.tasks[i].task_name, type, index, deps)) {
+      return false;
+    }
   }
-  return any_dep;
+  return !deps.empty();
 }
 
 bool passes_integrity(std::span<const TaskRecord> tasks) {
@@ -64,27 +66,6 @@ bool passes_integrity(std::span<const TaskRecord> tasks) {
 
 bool passes_availability(std::span<const TaskRecord> tasks) {
   return std::all_of(tasks.begin(), tasks.end(), record_available);
-}
-
-bool is_dag_job(std::span<const TaskRecord> tasks) {
-  if (tasks.size() < 2) return false;
-  bool any_dep = false;
-  for (const TaskRecord& t : tasks) {
-    const auto parsed = parse_task_name(t.task_name);
-    if (!parsed) return false;
-    any_dep = any_dep || !parsed->deps.empty();
-  }
-  return any_dep;
-}
-
-bool passes_criteria(std::span<const TaskRecord> tasks,
-                     const SamplingCriteria& criteria) {
-  const int size = static_cast<int>(tasks.size());
-  if (size < criteria.min_tasks || size > criteria.max_tasks) return false;
-  if (criteria.require_integrity && !passes_integrity(tasks)) return false;
-  if (criteria.require_availability && !passes_availability(tasks)) return false;
-  if (criteria.require_dag && !is_dag_job(tasks)) return false;
-  return true;
 }
 
 std::vector<std::size_t> select_jobs(const TraceIndex& index,

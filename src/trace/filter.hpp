@@ -54,15 +54,11 @@ struct SamplingCriteria {
 };
 
 /// Span-based variants of the criteria for callers that hold one job's rows
-/// directly (the streaming ingest) instead of indices into a full Trace.
-/// Semantically identical to the TraceIndex-based predicates above.
+/// directly (the streaming ingest, core::build_eligible_dag) instead of
+/// indices into a full Trace. Semantically identical to the
+/// TraceIndex-based predicates above.
 bool passes_integrity(std::span<const TaskRecord> tasks);
 bool passes_availability(std::span<const TaskRecord> tasks);
-bool is_dag_job(std::span<const TaskRecord> tasks);
-
-/// All criteria at once over one job's rows.
-bool passes_criteria(std::span<const TaskRecord> tasks,
-                     const SamplingCriteria& criteria);
 
 /// Returns indices into `index.jobs()` of jobs satisfying all criteria.
 std::vector<std::size_t> select_jobs(const TraceIndex& index,

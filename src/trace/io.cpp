@@ -1,5 +1,7 @@
 #include "trace/io.hpp"
 
+#include "trace/group_stream.hpp"
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -22,7 +24,10 @@ util::CsvScanPolicy scan_policy(const TraceReadOptions& options) {
   return util::CsvScanPolicy{options.lenient, options.diagnostics};
 }
 
-/// Reassembles a row preview ("f0,f1,...") for error messages and samples.
+}  // namespace
+
+namespace detail {
+
 std::string row_preview(std::span<const std::string_view> fields) {
   std::string out;
   for (std::size_t i = 0; i < fields.size(); ++i) {
@@ -37,7 +42,11 @@ std::string row_preview(std::span<const std::string_view> fields) {
   return out;
 }
 
-/// The one malformed-row path of the readers: counts the row in `count`,
+}  // namespace detail
+
+namespace {
+
+/// The malformed-row path of the whole-file readers: counts the row in `count`,
 /// then throws ParseError naming `file` and the record in strict mode, or
 /// records a `kind` diagnostic in lenient mode.
 void malformed_row(const util::CsvScanner& scanner,
@@ -48,10 +57,10 @@ void malformed_row(const util::CsvScanner& scanner,
   if (!options.lenient) {
     throw util::ParseError(std::string(file) + " record " +
                            std::to_string(scanner.record_number()) +
-                           ": malformed row: " + row_preview(fields));
+                           ": malformed row: " + detail::row_preview(fields));
   }
   if (options.diagnostics != nullptr) {
-    options.diagnostics->record("ingest", kind, row_preview(fields));
+    options.diagnostics->record("ingest", kind, detail::row_preview(fields));
   }
 }
 
@@ -178,100 +187,19 @@ Trace read_trace(const std::filesystem::path& dir, std::size_t* skipped,
   return trace;
 }
 
-bool TaskRowReader::ClosedJobs::insert(std::string_view name) {
-  if (name.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw util::ParseError("batch_task.csv: job name longer than 4 GiB");
-  }
-  if (2 * (count_ + 1) > slots_.size()) grow();
-  const std::size_t slot = find(name);
-  if (slots_[slot] != kEmpty) return false;
-  slots_[slot] = arena_.size();
-  const auto length = static_cast<std::uint32_t>(name.size());
-  arena_.append(reinterpret_cast<const char*>(&length), sizeof length);
-  arena_.append(name);
-  ++count_;
-  return true;
-}
-
-std::string_view TaskRowReader::ClosedJobs::name_at(
-    std::uint64_t offset) const {
-  std::uint32_t length = 0;
-  std::memcpy(&length, arena_.data() + offset, sizeof length);
-  return {arena_.data() + offset + sizeof length, length};
-}
-
-std::size_t TaskRowReader::ClosedJobs::find(std::string_view name) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = std::hash<std::string_view>{}(name) & mask;
-  while (slots_[slot] != kEmpty && name_at(slots_[slot]) != name) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void TaskRowReader::ClosedJobs::grow() {
-  slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
-  for (std::uint64_t offset = 0; offset < arena_.size();) {
-    const std::string_view name = name_at(offset);
-    slots_[find(name)] = offset;
-    offset += sizeof(std::uint32_t) + name.size();
-  }
-}
-
-TaskRowReader::TaskRowReader(std::istream& in, const TraceReadOptions& options)
-    : scanner_(in, util::CsvScanner::kDefaultBlockSize, scan_policy(options)),
-      options_(options) {}
-
-TaskRowReader::Row TaskRowReader::next(TaskRecord& rec) {
-  while (const auto fields = scanner_.next()) {
-    if (!rec.assign_fields(*fields)) {
-      malformed_row(scanner_, *fields, "batch_task.csv", "malformed-row",
-                    options_, stats_.malformed);
-      continue;
-    }
-    ++stats_.rows;
-    if (open_ && rec.job_name == open_job_) return Row::kSameJob;
-    close_group();
-    open_job_.assign(rec.job_name);
-    open_ = true;
-    return Row::kNewJob;
-  }
-  close_group();
-  return Row::kEnd;
-}
-
-void TaskRowReader::close_group() {
-  if (!open_) return;
-  open_ = false;
-  ++stats_.jobs;
-  if (!closed_.insert(open_job_)) ++stats_.fragmented;
-}
-
-StreamStats TaskRowReader::stats() const noexcept {
-  StreamStats out = stats_;
-  out.malformed += scanner_.quarantined();
-  return out;
-}
-
 StreamStats consume_jobs_in_task_csv(
     std::istream& in,
     const std::function<bool(std::string&& job_name,
                              std::vector<TaskRecord>&& tasks)>& fn,
     const TraceReadOptions& options) {
-  TaskRowReader reader(in, options);
-  std::vector<TaskRecord> group;
-  TaskRecord row;
-  for (;;) {
-    const TaskRowReader::Row kind = reader.next(row);
-    if (kind != TaskRowReader::Row::kSameJob && !group.empty()) {
-      std::string job = group.front().job_name;
-      if (!fn(std::move(job), std::move(group))) break;
-      group.clear();
-    }
-    if (kind == TaskRowReader::Row::kEnd) break;
-    group.push_back(row);
-  }
-  return reader.stats();
+  GroupStreamOptions stream;
+  stream.read = options;
+  return stream_job_groups(
+      in, stream, nullptr,
+      [&fn](std::size_t /*slot*/, const StreamedGroup& group, GroupLog&) {
+        return fn(std::string(group.job_name),
+                  std::vector<TaskRecord>(group.rows.begin(), group.rows.end()));
+      });
 }
 
 }  // namespace cwgl::trace

@@ -61,6 +61,14 @@ void write_trace(const Trace& trace, const std::filesystem::path& dir);
 Trace read_trace(const std::filesystem::path& dir, std::size_t* skipped = nullptr,
                  const TraceReadOptions& options = {});
 
+namespace detail {
+
+/// A row reassembled for messages and samples ("f0,f1,...", clipped after
+/// 120 bytes): the preview of every reader's malformed-row path.
+std::string row_preview(std::span<const std::string_view> fields);
+
+}  // namespace detail
+
 /// Statistics of a streaming pass.
 struct StreamStats {
   std::size_t rows = 0;          ///< well-formed task rows visited
@@ -69,80 +77,16 @@ struct StreamStats {
   std::size_t fragmented = 0;    ///< jobs whose rows were NOT contiguous
 };
 
-/// Reads `batch_task.csv` one well-formed row at a time into a record the
-/// caller owns, so a caller that recycles its records parses every row in
-/// place, and tracks the job groups the rows form. Rows of one job are
-/// assumed contiguous (true of the released trace); if a job name reappears
-/// after its group closed, the re-occurrence opens a separate group, counted
-/// in `StreamStats::fragmented` so callers can detect unsorted input.
-/// Spotting it means keeping every closed job name, packed at about 30-50
-/// bytes a short name, the stream's one per-job cost. consume_jobs_in_task_csv
-/// and the streaming ingest's reader (core/ingest.cpp) are loops over it.
-///
-/// Failure posture follows `options`: lenient (default) quarantines
-/// malformed rows and CSV damage into `options.diagnostics`; strict throws
-/// util::ParseError naming the first offending record.
-class TaskRowReader {
- public:
-  /// What next() read.
-  enum class Row {
-    kEnd,      ///< nothing: the input is exhausted and its last group closed
-    kSameJob,  ///< a row of the open job group
-    kNewJob,   ///< a row that opens a job group, closing the open one
-  };
-
-  explicit TaskRowReader(std::istream& in, const TraceReadOptions& options = {});
-
-  /// Parses the next well-formed row into `rec`, reusing the capacity of its
-  /// strings, and says whether it opens a job group. Malformed rows before
-  /// it are counted and handled per the options. `rec` is unchanged on kEnd.
-  Row next(TaskRecord& rec);
-
-  /// Counts so far: rows parsed, groups closed (a group closes when the row
-  /// after it opens the next, or at the end), and malformed rows, scanner
-  /// quarantines included.
-  StreamStats stats() const noexcept;
-
- private:
-  /// The names of the closed job groups, to spot a job whose rows reappear.
-  /// It holds one entry per job of the file, so it is packed: the names sit
-  /// in one arena, each behind its 4-byte length, and an open-addressing
-  /// table at most half full holds their arena offsets. That is about
-  /// 30-50 B a short name, where a node-based set of strings takes about 75.
-  class ClosedJobs {
-   public:
-    /// Records `name`; false when it was recorded before.
-    bool insert(std::string_view name);
-
-   private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    std::string_view name_at(std::uint64_t offset) const;
-    /// The slot holding `name`, or the empty slot where it belongs.
-    std::size_t find(std::string_view name) const;
-    /// Doubles the table and re-indexes every name from the arena.
-    void grow();
-
-    std::string arena_;
-    std::vector<std::uint64_t> slots_;  ///< arena offsets; size a power of two
-    std::size_t count_ = 0;
-  };
-
-  /// Counts the open group, if any, as closed.
-  void close_group();
-
-  util::CsvScanner scanner_;
-  TraceReadOptions options_;
-  StreamStats stats_;
-  ClosedJobs closed_;
-  std::string open_job_;  ///< the open group's job name
-  bool open_ = false;
-};
-
 /// Streams batch_task rows grouped by job WITHOUT materializing the trace —
-/// required for the real 270 GB files. A loop over TaskRowReader, with its
-/// grouping rule, stats and failure posture. Ownership of each job group
-/// transfers to `fn`; `fn` returning false stops the stream early.
+/// required for the real 270 GB files. Rows of one job are assumed
+/// contiguous (true of the released trace); a job name that reappears after
+/// its group closed opens a separate group, counted in
+/// `StreamStats::fragmented`. Malformed rows never split a group. A serial
+/// stream_job_groups (trace/group_stream.hpp) with its failure posture;
+/// ownership of each job group, copied out of the stream, transfers to
+/// `fn`, on the calling thread and in trace order. `fn` returning false
+/// stops the stream early; the stats then count through the row that
+/// closed that group.
 StreamStats consume_jobs_in_task_csv(
     std::istream& in,
     const std::function<bool(std::string&& job_name,

@@ -6,18 +6,16 @@
 
 namespace cwgl::trace {
 
-std::optional<TaskName> parse_task_name(std::string_view name) {
-  if (name.empty()) return std::nullopt;
+bool parse_task_name(std::string_view name, char& type, int& index,
+                     std::vector<int>& deps) {
   std::size_t i = 0;
   while (i < name.size() &&
          ((name[i] >= 'A' && name[i] <= 'Z') || (name[i] >= 'a' && name[i] <= 'z'))) {
     ++i;
   }
-  if (i == 0 || i == name.size()) return std::nullopt;  // no letters or no digits
+  if (i == 0 || i == name.size()) return false;  // no letters or no digits
   // "task_..." style independent names contain an underscore straight after
   // the letters; the grammar requires digits first, so they fail below.
-  TaskName t;
-  t.type = name[0];
 
   const auto parse_int_run = [&](std::size_t& pos) -> std::optional<int> {
     const std::size_t start = pos;
@@ -33,15 +31,25 @@ std::optional<TaskName> parse_task_name(std::string_view name) {
   };
 
   const auto idx = parse_int_run(i);
-  if (!idx) return std::nullopt;
-  t.index = *idx;
+  if (!idx) return false;
+  const std::size_t deps_before = deps.size();
   while (i < name.size()) {
-    if (name[i] != '_') return std::nullopt;
-    ++i;
-    const auto dep = parse_int_run(i);
-    if (!dep) return std::nullopt;
-    t.deps.push_back(*dep);
+    const std::optional<int> dep =
+        name[i] == '_' ? parse_int_run(++i) : std::optional<int>();
+    if (!dep) {
+      deps.resize(deps_before);
+      return false;
+    }
+    deps.push_back(*dep);
   }
+  type = name[0];
+  index = *idx;
+  return true;
+}
+
+std::optional<TaskName> parse_task_name(std::string_view name) {
+  TaskName t;
+  if (!parse_task_name(name, t.type, t.index, t.deps)) return std::nullopt;
   return t;
 }
 

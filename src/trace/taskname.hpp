@@ -35,6 +35,13 @@ struct TaskName {
 /// "task_..." independent tasks — returns nullopt.
 std::optional<TaskName> parse_task_name(std::string_view name);
 
+/// parse_task_name into caller-owned storage, so a caller that keeps
+/// `deps` parses a job's names without allocating: on a match, sets `type`
+/// and `index`, appends the dependency indices to `deps` and returns true;
+/// otherwise returns false with all three as they were.
+bool parse_task_name(std::string_view name, char& type, int& index,
+                     std::vector<int>& deps);
+
 /// Re-encodes a TaskName into trace spelling. Inverse of parse_task_name
 /// for all names produced by this library.
 std::string encode_task_name(const TaskName& t);

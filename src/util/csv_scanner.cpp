@@ -84,12 +84,82 @@ constexpr Hits clear_first(Hits mask, std::size_t idx) noexcept {
 
 #endif
 
+/// The fast path of both scanners: splits the unquoted record that starts
+/// at `rec` into `fields`, one sweep of kProbeBytes-wide probes finding
+/// commas, the record terminator and any quote at once. Running off `lim`
+/// while more input may follow (`!eof`) asks for a refill, and so does a
+/// '\r' as the last buffered byte, which may open a CRLF pair. At the first
+/// quote it gives up, `fields` then half filled. On kDone `rec_len` is the
+/// record's length including its terminator, and past `lim` with `eof` the
+/// record runs to `lim`.
+enum class Unquoted { kDone, kRefill, kQuoted };
+
+Unquoted scan_unquoted(const char* rec, const char* lim, bool eof,
+                       std::vector<std::string_view>& fields,
+                       std::size_t& rec_len) {
+  fields.clear();
+  const char* field_start = rec;
+  const char* p = rec;
+  std::size_t content_len = 0;  ///< record bytes before the terminator
+  for (bool done = false; !done;) {
+    if (p >= lim) {
+      if (!eof) return Unquoted::kRefill;
+      content_len = rec_len = static_cast<std::size_t>(lim - rec);
+      break;
+    }
+    std::size_t n = static_cast<std::size_t>(lim - p);
+    Hits hits = 0;
+    if (n >= kProbeBytes) {
+      n = kProbeBytes;
+      hits = probe(p);
+    } else {
+      // The buffer's last bytes: probe a zero-padded copy, so no load
+      // reaches past them. A padding byte is never a hit the loop below
+      // acts on.
+      char tail[kProbeBytes] = {};
+      std::memcpy(tail, p, n);
+      hits = probe(tail);
+    }
+    while (hits != 0) {
+      const std::size_t off = first_hit(hits);
+      hits = clear_first(hits, off);
+      if (off >= n) break;  // padding byte of the final partial probe
+      const char* at = p + off;
+      const char c = *at;  // a probe may over-flag; recheck the byte
+      if (c == ',') {
+        fields.emplace_back(field_start,
+                            static_cast<std::size_t>(at - field_start));
+        field_start = at + 1;
+      } else if (c == '"') {
+        return Unquoted::kQuoted;
+      } else if (c == '\n' || c == '\r') {
+        content_len = static_cast<std::size_t>(at - rec);
+        if (c == '\n') {
+          rec_len = content_len + 1;
+        } else if (at + 1 == lim && !eof) {
+          return Unquoted::kRefill;  // a CRLF pair may straddle the refill
+        } else {
+          rec_len = content_len + ((at + 1 < lim && at[1] == '\n') ? 2 : 1);
+        }
+        done = true;
+        break;
+      }
+    }
+    p += n;
+  }
+  fields.emplace_back(field_start, static_cast<std::size_t>(
+                                       (rec + content_len) - field_start));
+  return Unquoted::kDone;
+}
+
 }  // namespace
 
 CsvScanner::CsvScanner(std::istream& in, std::size_t block_size,
-                       CsvScanPolicy policy)
+                       CsvScanPolicy policy, const CsvResume& resume)
     : in_(in), block_size_(std::max<std::size_t>(1, block_size)),
-      policy_(policy) {}
+      policy_(policy), buffer_(resume.buffered.begin(), resume.buffered.end()),
+      end_(resume.buffered.size()), offset_(resume.offset),
+      record_(resume.records), flushed_records_(resume.records) {}
 
 CsvScanner::~CsvScanner() { flush_metrics(); }
 
@@ -114,6 +184,7 @@ bool CsvScanner::refill() {
   if (begin_ > 0) {
     std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
     end_ -= begin_;
+    offset_ += begin_;
     begin_ = 0;
   }
   if (buffer_.size() - end_ < block_size_) {
@@ -174,85 +245,22 @@ std::optional<std::span<const std::string_view>> CsvScanner::next() {
     unescaped_.clear();
 
     // --- fast path: unquoted record fully resident in the buffer ---
-    // One sweep of kProbeBytes-wide probes finds commas, the record
-    // terminator, and any quote at once; the first quote bails out to the
-    // exact state machine, and running off the buffered bytes triggers a
-    // refill.
-    {
-      const char* rec = buffer_.data() + begin_;
-      const char* lim = buffer_.data() + end_;
-      const char* field_start = rec;
-      const char* p = rec;
-      std::size_t content_len = 0;  ///< record bytes before the terminator
-      std::size_t rec_len = 0;      ///< bytes consumed including terminator
-      enum { kScanning, kDone, kRefill, kQuoted } state = kScanning;
-      while (state == kScanning) {
-        if (p >= lim) {
-          if (!eof_) {
-            state = kRefill;
-            break;
-          }
-          content_len = rec_len = static_cast<std::size_t>(lim - rec);
-          state = kDone;
-          break;
-        }
-        std::size_t n = static_cast<std::size_t>(lim - p);
-        Hits hits = 0;
-        if (n >= kProbeBytes) {
-          n = kProbeBytes;
-          hits = probe(p);
-        } else {
-          // The buffer's last bytes: probe a zero-padded copy, so no load
-          // reaches past them. A padding byte is never a hit the loop
-          // below acts on.
-          char tail[kProbeBytes] = {};
-          std::memcpy(tail, p, n);
-          hits = probe(tail);
-        }
-        while (hits != 0) {
-          const std::size_t off = first_hit(hits);
-          hits = clear_first(hits, off);
-          if (off >= n) break;  // padding byte of the final partial probe
-          const char* at = p + off;
-          const char c = *at;  // a probe may over-flag; recheck the byte
-          if (c == ',') {
-            fields_.emplace_back(field_start,
-                                 static_cast<std::size_t>(at - field_start));
-            field_start = at + 1;
-          } else if (c == '"') {
-            state = kQuoted;
-            break;
-          } else if (c == '\n' || c == '\r') {
-            content_len = static_cast<std::size_t>(at - rec);
-            if (c == '\n') {
-              rec_len = content_len + 1;
-            } else if (at + 1 == lim && !eof_) {
-              state = kRefill;  // cannot tell yet whether a CRLF pair follows
-              break;
-            } else {
-              rec_len = content_len + ((at + 1 < lim && at[1] == '\n') ? 2 : 1);
-            }
-            if (state == kScanning) state = kDone;
-            break;
-          }
-        }
-        if (state == kScanning) p += n;
-      }
-      if (state == kRefill) {
+    std::size_t rec_len = 0;
+    switch (scan_unquoted(buffer_.data() + begin_, buffer_.data() + end_,
+                          eof_, fields_, rec_len)) {
+      case Unquoted::kRefill:
         refill();
         continue;
-      }
-      if (state == kDone) {
-        fields_.emplace_back(
-            field_start,
-            static_cast<std::size_t>((rec + content_len) - field_start));
+      case Unquoted::kDone:
+        record_offset_ = offset_ + begin_;
         consumed_ += rec_len;
         begin_ += rec_len;
         ++record_;
         return std::span<const std::string_view>(fields_);
-      }
-      // A quote is present: take the exact CsvReader state machine below.
-      fields_.clear();
+      case Unquoted::kQuoted:
+        // A quote is present: take the exact CsvReader state machine below.
+        fields_.clear();
+        break;
     }
     std::size_t p = begin_;
     std::size_t field_begin = p;
@@ -345,11 +353,30 @@ std::optional<std::span<const std::string_view>> CsvScanner::next() {
       continue;
     }
     finish_field(field_end);
+    record_offset_ = offset_ + begin_;
     consumed_ += rec_end - begin_;
     begin_ = rec_end;
     ++record_;
     return std::span<const std::string_view>(fields_);
   }
+}
+
+void CsvBlockScanner::reset(std::string_view block) noexcept {
+  block_ = block;
+  pos_ = 0;
+  record_begin_ = 0;
+}
+
+std::optional<std::span<const std::string_view>> CsvBlockScanner::next() {
+  if (pos_ == block_.size()) return std::nullopt;
+  std::size_t rec_len = 0;
+  if (scan_unquoted(block_.data() + pos_, block_.data() + block_.size(),
+                    /*eof=*/true, fields_, rec_len) == Unquoted::kQuoted) {
+    throw InvalidArgument("CsvBlockScanner: quote in a block");
+  }
+  record_begin_ = pos_;
+  pos_ += rec_len;
+  return std::span<const std::string_view>(fields_);
 }
 
 std::size_t scan_csv_records(

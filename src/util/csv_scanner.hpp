@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <iosfwd>
@@ -23,6 +24,20 @@ struct CsvScanPolicy {
   /// Optional sink: quarantined records are reported as
   /// ("csv", "unterminated-quote", <first line of the record>).
   Diagnostics* diagnostics = nullptr;
+};
+
+/// Where a CsvScanner starts when it takes over a stream part-way: the
+/// chunked ingest hands the rest of a stream to one exact scanner from
+/// the first chunk that holds a quote (trace::stream_job_groups).
+struct CsvResume {
+  /// Bytes already read from the stream, starting at a record boundary;
+  /// the scanner yields them before reading on.
+  std::string_view buffered;
+  /// Records before them, so record numbers stay those of the whole file.
+  /// They are not counted again in `ingest.scanner.rows`.
+  std::size_t records = 0;
+  /// Stream offset of their first byte.
+  std::uint64_t offset = 0;
 };
 
 /// Zero-copy streaming CSV scanner.
@@ -51,7 +66,8 @@ class CsvScanner {
   /// tiny values are legal (the boundary-handling tests use them).
   explicit CsvScanner(std::istream& in,
                       std::size_t block_size = kDefaultBlockSize,
-                      CsvScanPolicy policy = {});
+                      CsvScanPolicy policy = {},
+                      const CsvResume& resume = {});
 
   CsvScanner(const CsvScanner&) = delete;
   CsvScanner& operator=(const CsvScanner&) = delete;
@@ -67,6 +83,9 @@ class CsvScanner {
 
   /// 1-based index of the last record returned (for error messages).
   std::size_t record_number() const noexcept { return record_; }
+
+  /// Stream offset of the first byte of the last record returned.
+  std::uint64_t record_offset() const noexcept { return record_offset_; }
 
   /// Total input bytes consumed by returned records (throughput accounting).
   std::size_t bytes_consumed() const noexcept { return consumed_; }
@@ -94,6 +113,8 @@ class CsvScanner {
   std::vector<char> buffer_;
   std::size_t begin_ = 0;  ///< first unconsumed byte in buffer_
   std::size_t end_ = 0;    ///< one past the last valid byte in buffer_
+  std::uint64_t offset_ = 0;         ///< stream offset of buffer_[0]
+  std::uint64_t record_offset_ = 0;  ///< stream offset of the last record
   bool eof_ = false;
   std::size_t record_ = 0;
   std::size_t consumed_ = 0;
@@ -105,6 +126,35 @@ class CsvScanner {
   /// Stable storage for unescaped quoted fields (deque: growth never moves
   /// existing elements, so views into them stay valid for the record).
   std::deque<std::string> unescaped_;
+};
+
+/// Splits a block of whole CSV records that holds no quote into fields,
+/// exactly as CsvScanner's fast path splits them: records end at '\n',
+/// "\r\n" or a lone '\r', and the block's end ends the input, so a last
+/// record without a terminator is a record too. The chunked ingest cuts a
+/// stream after a '\n' into such blocks and scans them on its workers.
+class CsvBlockScanner {
+ public:
+  /// Starts over on `block`, which must outlive the scan. Throws
+  /// InvalidArgument from next() on a quote: the caller has to route a
+  /// block that holds one to CsvScanner.
+  void reset(std::string_view block) noexcept;
+
+  /// The next record's fields, views into the block, or nullopt at its
+  /// end. The span is invalidated by the next call.
+  std::optional<std::span<const std::string_view>> next();
+
+  /// Where the last record returned starts in the block.
+  std::size_t record_begin() const noexcept { return record_begin_; }
+
+  /// Bytes of the block in the records returned so far.
+  std::size_t consumed() const noexcept { return pos_; }
+
+ private:
+  std::string_view block_;
+  std::size_t pos_ = 0;
+  std::size_t record_begin_ = 0;
+  std::vector<std::string_view> fields_;
 };
 
 /// Streams records through `fn` with the zero-copy scanner; stops early if

@@ -17,6 +17,7 @@
 #include "cli/commands.hpp"
 #include "cli/predict.hpp"
 #include "core/ingest.hpp"
+#include "trace/group_stream.hpp"
 #include "model/format.hpp"
 #include "serve/classifier.hpp"
 #include "support/golden.hpp"
@@ -162,8 +163,8 @@ TEST_F(PredictDifferential, GeneratedTracesAgainstSampledAndFullSnapshots) {
 
 // The CLI's pool follows hardware_concurrency, so on a one-core host the
 // command streams serially. This runs the stream with the predict
-// transform on four workers, down to one-job batches and a one-batch
-// queue, so the reader refills batches while workers still hold others.
+// transform on four workers, down to chunks of a few rows, so most jobs
+// are cut by a chunk edge and rendered at the stitch.
 TEST_F(PredictDifferential, PooledStreamMatchesTheOracle) {
   util::ThreadPool pool(4);
   for (const Mix& m : mixes_) {
@@ -173,12 +174,12 @@ TEST_F(PredictDifferential, PooledStreamMatchesTheOracle) {
         const std::string& input = m.held_out[json ? 1 : 0];
         const Output expected = run_oracle(model, input, json);
         ASSERT_EQ(expected.code, 0) << expected.err;
-        for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
-          SCOPED_TRACE(model + (json ? " --json" : " text") + " batch " +
-                       std::to_string(batch_jobs));
+        for (const std::size_t chunk : {std::size_t{256}, std::size_t{4096},
+                                        trace::kDefaultChunkBytes}) {
+          SCOPED_TRACE(model + (json ? " --json" : " text") + " chunk " +
+                       std::to_string(chunk));
           core::IngestOptions options;
-          options.batch_jobs = batch_jobs;
-          options.queue_capacity = batch_jobs == 64 ? 64 : 1;
+          options.chunk_bytes = chunk;
           std::ifstream in(input);
           core::IngestStats stats;
           const std::vector<std::string> jobs = core::stream_transformed(
@@ -282,13 +283,12 @@ TEST_F(PredictDifferential, MemoKeySeparatesWhatClassifyReads) {
   for (const std::string& model : {full, conflated_, sampled}) {
     SCOPED_TRACE(model);
     expect_predict_matches_oracle(model, input);
-    // Four workers sharing the memo, one job a batch.
+    // Four workers sharing the memo, a few rows a chunk.
     const serve::Classifier classifier(model::load_model(model));
     for (const bool json : {false, true}) {
       const Output expected = run_oracle(model, input, json);
       core::IngestOptions options;
-      options.batch_jobs = 1;
-      options.queue_capacity = 1;
+      options.chunk_bytes = 64;
       std::ifstream in(input);
       core::IngestStats stats;
       const std::vector<std::string> rendered = core::stream_transformed(

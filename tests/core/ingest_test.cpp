@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/pipeline.hpp"
+#include "trace/group_stream.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/diagnostics.hpp"
@@ -65,26 +66,23 @@ TEST(StreamDagJobs, PooledMatchesSerialIncludingOrder) {
   const auto serial = stream_dag_jobs(serial_in, {}, nullptr, &serial_stats);
 
   util::ThreadPool pool(4);
-  // Small batches and queues make many hand-offs and reorderings, and keep
-  // the reader refilling spent batches while workers still hold others.
-  for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
-    for (const std::size_t queue_capacity : {1u, 2u, 64u}) {
-      SCOPED_TRACE("batch_jobs " + std::to_string(batch_jobs) +
-                   ", queue_capacity " + std::to_string(queue_capacity));
-      IngestOptions options;
-      options.batch_jobs = batch_jobs;
-      options.queue_capacity = queue_capacity;
-      std::istringstream pooled_in(csv);
-      IngestStats pooled_stats;
-      const auto pooled =
-          stream_dag_jobs(pooled_in, options, &pool, &pooled_stats);
+  // Small chunks cut most jobs, so the stitch joins many of them, and make
+  // many turns and reorderings.
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, std::size_t{4096},
+                                  trace::kDefaultChunkBytes}) {
+    SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
+    IngestOptions options;
+    options.chunk_bytes = chunk;
+    std::istringstream pooled_in(csv);
+    IngestStats pooled_stats;
+    const auto pooled = stream_dag_jobs(pooled_in, options, &pool, &pooled_stats);
 
-      expect_same_jobs(pooled, serial);
-      EXPECT_EQ(pooled_stats.eligible, serial_stats.eligible);
-      EXPECT_EQ(pooled_stats.dags, serial_stats.dags);
-      EXPECT_EQ(pooled_stats.stream.rows, serial_stats.stream.rows);
-      EXPECT_EQ(pooled_stats.stream.jobs, serial_stats.stream.jobs);
-    }
+    expect_same_jobs(pooled, serial);
+    EXPECT_EQ(pooled_stats.eligible, serial_stats.eligible);
+    EXPECT_EQ(pooled_stats.dags, serial_stats.dags);
+    EXPECT_EQ(pooled_stats.stream.rows, serial_stats.stream.rows);
+    EXPECT_EQ(pooled_stats.stream.jobs, serial_stats.stream.jobs);
   }
 }
 
@@ -184,10 +182,10 @@ TEST(StreamDagJobs, LenientCountsCorruptJobsIntoDiagnostics) {
 }
 
 TEST(StreamDagJobs, PooledStrictCyclicJobDoesNotDeadlock) {
-  // Regression for the shutdown ordering: a worker that throws mid-stream
-  // must close the queue so the reader's blocked push is released. With a
-  // tiny queue and batch size the reader is guaranteed to be pushing when
-  // the worker dies; before the close-on-throw fix this test hung.
+  // Regression for the shutdown ordering: a job that throws mid-stream
+  // ends the stream at its chunk's turn, and every worker waiting for a
+  // later turn or about to read must stop. Tiny chunks keep workers both
+  // ahead of and behind the failing one.
   std::ostringstream csv;
   csv << "M1_2,1,j_cycle,1,Terminated,10,20,100.00,0.50\n";
   csv << "R2_1,1,j_cycle,1,Terminated,30,40,100.00,0.50\n";
@@ -198,8 +196,7 @@ TEST(StreamDagJobs, PooledStrictCyclicJobDoesNotDeadlock) {
   util::ThreadPool pool(4);
   IngestOptions options;
   options.strict = true;
-  options.batch_jobs = 1;
-  options.queue_capacity = 1;
+  options.chunk_bytes = 64;
   std::istringstream in(csv.str());
   EXPECT_THROW(stream_dag_jobs(in, options, &pool), util::GraphError);
 }
@@ -343,23 +340,20 @@ TEST(InPlaceReader, PooledMatchesSerialOnDamagedInput) {
   expect_same_dags(serial, build_all_dag_jobs(data, trace::SamplingCriteria{}));
 
   util::ThreadPool pool(4);
-  for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
-    for (const std::size_t queue_capacity : {1u, 64u}) {
-      SCOPED_TRACE("batch_jobs " + std::to_string(batch_jobs) +
-                   ", queue_capacity " + std::to_string(queue_capacity));
-      util::Diagnostics diagnostics;
-      IngestOptions options;
-      options.batch_jobs = batch_jobs;
-      options.queue_capacity = queue_capacity;
-      options.diagnostics = &diagnostics;
-      std::istringstream in(csv);
-      IngestStats stats;
-      const auto pooled = stream_dag_jobs(in, options, &pool, &stats);
-      expect_same_dags(pooled, serial);
-      expect_same_stats(stats, serial_stats);
-      EXPECT_EQ(diagnostics.count_of("ingest", "malformed-row"),
-                serial_diagnostics.count_of("ingest", "malformed-row"));
-    }
+  for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096},
+                                  trace::kDefaultChunkBytes}) {
+    SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
+    util::Diagnostics diagnostics;
+    IngestOptions options;
+    options.chunk_bytes = chunk;
+    options.diagnostics = &diagnostics;
+    std::istringstream in(csv);
+    IngestStats stats;
+    const auto pooled = stream_dag_jobs(in, options, &pool, &stats);
+    expect_same_dags(pooled, serial);
+    expect_same_stats(stats, serial_stats);
+    EXPECT_EQ(diagnostics.count_of("ingest", "malformed-row"),
+              serial_diagnostics.count_of("ingest", "malformed-row"));
   }
 }
 
@@ -372,10 +366,10 @@ TEST(InPlaceReader, StrictErrorTextMatchesAcrossPaths) {
       task_csv(make_trace(200, 5)) + "M1,1,\"j_open,1,Terminated\n";
   util::ThreadPool pool(4);
   for (const std::string* csv : {&damaged, &quoted}) {
-    const auto error_of = [&](util::ThreadPool* p, std::size_t batch_jobs) {
+    const auto error_of = [&](util::ThreadPool* p, std::size_t chunk) {
       IngestOptions options;
       options.strict = true;
-      options.batch_jobs = batch_jobs;
+      options.chunk_bytes = chunk;
       std::istringstream in(*csv);
       try {
         stream_dag_jobs(in, options, p);
@@ -384,27 +378,62 @@ TEST(InPlaceReader, StrictErrorTextMatchesAcrossPaths) {
       }
       return std::string("no ParseError");
     };
-    const std::string serial = error_of(nullptr, 64);
+    const std::string serial = error_of(nullptr, trace::kDefaultChunkBytes);
     EXPECT_NE(serial, "no ParseError");
-    for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
-      EXPECT_EQ(error_of(&pool, batch_jobs), serial) << batch_jobs;
+    for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096},
+                                    trace::kDefaultChunkBytes}) {
+      EXPECT_EQ(error_of(nullptr, chunk), serial) << chunk;
+      EXPECT_EQ(error_of(&pool, chunk), serial) << chunk;
     }
   }
 }
+
+/// A cyclic job, then a malformed row after its successor's first row.
+const char* const kCycleThenMalformed =
+    "M1_2,1,j_cycle,1,Terminated,10,20,100.00,0.50\n"
+    "R2_1,1,j_cycle,1,Terminated,30,40,100.00,0.50\n"
+    "M1,1,j_ok,1,Terminated,10,20,100.00,0.50\n"
+    "garbage,row\n"
+    "R2_1,1,j_ok,1,Terminated,30,40,100.00,0.50\n";
 
 // The serial path builds each group as soon as the row after it is read,
 // before reading on: a corrupt job escalates before a malformed row that
 // follows its successor's first row is even parsed.
 TEST(InPlaceReader, SerialBuildsEachGroupBeforeReadingOn) {
-  std::stringstream in;
-  in << "M1_2,1,j_cycle,1,Terminated,10,20,100.00,0.50\n";
-  in << "R2_1,1,j_cycle,1,Terminated,30,40,100.00,0.50\n";
-  in << "M1,1,j_ok,1,Terminated,10,20,100.00,0.50\n";
-  in << "garbage,row\n";
-  in << "R2_1,1,j_ok,1,Terminated,30,40,100.00,0.50\n";
+  std::stringstream in(kCycleThenMalformed);
   IngestOptions strict;
   strict.strict = true;
   EXPECT_THROW(stream_dag_jobs(in, strict), util::GraphError);
+}
+
+// The pooled path throws what the serial one throws: the first offense in
+// file order, where a corrupt job ranks at the row that closes its group.
+// Whichever worker meets the malformed row first, the cycle wins.
+TEST(InPlaceReader, PooledRanksEachOffenseInFileOrder) {
+  const std::string expected =
+      "job j_cycle: task dependencies form a cycle";
+  for (const std::size_t workers : {2u, 4u}) {
+    util::ThreadPool pool(workers);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{64}, std::size_t{100},
+                                    std::size_t{150}, trace::kDefaultChunkBytes}) {
+      for (int round = 0; round < 5; ++round) {
+        std::stringstream in(kCycleThenMalformed);
+        IngestOptions strict;
+        strict.strict = true;
+        strict.chunk_bytes = chunk;
+        try {
+          stream_dag_jobs(in, strict, &pool);
+          ADD_FAILURE() << "no error, chunk " << chunk;
+        } catch (const util::GraphError& e) {
+          EXPECT_EQ(std::string(e.what()), expected) << chunk;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << workers << " workers, chunk " << chunk << ": "
+                        << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(Pipeline, BuildAllDagsStreamingOverloadAgrees) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "graph/algorithms.hpp"
+#include "support/ingest_oracle.hpp"
 
 namespace cwgl::core {
 namespace {
@@ -141,6 +146,97 @@ TEST(ConflateJob, TypeDistinctionPreserved) {
   const auto job = build_job_dag("j_12", tasks);
   ASSERT_TRUE(job.has_value());
   EXPECT_EQ(conflate_job(*job).size(), 3);
+}
+
+/// A random job of up to 7 rows: DAG names with duplicate indices,
+/// missing, repeated and cyclic dependencies, now and then a name outside
+/// the grammar, a failed task or an unusable time.
+std::vector<trace::TaskRecord> random_job(std::mt19937_64& rng) {
+  std::vector<trace::TaskRecord> rows;
+  const int n = static_cast<int>(rng() % 8);
+  for (int i = 1; i <= n; ++i) {
+    std::string name;
+    if (rng() % 23 == 0) {
+      name = "task_x" + std::to_string(i);
+    } else {
+      name = std::string(1, "MRJ"[rng() % 3]);
+      name += std::to_string(rng() % 9 == 0 ? 1 + static_cast<int>(rng() % n)
+                                            : i);
+      const int deps = static_cast<int>(rng() % 4);
+      for (int d = 0; d < deps; ++d) {
+        name += "_" + std::to_string(1 + static_cast<int>(rng() % (n + 1)));
+      }
+    }
+    trace::TaskRecord t = task(name, 1 + static_cast<int>(rng() % 3));
+    if (rng() % 17 == 0) t.status = trace::Status::Failed;
+    if (rng() % 19 == 0) t.start_time = 0;
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+void expect_same_result(const std::optional<JobDag>& a,
+                        const std::vector<BuildIssue>& a_issues,
+                        const std::optional<JobDag>& b,
+                        const std::vector<BuildIssue>& b_issues) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (a) {
+    EXPECT_EQ(a->job_name, b->job_name);
+    EXPECT_EQ(a->dag, b->dag);
+    ASSERT_EQ(a->tasks.size(), b->tasks.size());
+    for (std::size_t i = 0; i < a->tasks.size(); ++i) {
+      EXPECT_EQ(a->tasks[i].name, b->tasks[i].name);
+      EXPECT_EQ(a->tasks[i].type, b->tasks[i].type);
+      EXPECT_EQ(a->tasks[i].index, b->tasks[i].index);
+      EXPECT_EQ(a->tasks[i].instance_num, b->tasks[i].instance_num);
+    }
+  }
+  ASSERT_EQ(a_issues.size(), b_issues.size());
+  for (std::size_t i = 0; i < a_issues.size(); ++i) {
+    EXPECT_EQ(a_issues[i].job_name, b_issues[i].job_name);
+    EXPECT_EQ(a_issues[i].message, b_issues[i].message);
+    EXPECT_EQ(a_issues[i].kind, b_issues[i].kind);
+  }
+}
+
+// The one-pass build returns what the two-pass build it replaced returned:
+// the same DAG or the same issue, kind and message, on thousands of random
+// jobs; with criteria, the same eligibility too.
+TEST(BuildJobDag, OnePassMatchesTheTwoPassBuild) {
+  std::mt19937_64 rng(2026);
+  std::size_t built = 0;
+  std::size_t kinds[5] = {};
+  for (int round = 0; round < 5000; ++round) {
+    const std::vector<trace::TaskRecord> rows = random_job(rng);
+    std::vector<BuildIssue> issues;
+    std::vector<BuildIssue> expected_issues;
+    const auto dag = build_job_dag("j_r", rows, &issues);
+    const auto expected = oracle::build_job_dag("j_r", rows, &expected_issues);
+    expect_same_result(dag, issues, expected, expected_issues);
+    built += dag.has_value();
+    for (const BuildIssue& issue : issues) ++kinds[static_cast<int>(issue.kind)];
+
+    trace::SamplingCriteria criteria;
+    criteria.require_dag = rng() % 3 != 0;
+    criteria.require_integrity = rng() % 2 == 0;
+    criteria.require_availability = rng() % 2 == 0;
+    criteria.min_tasks = static_cast<int>(rng() % 3);
+    bool eligible = false;
+    std::vector<BuildIssue> eligible_issues;
+    const auto filtered = build_eligible_dag("j_r", rows, criteria, eligible,
+                                             &eligible_issues);
+    const bool expected_eligible = oracle::passes_criteria(rows, criteria);
+    ASSERT_EQ(eligible, expected_eligible) << "round " << round;
+    if (eligible) {
+      expect_same_result(filtered, eligible_issues, expected, expected_issues);
+    } else {
+      EXPECT_FALSE(filtered.has_value());
+      EXPECT_TRUE(eligible_issues.empty());
+    }
+  }
+  // Every outcome showed up.
+  EXPECT_GT(built, 100u);
+  for (const std::size_t count : kinds) EXPECT_GT(count, 10u);
 }
 
 }  // namespace

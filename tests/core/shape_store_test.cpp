@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/ingest.hpp"
+#include "trace/group_stream.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
@@ -272,34 +273,32 @@ TEST(StreamShapeJobs, PooledMatchesSerialExactly) {
   const InternedIngest serial = stream_shape_jobs(serial_in, {});
 
   util::ThreadPool pool(4);
-  // Many hand-offs, maximum reordering pressure, and batches recycled
-  // while workers still hold others.
-  for (const std::size_t batch_jobs : {1u, 3u, 64u}) {
-    for (const std::size_t queue_capacity : {1u, 2u, 64u}) {
-      SCOPED_TRACE("batch_jobs " + std::to_string(batch_jobs) +
-                   ", queue_capacity " + std::to_string(queue_capacity));
-      IngestOptions options;
-      options.batch_jobs = batch_jobs;
-      options.queue_capacity = queue_capacity;
-      std::istringstream pooled_in(csv);
-      const InternedIngest pooled =
-          stream_shape_jobs(pooled_in, options, &pool);
+  // Small chunks: many jobs cut by chunk edges, many turns at the stitch,
+  // maximum reordering pressure.
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, std::size_t{4096},
+                                  trace::kDefaultChunkBytes}) {
+    SCOPED_TRACE("chunk_bytes " + std::to_string(chunk));
+    IngestOptions options;
+    options.chunk_bytes = chunk;
+    std::istringstream pooled_in(csv);
+    const InternedIngest pooled =
+        stream_shape_jobs(pooled_in, options, &pool);
 
-      EXPECT_EQ(pooled.shape_of, serial.shape_of);
-      ASSERT_EQ(pooled.table.size(), serial.table.size());
-      EXPECT_EQ(pooled.table.total_jobs, serial.table.total_jobs);
-      for (std::size_t i = 0; i < serial.table.size(); ++i) {
-        EXPECT_EQ(pooled.table.shapes[i].shape_key,
-                  serial.table.shapes[i].shape_key);
-        EXPECT_EQ(pooled.table.shapes[i].count, serial.table.shapes[i].count);
-        EXPECT_EQ(pooled.table.shapes[i].first_seq,
-                  serial.table.shapes[i].first_seq);
-        EXPECT_EQ(pooled.table.exemplars[i].job_name,
-                  serial.table.exemplars[i].job_name);
-      }
-      EXPECT_EQ(pooled.intern.distinct_shapes, serial.intern.distinct_shapes);
-      EXPECT_EQ(pooled.intern.hits, serial.intern.hits);
+    EXPECT_EQ(pooled.shape_of, serial.shape_of);
+    ASSERT_EQ(pooled.table.size(), serial.table.size());
+    EXPECT_EQ(pooled.table.total_jobs, serial.table.total_jobs);
+    for (std::size_t i = 0; i < serial.table.size(); ++i) {
+      EXPECT_EQ(pooled.table.shapes[i].shape_key,
+                serial.table.shapes[i].shape_key);
+      EXPECT_EQ(pooled.table.shapes[i].count, serial.table.shapes[i].count);
+      EXPECT_EQ(pooled.table.shapes[i].first_seq,
+                serial.table.shapes[i].first_seq);
+      EXPECT_EQ(pooled.table.exemplars[i].job_name,
+                serial.table.exemplars[i].job_name);
     }
+    EXPECT_EQ(pooled.intern.distinct_shapes, serial.intern.distinct_shapes);
+    EXPECT_EQ(pooled.intern.hits, serial.intern.hits);
   }
 }
 

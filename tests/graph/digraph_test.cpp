@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "graph/algorithms.hpp"
 #include "util/error.hpp"
 
 namespace cwgl::graph {
@@ -122,6 +126,44 @@ TEST(DigraphBuilder, EdgeBeforeVertexThrows) {
   DigraphBuilder b;
   b.add_vertex();
   EXPECT_THROW(b.add_edge(0, 1), util::GraphError);
+}
+
+// Predecessor lists with repeats and self-loops, in any order, build the
+// graph the edge list builds; is_dag's count agrees with a topological
+// order on every one of them.
+TEST(Digraph, FromPredecessorsEqualsTheEdgeListBuild) {
+  std::mt19937_64 rng(26);
+  for (int round = 0; round < 500; ++round) {
+    const int n = static_cast<int>(rng() % 12);
+    std::vector<int> offsets{0};
+    std::vector<int> sources;
+    std::vector<Edge> edges;
+    for (int v = 0; v < n; ++v) {
+      const int deps = static_cast<int>(rng() % 4);
+      for (int d = 0; d < deps; ++d) {
+        // Mostly earlier vertices, so most graphs are acyclic.
+        const int u = rng() % 5 == 0 ? static_cast<int>(rng() % n)
+                                     : (v == 0 ? 0 : static_cast<int>(rng() % v));
+        sources.push_back(u);
+        edges.push_back({u, v});
+      }
+      offsets.push_back(static_cast<int>(sources.size()));
+    }
+    const Digraph built = Digraph::from_predecessors(n, offsets, sources);
+    const Digraph expected(n, edges);
+    EXPECT_EQ(built, expected) << "round " << round;
+    std::vector<int> scratch;
+    EXPECT_EQ(is_dag(built, scratch), topological_sort(expected).has_value())
+        << "round " << round;
+  }
+}
+
+TEST(Digraph, FromPredecessorsRejectsBadInput) {
+  EXPECT_THROW(Digraph::from_predecessors(2, {0, 1, 2}, {0, 2}), util::GraphError);
+  EXPECT_THROW(Digraph::from_predecessors(2, {0, 1, 2}, {0, -1}), util::GraphError);
+  EXPECT_THROW(Digraph::from_predecessors(2, {0, 1}, {0}), util::GraphError);
+  EXPECT_THROW(Digraph::from_predecessors(2, {0, 2, 1}, {0, 1}), util::GraphError);
+  EXPECT_THROW(Digraph::from_predecessors(-1, {0}, {}), util::GraphError);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fault-injection integration suite: a deliberately corrupted trace pushed
 // through the whole pipeline, strict vs lenient, plus (when compiled with
-// -DCWGL_FAILPOINTS=ON) injected I/O and queue faults.
+// -DCWGL_FAILPOINTS=ON) injected I/O, worker and stitch faults.
 //
 // The corrupted trace carries four distinct kinds of damage:
 //   1. an unterminated quote (CSV-structure corruption, truncates a record)
@@ -102,8 +102,7 @@ TEST(FaultInjection, LenientPooledAgreesWithSerial) {
 
   util::ThreadPool pool(4);
   core::IngestOptions options;
-  options.batch_jobs = 2;
-  options.queue_capacity = 2;
+  options.chunk_bytes = 200;  // a job or two a chunk, most cut by an edge
   std::istringstream pooled_in(csv);
   core::IngestStats pooled_stats;
   const auto pooled =
@@ -257,16 +256,16 @@ TEST_F(FailpointFixture, InjectedShortReadsChangeNothingButTiming) {
 }
 
 TEST_F(FailpointFixture, WorkerFaultDoesNotDeadlockPooledIngest) {
-  // A worker that dies while the reader is pushing into a tiny queue: the
-  // close-on-throw ordering must release the reader. Run several times —
-  // the interleaving varies.
+  // A worker that fails on a chunk while others wait for their turn at the
+  // stitch or read on: the failure must end the stream at that chunk's
+  // turn and release every waiter. Run several times — the interleaving
+  // varies.
   for (int round = 0; round < 5; ++round) {
-    util::failpoint::configure("ingest.worker_batch=error@0.5;seed=" +
+    util::failpoint::configure("ingest.worker_chunk=error@0.5;seed=" +
                                std::to_string(round));
     util::ThreadPool pool(4);
     core::IngestOptions options;
-    options.batch_jobs = 1;
-    options.queue_capacity = 1;
+    options.chunk_bytes = 128;
     std::istringstream in(healthy_csv(256));
     try {
       core::stream_dag_jobs(in, options, &pool);
@@ -276,19 +275,50 @@ TEST_F(FailpointFixture, WorkerFaultDoesNotDeadlockPooledIngest) {
   }
 }
 
-TEST_F(FailpointFixture, QueuePushFaultPropagates) {
-  util::failpoint::configure("queue.push=error*1");
+TEST_F(FailpointFixture, StitchFaultPropagates) {
+  util::failpoint::configure("ingest.stitch=error*1");
   util::ThreadPool pool(2);
   core::IngestOptions options;
-  options.batch_jobs = 1;
+  options.chunk_bytes = 128;
   std::istringstream in(healthy_csv(64));
   EXPECT_THROW(core::stream_dag_jobs(in, options, &pool),
                util::FailpointError);
 }
 
+TEST_F(FailpointFixture, InjectedReadErrorSurfacesFromPooledIngest) {
+  // A read part-way through fails: the error surfaces, whichever worker
+  // read it, once the chunks before it are stitched.
+  util::failpoint::configure("ingest.read_block=error@0.2*1;seed=3");
+  util::ThreadPool pool(4);
+  core::IngestOptions options;
+  options.chunk_bytes = 128;
+  std::istringstream in(healthy_csv(64));
+  EXPECT_THROW(core::stream_dag_jobs(in, options, &pool),
+               util::FailpointError);
+}
+
+TEST_F(FailpointFixture, PooledShortReadsChangeNothingButTiming) {
+  const std::string csv = healthy_csv(32);
+  std::istringstream clean_in(csv);
+  const auto clean = core::stream_dag_jobs(clean_in, {});
+
+  util::failpoint::configure("ingest.read_block=short-read:3");
+  util::ThreadPool pool(4);
+  std::istringstream short_in(csv);
+  core::IngestStats stats;
+  const auto shorted = core::stream_dag_jobs(short_in, {}, &pool, &stats);
+  ASSERT_EQ(shorted.size(), clean.size());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(shorted[i].job_name, clean[i].job_name);
+    EXPECT_EQ(shorted[i].dag.edges(), clean[i].dag.edges());
+  }
+  EXPECT_EQ(stats.stream.malformed, 0u);
+}
+
 TEST_F(FailpointFixture, SubmitFaultSettlesCleanly) {
-  // pool.submit failing mid-worker-spawn must not use-after-free the queue
-  // or hang; the submission error propagates.
+  // pool.submit failing mid-worker-spawn must not use-after-free the
+  // stream the started workers share, or hang; the submission error
+  // propagates.
   util::failpoint::configure("pool.submit=error*1");
   util::ThreadPool pool(4);
   std::istringstream in(healthy_csv(64));
@@ -296,10 +326,12 @@ TEST_F(FailpointFixture, SubmitFaultSettlesCleanly) {
 }
 
 TEST_F(FailpointFixture, DelayInjectionOnlySlowsThingsDown) {
-  util::failpoint::configure("queue.pop=delay:1ms@0.25;seed=7");
+  util::failpoint::configure(
+      "ingest.stitch=delay:1ms@0.25;ingest.worker_chunk=delay:1ms@0.25;"
+      "seed=7");
   util::ThreadPool pool(2);
   core::IngestOptions options;
-  options.batch_jobs = 4;
+  options.chunk_bytes = 512;
   const std::string csv = healthy_csv(64);
   std::istringstream in(csv);
   core::IngestStats stats;

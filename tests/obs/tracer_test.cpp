@@ -177,8 +177,8 @@ void validate_trace_json(const std::string& text) {
 }
 
 TEST(Tracer, PooledIngestEmitsWellFormedSpanTree) {
-  // Generate a small trace CSV and ingest it with a worker pool so reader,
-  // worker, and stream spans interleave across threads.
+  // Generate a small trace CSV and ingest it with a worker pool so worker
+  // and stream spans interleave across threads.
   trace::GeneratorConfig cfg;
   cfg.seed = 7;
   cfg.num_jobs = 300;
@@ -191,7 +191,9 @@ TEST(Tracer, PooledIngestEmitsWellFormedSpanTree) {
   {
     std::istringstream in(csv.str());
     util::ThreadPool pool(2);
-    const auto dags = core::stream_dag_jobs(in, {}, &pool);
+    core::IngestOptions options;
+    options.chunk_bytes = 1024;  // many chunks, so both workers take some
+    const auto dags = core::stream_dag_jobs(in, options, &pool);
     EXPECT_FALSE(dags.empty());
   }
   tracer.stop();
@@ -200,32 +202,42 @@ TEST(Tracer, PooledIngestEmitsWellFormedSpanTree) {
   tracer.write_json(out);
   validate_trace_json(out.str());
 
-  // The pooled path must cover reader, worker, and stream scopes.
+  // The pooled path must cover worker and stream scopes; no thread reads
+  // for the others any more.
   const std::string text = out.str();
   EXPECT_NE(text.find("ingest.stream"), std::string::npos);
-  EXPECT_NE(text.find("ingest.reader"), std::string::npos);
   EXPECT_NE(text.find("ingest.worker"), std::string::npos);
+  EXPECT_EQ(text.find("ingest.reader"), std::string::npos);
 
-  // The reader and each worker report the CPU their thread spent inside
-  // the span, which cannot exceed the span's wall time.
-  std::map<std::string, std::size_t> with_cpu;
-  std::map<std::pair<std::string, int>, std::uint64_t> begin_ts;
+  // Each worker reports the CPU its thread spent inside the span and the
+  // time it waited on the input lock and at the stitch; each of them fits
+  // in the span's wall time, and the chunks add up to the stream's.
+  std::map<std::string, std::size_t> seen;
+  std::map<int, std::uint64_t> begin_ts;
+  std::uint64_t chunks = 0;
   for (const TraceEvent& e : tracer.events()) {
-    if (e.name != "ingest.reader" && e.name != "ingest.worker") continue;
+    if (e.name != "ingest.worker") continue;
     if (e.phase == 'B') {
-      begin_ts[{e.name, e.tid}] = e.ts_us;
+      begin_ts[e.tid] = e.ts_us;
       continue;
     }
+    const std::uint64_t wall = e.ts_us - begin_ts.at(e.tid);
     for (const auto& [key, value] : e.args) {
-      if (key != "cpu_us") continue;
-      ++with_cpu[e.name];
-      // Thread CPU clocks tick in coarser steps than the wall clock.
-      EXPECT_LE(value, e.ts_us - begin_ts.at({e.name, e.tid}) + 10'000)
-          << e.name;
+      ++seen[key];
+      if (key == "chunks") chunks += value;
+      if (key == "cpu_us" || key == "input_wait_us" ||
+          key == "stitch_wait_us") {
+        // Thread CPU clocks tick in coarser steps than the wall clock.
+        EXPECT_LE(value, wall + 10'000) << key;
+      }
     }
   }
-  EXPECT_EQ(with_cpu["ingest.reader"], 1u);
-  EXPECT_EQ(with_cpu["ingest.worker"], 2u);
+  for (const char* key :
+       {"chunks", "groups", "cpu_us", "input_wait_us", "stitch_wait_us"}) {
+    EXPECT_EQ(seen[key], 2u) << key;
+  }
+  // 300 jobs take well over 1 KiB: many chunks, plus the final one.
+  EXPECT_GT(chunks, 10u);
 }
 
 TEST(Tracer, WriteJsonEscapesAndCarriesArgs) {

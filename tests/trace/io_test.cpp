@@ -10,9 +10,11 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "trace/generator.hpp"
+#include "trace/group_stream.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
 
@@ -307,43 +309,45 @@ TEST(TraceIoStream, ConsumeVariantTransfersOwnership) {
   EXPECT_EQ(groups.size(), stats.jobs);
 }
 
-// next() says where each group opens; a malformed row inside a group,
-// even one naming another job, neither splits the group nor touches the
-// record; a group closes only when the next one opens or at the end.
-TEST(TaskRowReader, ReportsWhereGroupsOpen) {
-  using Row = TaskRowReader::Row;
-  std::stringstream buffer;
-  buffer << "M1,1,j_1,1,Terminated,10,20,100.00,0.50\n";
-  buffer << "R2_1,ten,j_2,1,Terminated,30,40,100.00,0.50\n";  // malformed
-  buffer << "R2_1,1,j_1,1,Terminated,30,40,100.00,0.50\n";
-  buffer << "M1,1,j_2,1,Terminated,50,60,100.00,0.50\n";
-  TaskRowReader reader(buffer);
-  TaskRecord rec;
-  EXPECT_EQ(reader.next(rec), Row::kNewJob);
-  EXPECT_EQ(rec.job_name, "j_1");
-  EXPECT_EQ(reader.next(rec), Row::kSameJob);
-  EXPECT_EQ(rec.task_name, "R2_1");
-  EXPECT_EQ(rec.job_name, "j_1");
-  EXPECT_EQ(reader.stats().jobs, 0u);
-  EXPECT_EQ(reader.stats().malformed, 1u);
-  EXPECT_EQ(reader.next(rec), Row::kNewJob);
-  EXPECT_EQ(rec.job_name, "j_2");
-  EXPECT_EQ(reader.stats().jobs, 1u);
-  const auto before_end = rec.to_fields();
-  EXPECT_EQ(reader.next(rec), Row::kEnd);
-  EXPECT_EQ(rec.to_fields(), before_end);
-  EXPECT_EQ(reader.next(rec), Row::kEnd);  // the end stays the end
-  const StreamStats stats = reader.stats();
-  EXPECT_EQ(stats.rows, 3u);
-  EXPECT_EQ(stats.malformed, 1u);
-  EXPECT_EQ(stats.jobs, 2u);
-  EXPECT_EQ(stats.fragmented, 0u);
+// A malformed row inside a group, even one naming another job, neither
+// splits the group nor reaches it; a group closes only when the next one
+// opens or at the end. At every chunk size.
+TEST(GroupStream, MalformedRowsNeverSplitAGroup) {
+  const std::string csv =
+      "M1,1,j_1,1,Terminated,10,20,100.00,0.50\n"
+      "R2_1,ten,j_2,1,Terminated,30,40,100.00,0.50\n"  // malformed
+      "R2_1,1,j_1,1,Terminated,30,40,100.00,0.50\n"
+      "M1,1,j_2,1,Terminated,50,60,100.00,0.50\n";
+  for (const std::size_t chunk : {1u, 7u, 64u, 4096u}) {
+    std::istringstream in(csv);
+    GroupStreamOptions options;
+    options.chunk_bytes = chunk;
+    std::vector<std::pair<std::string, std::vector<std::string>>> groups;
+    const StreamStats stats = stream_job_groups(
+        in, options, nullptr,
+        [&](std::size_t, const StreamedGroup& group, GroupLog&) {
+          std::vector<std::string> tasks;
+          for (const TaskRecord& row : group.rows) {
+            EXPECT_EQ(row.job_name, group.job_name);
+            tasks.push_back(row.task_name);
+          }
+          groups.emplace_back(std::string(group.job_name), tasks);
+          return true;
+        });
+    using Groups = std::vector<std::pair<std::string, std::vector<std::string>>>;
+    EXPECT_EQ(groups, (Groups{{"j_1", {"M1", "R2_1"}}, {"j_2", {"M1"}}}))
+        << chunk;
+    EXPECT_EQ(stats.rows, 3u);
+    EXPECT_EQ(stats.malformed, 1u);
+    EXPECT_EQ(stats.jobs, 2u);
+    EXPECT_EQ(stats.fragmented, 0u);
+  }
 }
 
-// One record parses every row in place: names beyond the short-string
-// buffer, then short ones, then long again. Every field comes from its own
-// row, never from the one before.
-TEST(TaskRowReader, RecycledRecordTakesEveryFieldOfItsRow) {
+// Rows are parsed in place into recycled records: names beyond the
+// short-string buffer, then short ones, then long again. Every field comes
+// from its own row, never from the one before, at every chunk size.
+TEST(GroupStream, RecycledRecordsTakeEveryFieldOfTheirRow) {
   const std::vector<std::string> rows = {
       "J9_1_2_3_4_5_6_7_8,12,j_a_job_name_well_past_sso,3,Failed,5,9,"
       "12.50,0.75",
@@ -352,21 +356,28 @@ TEST(TaskRowReader, RecycledRecordTakesEveryFieldOfItsRow) {
       "0.00,0.00",
       "M2,3,j_c,1,Waiting,1,2,3.00,4.00",
   };
-  std::stringstream buffer;
-  for (const std::string& row : rows) buffer << row << "\n";
-  TaskRowReader reader(buffer);
-  TaskRecord rec;
-  for (const std::string& row : rows) {
-    ASSERT_EQ(reader.next(rec), TaskRowReader::Row::kNewJob) << row;
-    std::stringstream one(row);
-    const auto fresh = read_batch_task_csv(one);
-    ASSERT_EQ(fresh.size(), 1u);
-    EXPECT_EQ(rec.to_fields(), fresh.front().to_fields()) << row;
+  std::string csv;
+  for (const std::string& row : rows) csv += row + "\n";
+  for (const std::size_t chunk : {1u, 2u, 64u, 4096u}) {
+    std::istringstream in(csv);
+    GroupStreamOptions options;
+    options.chunk_bytes = chunk;
+    std::size_t next = 0;
+    stream_job_groups(in, options, nullptr,
+                      [&](std::size_t, const StreamedGroup& group, GroupLog&) {
+                        EXPECT_EQ(group.rows.size(), 1u);
+                        std::stringstream one(rows.at(next++));
+                        const auto fresh = read_batch_task_csv(one);
+                        EXPECT_EQ(group.rows.front().to_fields(),
+                                  fresh.at(0).to_fields())
+                            << chunk;
+                        return true;
+                      });
+    EXPECT_EQ(next, rows.size());
   }
-  EXPECT_EQ(reader.next(rec), TaskRowReader::Row::kEnd);
 }
 
-TEST(TaskRowReader, MalformedRowLeavesTheRecordUnchanged) {
+TEST(TaskRecord, MalformedRowLeavesTheRecordUnchanged) {
   TaskRecord rec;
   const std::vector<std::string_view> good = {
       "M1", "1", "j_1", "1", "Terminated", "10", "20", "100.00", "0.50"};

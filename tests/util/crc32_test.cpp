@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
+#include <vector>
+
+#include "support/crc32_oracle.hpp"
 
 namespace cwgl::util {
 namespace {
@@ -33,6 +37,58 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
       EXPECT_NE(crc32(data), clean) << "byte " << byte << " bit " << bit;
       data[byte] ^= static_cast<char>(1 << bit);
     }
+  }
+}
+
+/// `size` bytes drawn from `rng`, every byte value possible.
+std::vector<unsigned char> random_bytes(std::mt19937_64& rng, std::size_t size) {
+  std::vector<unsigned char> out(size);
+  for (auto& b : out) b = static_cast<unsigned char>(rng());
+  return out;
+}
+
+// Every length from 0 to 64 covers the 8-byte loop, the byte tail and
+// both together, at every start offset within an 8-byte word.
+TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(26);
+  const std::vector<unsigned char> data = random_bytes(rng, 64 + 8);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      for (const std::uint32_t seed : {kCrc32Init, 0u, 0x12345678u}) {
+        EXPECT_EQ(crc32_update(seed, data.data() + start, len),
+                  oracle::crc32_update(seed, data.data() + start, len))
+            << "start " << start << " length " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, SplitUpdatesMatchBytewise) {
+  std::mt19937_64 rng(7);
+  const std::vector<unsigned char> data = random_bytes(rng, 257);
+  const std::uint32_t whole =
+      oracle::crc32_update(kCrc32Init, data.data(), data.size());
+  for (std::size_t a = 0; a <= data.size(); a += 3) {
+    for (std::size_t b = a; b <= data.size(); b += 29) {
+      std::uint32_t crc = kCrc32Init;
+      crc = crc32_update(crc, data.data(), a);
+      crc = crc32_update(crc, data.data() + a, b - a);
+      crc = crc32_update(crc, data.data() + b, data.size() - b);
+      EXPECT_EQ(crc, whole) << "splits at " << a << " and " << b;
+    }
+  }
+}
+
+TEST(Crc32Test, RandomBuffersMatchBytewise) {
+  std::mt19937_64 rng(2021);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t size = rng() % 5000;
+    const std::vector<unsigned char> data = random_bytes(rng, size);
+    const std::size_t start = size == 0 ? 0 : rng() % (size + 1);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    EXPECT_EQ(crc32_update(seed, data.data() + start, size - start),
+              oracle::crc32_update(seed, data.data() + start, size - start))
+        << "round " << round;
   }
 }
 

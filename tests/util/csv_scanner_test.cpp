@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/proptest.hpp"
@@ -174,6 +175,53 @@ TEST(CsvScanner, ViewsPointIntoBufferForUnquotedFields) {
   ASSERT_EQ(record->size(), 3u);
   EXPECT_EQ((*record)[0].data() + (*record)[0].size() + 1, (*record)[1].data());
   EXPECT_EQ((*record)[1].data() + (*record)[1].size() + 1, (*record)[2].data());
+}
+
+// The block scanner splits a quote-free block exactly as the stream
+// scanner splits the same bytes: random blocks over a comma/terminator-
+// heavy alphabet, every record's fields and start, and a quote refused.
+TEST(CsvBlockScanner, MatchesTheStreamScannerOnQuoteFreeBlocks) {
+  proptest::run_cases(0xB10Cu, 300, [&](util::Xoshiro256StarStar& rng) {
+    const char alphabet[] = {'a', 'b', ',', '\n', '\r', 'x'};
+    const int len = rng.uniform_int(0, 60);
+    std::string text;
+    for (int i = 0; i < len; ++i) text += alphabet[rng.uniform_int(0, 5)];
+    std::istringstream in(text);
+    CsvScanner stream(in, 3);
+    CsvBlockScanner block;
+    block.reset(text);
+    while (const auto expected = stream.next()) {
+      const auto actual = block.next();
+      ASSERT_TRUE(actual.has_value()) << testing::PrintToString(text);
+      EXPECT_EQ(std::vector<std::string_view>(actual->begin(), actual->end()),
+                std::vector<std::string_view>(expected->begin(), expected->end()));
+      EXPECT_EQ(block.record_begin(), stream.record_offset());
+    }
+    EXPECT_FALSE(block.next().has_value());
+    EXPECT_EQ(block.consumed(), text.size());
+  });
+  CsvBlockScanner quoted;
+  quoted.reset("a,\"b\"\n");
+  EXPECT_THROW(quoted.next(), InvalidArgument);
+}
+
+// A scanner that takes over part-way through a stream yields the bytes
+// already read first, then the rest, numbering records and offsets as in
+// the whole file, and counts only its own records.
+TEST(CsvScanner, ResumesWithTheFilesRecordNumbersAndOffsets) {
+  std::istringstream in("c,3\r\nd,\"4\"\n");
+  CsvScanner scanner(in, 2, {}, CsvResume{"b,2\n", 5, 100});
+  std::vector<std::string> seen;
+  std::vector<std::size_t> numbers;
+  std::vector<std::uint64_t> offsets;
+  while (const auto record = scanner.next()) {
+    seen.emplace_back(std::string((*record)[0]) + (*record)[1].data()[0]);
+    numbers.push_back(scanner.record_number());
+    offsets.push_back(scanner.record_offset());
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"b2", "c3", "d4"}));
+  EXPECT_EQ(numbers, (std::vector<std::size_t>{6, 7, 8}));
+  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{100, 104, 109}));
 }
 
 TEST(ScanCsvRecords, EarlyStop) {
