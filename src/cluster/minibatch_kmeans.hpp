@@ -51,8 +51,9 @@ struct MiniBatchResult {
 /// batch draws are weight-proportional and centroid updates use per-center
 /// learning rates eta = w / v_c. Never materializes an n x n Gram — memory
 /// is O(k * dims + nnz). A step costs O(k * nnz/row + dims): the assignment
-/// plus the dense shrink of one center. A batch adds O(k * dims) for the
-/// center norms, taken once after its steps.
+/// plus the dense shrink of one center, at the CPU's vector width
+/// (row_scale_kernel(), the same bits at every width). A batch adds
+/// O(k * dims) for the center norms, taken once after its steps.
 ///
 /// `points` need not be normalized, but feature ids must lie in
 /// [0, dims). Deterministic in `options.seed`. Empty clusters surviving

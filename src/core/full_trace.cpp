@@ -1,17 +1,78 @@
 #include <algorithm>
+#include <chrono>
+#include <exception>
+#include <functional>
+#include <future>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/spectral.hpp"
 #include "core/pipeline.hpp"
+#include "obs/stopwatch.hpp"
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cwgl::core {
+
+namespace {
+
+/// The validation's exact side: the shape of every sampled job, and the
+/// exact spectral pipeline's labels for those jobs.
+struct ExactReference {
+  std::vector<std::size_t> sample_shape;
+  std::vector<int> labels;
+};
+
+/// Runs `work` on a pool worker beside the caller's own work, or, without
+/// a pool, on a 1-worker pool or when the submission fails, inline at
+/// join(). The work may read the caller's locals: declare this after them,
+/// and the destructor waits for it on every exit path.
+class Overlapped {
+ public:
+  Overlapped(util::ThreadPool* pool, std::function<ExactReference()> work)
+      : pool_(pool), work_(std::move(work)) {
+    if (pool_ == nullptr || pool_->size() <= 1) return;
+    try {
+      pending_ = pool_->submit([this] { return work_(); });
+    } catch (const std::exception&) {
+      // Not queued: join() runs it inline.
+    }
+  }
+  Overlapped(const Overlapped&) = delete;
+  Overlapped& operator=(const Overlapped&) = delete;
+  ~Overlapped() { settle(); }
+
+  /// The work's result, or its exception.
+  ExactReference join() {
+    if (!pending_.valid()) return work_();
+    settle();
+    return pending_.get();
+  }
+
+ private:
+  /// Waits for the submitted work, running queued pool tasks meanwhile
+  /// (util::parallel_for_chunked's rule), so a caller that is itself a
+  /// pool task cannot starve it of a worker.
+  void settle() {
+    if (!pending_.valid()) return;
+    while (pending_.wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready) {
+      if (!pool_->run_pending_task()) pending_.wait();
+    }
+  }
+
+  util::ThreadPool* pool_;
+  std::function<ExactReference()> work_;
+  std::future<ExactReference> pending_;
+};
+
+}  // namespace
 
 std::vector<int> FullTraceResult::job_labels() const {
   std::vector<int> out;
@@ -53,7 +114,7 @@ FullTraceResult CharacterizationPipeline::run_full(const trace::Trace& trace,
     shape_of.push_back(view.id_of.at(node));
   }
   return run_full_table(std::move(view.table), std::move(shape_of),
-                        store.stats(), pool, fitted);
+                        store.stats(), pool, fitted, span);
 }
 
 FullTraceResult CharacterizationPipeline::run_full(std::istream& task_csv,
@@ -83,13 +144,13 @@ FullTraceResult CharacterizationPipeline::run_full(std::istream& task_csv,
         "task rows must be contiguous (sort batch_task.csv by job)");
   }
   return run_full_table(std::move(ingest.table), std::move(ingest.shape_of),
-                        ingest.intern, pool, fitted);
+                        ingest.intern, pool, fitted, span);
 }
 
 FullTraceResult CharacterizationPipeline::run_full_table(
     ShapeTable table, std::vector<std::uint32_t> shape_of,
-    ShapeStore::Stats stats, util::ThreadPool* pool,
-    FittedFeatures* fitted) const {
+    ShapeStore::Stats stats, util::ThreadPool* pool, FittedFeatures* fitted,
+    obs::Span& run_span) const {
   FullTraceResult result;
   result.table = std::move(table);
   result.shape_of = std::move(shape_of);
@@ -142,8 +203,68 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   }
 
   const std::vector<double> weights = result.table.weights();
+  const std::vector<std::uint64_t> counts = result.table.counts();
+  const std::uint64_t total_jobs = result.table.total_jobs;
   const int k_eff = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(config_.clustering.clusters), m));
+
+  // Validation: the exact spectral pipeline on a shared uniform job
+  // subsample. Same-shape jobs have bitwise-identical feature vectors, so
+  // the v x v Gram is assembled from shape-level dots — exactly what the
+  // sampled pipeline would compute on those jobs. That exact side reads
+  // only the normalized vectors and the counts, so it runs on the pool
+  // beside the clustering below (the default 3 mini-batch restarts leave a
+  // worker of 4 idle; the landmark backend runs on the caller) and is
+  // joined only to compare labels.
+  std::size_t v = std::min<std::size_t>(config_.full_validation_sample,
+                                        static_cast<std::size_t>(total_jobs));
+  v = std::min<std::size_t>(v, cluster::SpectralOptions{}.max_dense_items);
+  const auto exact_reference = [&]() -> ExactReference {
+    obs::Span span("pipeline.full_validate");
+    span.arg("jobs", v);
+    CWGL_FAILPOINT("pipeline.full_validate");
+    util::Xoshiro256StarStar rng(
+        util::hash_combine(config_.sample_seed, 0x66756c6cULL));  // "full"
+    std::vector<std::size_t> positions = rng.sample_without_replacement(
+        static_cast<std::size_t>(total_jobs), v);
+    std::sort(positions.begin(), positions.end());
+    // Map expanded job positions to shapes via cumulative counts: position
+    // p belongs to the shape whose cumulative range contains p.
+    std::vector<std::uint64_t> cumulative(m);
+    std::uint64_t acc = 0;
+    for (std::size_t t = 0; t < m; ++t) {
+      acc += counts[t];
+      cumulative[t] = acc;
+    }
+    ExactReference reference;
+    reference.sample_shape.resize(v);
+    for (std::size_t i = 0; i < v; ++i) {
+      const auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
+                                       static_cast<std::uint64_t>(positions[i]));
+      reference.sample_shape[i] =
+          static_cast<std::size_t>(it - cumulative.begin());
+    }
+    const std::vector<std::size_t>& sample_shape = reference.sample_shape;
+    linalg::Matrix gram(v, v);
+    for (std::size_t i = 0; i < v; ++i) {
+      gram(i, i) = 1.0;
+      for (std::size_t j = i + 1; j < v; ++j) {
+        const double value =
+            normalized[sample_shape[i]].dot(normalized[sample_shape[j]]);
+        gram(i, j) = value;
+        gram(j, i) = value;
+      }
+    }
+    cluster::SpectralOptions spectral_options;
+    spectral_options.kmeans.seed = config_.clustering.seed;
+    reference.labels =
+        cluster::spectral_cluster(gram, k_eff, spectral_options).labels;
+    return reference;
+  };
+  std::optional<Overlapped> reference;
+  if (v >= 2 && static_cast<std::size_t>(k_eff) <= v) {
+    reference.emplace(pool, exact_reference);
+  }
 
   cluster::ScaleOptions scale_options;
   scale_options.method = config_.full_method;
@@ -161,7 +282,6 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   // Group 'A' is the largest by job count; the per-group statistics are the
   // sampled pipeline's, and the medoid is the member shape nearest the
   // group's weighted feature mean (no m x m kernel needed).
-  const std::vector<std::uint64_t> counts = result.table.counts();
   result.shape_labels = relabel_by_mass(scaled.labels, counts);
   result.groups =
       group_statistics(exemplars, result.shape_labels, k_eff, counts);
@@ -183,10 +303,10 @@ FullTraceResult CharacterizationPipeline::run_full_table(
       }
     }
     if (mass > 0.0) {
-      for (double& v : center) v /= mass;
+      for (double& c : center) c /= mass;
     }
     double center_sq = 0.0;
-    for (double v : center) center_sq += v * v;
+    for (double c : center) center_sq += c * c;
     double best = std::numeric_limits<double>::max();
     std::size_t medoid = m;
     for (std::size_t t = 0; t < m; ++t) {
@@ -204,56 +324,20 @@ FullTraceResult CharacterizationPipeline::run_full_table(
     if (medoid < m) group_stats.medoid = medoid;
   }
 
-  // Validation: the exact spectral pipeline on a shared uniform job
-  // subsample. Same-shape jobs have bitwise-identical feature vectors, so
-  // the v x v Gram is assembled from shape-level dots — exactly what the
-  // sampled pipeline would compute on those jobs.
-  std::size_t v = std::min<std::size_t>(
-      config_.full_validation_sample,
-      static_cast<std::size_t>(result.table.total_jobs));
-  v = std::min<std::size_t>(v, cluster::SpectralOptions{}.max_dense_items);
-  if (v >= 2 && static_cast<std::size_t>(k_eff) <= v) {
-    obs::Span span("pipeline.full_validate");
-    span.arg("jobs", v);
-    util::Xoshiro256StarStar rng(
-        util::hash_combine(config_.sample_seed, 0x66756c6cULL));  // "full"
-    std::vector<std::size_t> positions = rng.sample_without_replacement(
-        static_cast<std::size_t>(result.table.total_jobs), v);
-    std::sort(positions.begin(), positions.end());
-    // Map expanded job positions to shapes via cumulative counts: position
-    // p belongs to the shape whose cumulative range contains p.
-    std::vector<std::uint64_t> cumulative(m);
-    std::uint64_t acc = 0;
-    for (std::size_t t = 0; t < m; ++t) {
-      acc += counts[t];
-      cumulative[t] = acc;
-    }
-    std::vector<std::size_t> sample_shape(v);
-    for (std::size_t i = 0; i < v; ++i) {
-      const auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
-                                       static_cast<std::uint64_t>(positions[i]));
-      sample_shape[i] = static_cast<std::size_t>(it - cumulative.begin());
-    }
-    linalg::Matrix gram(v, v);
-    for (std::size_t i = 0; i < v; ++i) {
-      gram(i, i) = 1.0;
-      for (std::size_t j = i + 1; j < v; ++j) {
-        const double value =
-            normalized[sample_shape[i]].dot(normalized[sample_shape[j]]);
-        gram(i, j) = value;
-        gram(j, i) = value;
-      }
-    }
-    cluster::SpectralOptions spectral_options;
-    spectral_options.kmeans.seed = config_.clustering.seed;
-    const cluster::SpectralResult exact =
-        cluster::spectral_cluster(gram, k_eff, spectral_options);
+  // The caller's wait at the join is what the overlap failed to hide (all
+  // of the validation when it ran inline).
+  std::uint64_t validate_wait_us = 0;
+  if (reference) {
+    const obs::Stopwatch wait;
+    const ExactReference exact = reference->join();
+    validate_wait_us = wait.micros();
     std::vector<int> full_labels(v);
     for (std::size_t i = 0; i < v; ++i) {
-      full_labels[i] = result.shape_labels[sample_shape[i]];
+      full_labels[i] = result.shape_labels[exact.sample_shape[i]];
     }
     result.agreement = cluster::measure_agreement(full_labels, exact.labels);
   }
+  run_span.arg("validate_wait_us", validate_wait_us);
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -130,25 +131,41 @@ std::vector<transformed_t<Transform>> stream_transformed(
         }
       });
   // Each slot is now in trace order. One (the serial path) is the result;
-  // several are merged by sequence, the lowest head first (a handful of
-  // slots, one per worker).
+  // several are merged by sequence. A worker's chunk yields a run of
+  // consecutive jobs, so the lowest head's slot is drained while its seq
+  // stays below the lowest of the other heads: one comparison a job, and a
+  // scan of the heads (one per worker) only where the run ends.
   std::vector<Out> out;
   if (slots.size() == 1) {
     out = std::move(slots.front().items);
   } else {
     out.reserve(stats.dags);
+    constexpr std::size_t kDrained = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> head(slots.size(), 0);
+    const auto head_seq = [&](std::size_t s) {
+      return head[s] < slots[s].seqs.size() ? slots[s].seqs[head[s]]
+                                            : kDrained;
+    };
     for (;;) {
-      std::size_t next = slots.size();
+      std::size_t next = 0;
+      std::size_t next_seq = kDrained;
+      std::size_t others = kDrained;  // lowest head of the other slots
       for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (head[s] < slots[s].seqs.size() &&
-            (next == slots.size() ||
-             slots[s].seqs[head[s]] < slots[next].seqs[head[next]])) {
+        const std::size_t seq = head_seq(s);
+        if (seq < next_seq) {
+          others = next_seq;
+          next_seq = seq;
           next = s;
+        } else if (seq < others) {
+          others = seq;
         }
       }
-      if (next == slots.size()) break;
-      out.push_back(std::move(slots[next].items[head[next]++]));
+      if (next_seq == kDrained) break;
+      Slot& s = slots[next];
+      std::size_t& h = head[next];
+      do {
+        out.push_back(std::move(s.items[h++]));
+      } while (h < s.seqs.size() && s.seqs[h] < others);
     }
   }
   detail::publish_stream_metrics(span, stats);

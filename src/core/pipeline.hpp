@@ -147,7 +147,9 @@ class CharacterizationPipeline {
   /// shapes, featurize once per distinct shape, cluster count-weighted
   /// sparse features via cluster_at_scale (config().full_method), and
   /// validate against the exact spectral pipeline on a shared uniform
-  /// subsample (config().full_validation_sample jobs). When `fitted` is
+  /// subsample (config().full_validation_sample jobs). With a pool of 2 or
+  /// more workers that exact side runs on a worker while the caller
+  /// clusters; the result is the same either way. When `fitted` is
   /// non-null the per-shape feature vectors + frozen dictionary are
   /// exported — the train-side hook `cwgl fit --full` builds snapshots
   /// from. Throws InvalidArgument when no eligible DAG jobs exist.
@@ -169,11 +171,14 @@ class CharacterizationPipeline {
                            IngestStats* stats = nullptr) const;
 
  private:
+  /// The learning stage both run_full overloads share; puts
+  /// `validate_wait_us` on their `pipeline.run_full` span.
   FullTraceResult run_full_table(ShapeTable table,
                                  std::vector<std::uint32_t> shape_of,
                                  ShapeStore::Stats stats,
                                  util::ThreadPool* pool,
-                                 FittedFeatures* fitted) const;
+                                 FittedFeatures* fitted,
+                                 obs::Span& run_span) const;
 
   PipelineConfig config_;
 };

@@ -9,6 +9,7 @@
 #include "graph/isomorphism.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "util/error.hpp"
 #include "util/failpoint.hpp"
 
 namespace cwgl::core {
@@ -53,6 +54,9 @@ ShapeStore::~ShapeStore() = default;
 
 const ShapeStore::Node* ShapeStore::intern(JobDag&& job, std::uint64_t seq) {
   CWGL_FAILPOINT("shape.intern");
+  if (frozen_.load(std::memory_order_relaxed)) {
+    throw util::Error("ShapeStore: intern after freeze");
+  }
   std::vector<int> labels = job.type_labels();
   const std::uint64_t full_hash = graph::canonical_hash(job.dag, labels);
   const std::uint64_t key = full_hash & key_mask_;
@@ -150,14 +154,12 @@ ShapeStore::Stats ShapeStore::stats() const {
   return stats;
 }
 
-std::vector<const ShapeStore::Node*> ShapeStore::nodes_in_first_seen_order()
-    const {
-  std::vector<const Node*> nodes;
+std::vector<ShapeStore::Node*> ShapeStore::nodes_in_first_seen_order() {
+  std::vector<Node*> nodes;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const auto& [key, head] : shard->buckets) {
-      for (const Node* node = head; node != nullptr;
-           node = node->next_collision) {
+      for (Node* node = head; node != nullptr; node = node->next_collision) {
         nodes.push_back(node);
       }
     }
@@ -169,18 +171,17 @@ std::vector<const ShapeStore::Node*> ShapeStore::nodes_in_first_seen_order()
   return nodes;
 }
 
-ShapeTable ShapeStore::freeze() const {
-  return freeze_with_ids().table;
-}
-
-ShapeStore::FrozenView ShapeStore::freeze_with_ids() const {
+ShapeStore::FrozenView ShapeStore::freeze_with_ids() {
+  if (frozen_.exchange(true)) {
+    throw util::Error("ShapeStore: already frozen");
+  }
   obs::Span span("intern.freeze");
   FrozenView view;
-  const std::vector<const Node*> nodes = nodes_in_first_seen_order();
+  const std::vector<Node*> nodes = nodes_in_first_seen_order();
   view.table.exemplars.reserve(nodes.size());
   view.table.shapes.reserve(nodes.size());
   view.id_of.reserve(nodes.size());
-  for (const Node* node : nodes) {
+  for (Node* node : nodes) {
     view.id_of.emplace(node, static_cast<std::uint32_t>(view.table.size()));
     ShapeTable::ShapeInfo info;
     info.shape_key = node->shape_key;
@@ -192,7 +193,7 @@ ShapeStore::FrozenView ShapeStore::freeze_with_ids() const {
     info.pattern = node->pattern;
     view.table.total_jobs += node->count;
     view.table.shapes.push_back(info);
-    view.table.exemplars.push_back(node->exemplar);
+    view.table.exemplars.push_back(std::move(node->exemplar));
   }
   span.arg("shapes", static_cast<std::uint64_t>(view.table.size()));
   const Stats stats = this->stats();

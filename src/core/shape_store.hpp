@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -90,7 +91,8 @@ class ShapeStore {
   /// handles across calls. All fields except `count`, `first_seq`, and
   /// `exemplar` are immutable after construction; the mutable ones are
   /// only touched under the owning shard's lock, so read them via
-  /// `freeze()`/`stats()` rather than directly during concurrent interning.
+  /// `freeze_with_ids()`/`stats()` rather than directly during concurrent
+  /// interning. `freeze_with_ids()` moves `exemplar` out.
   struct Node {
     std::uint64_t shape_key = 0;   ///< full canonical hash
     std::uint64_t intern_key = 0;  ///< masked key used for bucketing
@@ -133,7 +135,8 @@ class ShapeStore {
   /// Interns one job. `seq` is the job's position in the trace (any total
   /// order works; pooled ingest passes the reader-assigned sequence so the
   /// frozen table is arrival-order independent). Returns a stable handle
-  /// to the job's shape. Failpoint: `shape.intern`.
+  /// to the job's shape. Throws util::Error once the store is frozen.
+  /// Failpoint: `shape.intern`.
   const Node* intern(JobDag&& job, std::uint64_t seq);
 
   /// Convenience: interns a copy of `job`.
@@ -144,18 +147,20 @@ class ShapeStore {
   /// Aggregated counters (takes every shard lock; cheap, O(shards)).
   Stats stats() const;
 
-  /// Snapshot in deterministic first-seen order. Also publishes the
-  /// store's counters to the global metrics registry (`intern.*`).
-  ShapeTable freeze() const;
-
-  /// Dense first-seen-order id of `node` in the frozen table; requires
-  /// `node` to have come from this store and `freeze()` semantics (the map
-  /// is rebuilt per call — prefer `freeze_with_ids` for bulk mapping).
+  /// The frozen table plus the dense first-seen-order id of every node
+  /// handle `intern` returned.
   struct FrozenView {
     ShapeTable table;
     std::unordered_map<const Node*, std::uint32_t> id_of;
   };
-  FrozenView freeze_with_ids() const;
+
+  /// Hands the table over in deterministic first-seen order: each shape's
+  /// exemplar is moved into it, not copied. Also publishes the store's
+  /// counters to the global metrics registry (`intern.*`). Afterwards the
+  /// store still answers `stats()`, and its handles still name their
+  /// shapes (every Node field but `exemplar`), but it is frozen: `intern`
+  /// and a second freeze throw util::Error.
+  FrozenView freeze_with_ids();
 
  private:
   struct Shard;
@@ -166,11 +171,13 @@ class ShapeStore {
   bool same_shape(const Node& node, const JobDag& job,
                   std::span<const int> labels, std::uint64_t full_hash,
                   std::uint64_t& probes) const;
-  std::vector<const Node*> nodes_in_first_seen_order() const;
+  std::vector<Node*> nodes_in_first_seen_order();
 
   Options options_;
   std::uint64_t key_mask_ = ~0ULL;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Set by freeze_with_ids, whose exemplars are gone from the nodes.
+  std::atomic<bool> frozen_{false};
 };
 
 }  // namespace cwgl::core

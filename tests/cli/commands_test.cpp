@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/row_scale.hpp"
 #include "model/format.hpp"
 #include "serve/classifier.hpp"
 #include "serve/daemon.hpp"
@@ -630,7 +631,9 @@ TEST(Cli, PredictMetricsAndSpans) {
 
 // A streamed run records the same stage spans as a generated one: the
 // intern stage, with its job count, wraps the streaming ingest, and
-// featurize, clustering and validation follow it.
+// featurize, clustering and validation follow it. The run's span carries
+// the caller's wait for the validation, and the k-means span the width of
+// the shrink kernel that ran.
 TEST(Cli, FullTraceStreamKeepsTheStageSpans) {
   const TraceCopy copy("cwgl_cli_full_spans");
   const std::filesystem::path trace_out = copy.dir / "spans.json";
@@ -652,6 +655,15 @@ TEST(Cli, FullTraceStreamKeepsTheStageSpans) {
   ASSERT_EQ(ends["pipeline.full_intern"].size(), 1u);
   EXPECT_EQ(ends["pipeline.full_intern"][0]->at("args").at("jobs").as_number(),
             138.0);
+  ASSERT_EQ(ends["pipeline.run_full"].size(), 1u);
+  EXPECT_TRUE(ends["pipeline.run_full"][0]->at("args").contains(
+      "validate_wait_us"));
+  ASSERT_EQ(ends["cluster.minibatch_kmeans"].size(), 1u);
+  EXPECT_EQ(ends["cluster.minibatch_kmeans"][0]
+                ->at("args")
+                .at("vector_bytes")
+                .as_number(),
+            static_cast<double>(cluster::row_scale_kernel().vector_bytes));
 }
 
 // `fit` takes the observability flags `characterize` takes: --json embeds

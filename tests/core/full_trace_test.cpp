@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -225,17 +226,39 @@ TEST(FullTrace, FragmentedStreamIsAnError) {
   }
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// On a pool the mini-batch restarts run side by side, and the validation's
+// exact reference runs on a worker beside the clustering (beside the
+// caller's landmark run): no output may move a bit, at any pool size.
 TEST(FullTrace, PooledMatchesSerial) {
   const auto trace = make_trace(2500, 11);
-  const CharacterizationPipeline pipeline{PipelineConfig{}};
-  const auto serial = pipeline.run_full(trace);
-  util::ThreadPool pool(4);
-  const auto pooled = pipeline.run_full(trace, &pool);
-  EXPECT_EQ(pooled.shape_labels, serial.shape_labels);
-  EXPECT_EQ(pooled.shape_of, serial.shape_of);
-  // The mini-batch restarts run on the pool; the best one is the same.
-  EXPECT_EQ(pooled.inertia, serial.inertia);
-  EXPECT_DOUBLE_EQ(pooled.agreement.ari, serial.agreement.ari);
+  for (const cluster::ScaleMethod method :
+       {cluster::ScaleMethod::MiniBatch, cluster::ScaleMethod::Landmark}) {
+    PipelineConfig cfg;
+    cfg.full_method = method;
+    const CharacterizationPipeline pipeline(cfg);
+    const auto serial = pipeline.run_full(trace);
+    ASSERT_GT(serial.agreement.items, 0u);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(cluster::to_string(method)) + " on " +
+                   std::to_string(workers) + " workers");
+      util::ThreadPool pool(workers);
+      const auto pooled = pipeline.run_full(trace, &pool);
+      EXPECT_EQ(pooled.shape_labels, serial.shape_labels);
+      EXPECT_EQ(pooled.shape_of, serial.shape_of);
+      EXPECT_EQ(pooled.method, serial.method);
+      EXPECT_TRUE(same_bits(pooled.inertia, serial.inertia))
+          << pooled.inertia << " vs " << serial.inertia;
+      EXPECT_EQ(pooled.agreement.items, serial.agreement.items);
+      EXPECT_TRUE(same_bits(pooled.agreement.ari, serial.agreement.ari))
+          << pooled.agreement.ari << " vs " << serial.agreement.ari;
+      EXPECT_TRUE(same_bits(pooled.agreement.nmi, serial.agreement.nmi))
+          << pooled.agreement.nmi << " vs " << serial.agreement.nmi;
+    }
+  }
 }
 
 TEST(FullTrace, LandmarkMethodReportsItsMetadata) {

@@ -62,7 +62,7 @@ TEST(ShapeStore, DeduplicatesIsomorphicJobsAndCountsMultiplicity) {
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
 
-  const ShapeTable table = store.freeze();
+  const ShapeTable table = store.freeze_with_ids().table;
   ASSERT_EQ(table.size(), 2u);
   EXPECT_EQ(table.total_jobs, 4u);
   EXPECT_EQ(table.shapes[0].count, 3u);  // the chain, first seen at seq 0
@@ -88,6 +88,32 @@ TEST(ShapeStore, FrozenTableIsInFirstSeenOrderWithDenseIds) {
   EXPECT_EQ(view.table.shapes[2].first_seq, 2u);
 }
 
+// Freezing hands the exemplars over: the table owns them and the store,
+// which keeps its counters and its handles' shape ids, interns no more.
+TEST(ShapeStore, FreezeHandsExemplarsOverAndEndsInterning) {
+  ShapeStore store;
+  const auto* chain = store.intern(chain2("j_a"), 0);
+  store.intern(chain2("j_b"), 1);
+  store.intern(fan_in("j_c"), 2);
+
+  const ShapeStore::FrozenView view = store.freeze_with_ids();
+  ASSERT_EQ(view.table.size(), 2u);
+  EXPECT_EQ(view.table.exemplars[0].job_name, "j_a");
+  EXPECT_EQ(view.table.exemplars[0].size(), 2);
+  EXPECT_EQ(view.table.exemplars[1].job_name, "j_c");
+  EXPECT_EQ(view.id_of.at(chain), 0u);
+  EXPECT_EQ(chain->count, 2u);
+
+  const ShapeStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.total_jobs, 3u);
+  EXPECT_EQ(stats.distinct_shapes, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+
+  EXPECT_THROW(store.intern(chain2("j_d"), 3), util::Error);
+  EXPECT_THROW(store.freeze_with_ids(), util::Error);
+  EXPECT_EQ(store.stats().total_jobs, 3u);
+}
+
 TEST(ShapeStore, ExemplarIsTheMinimumSequenceJob) {
   // Intern the same shape with DESCENDING sequence numbers — as a pooled
   // ingest might, when a late batch lands first. The exemplar must end up
@@ -97,7 +123,7 @@ TEST(ShapeStore, ExemplarIsTheMinimumSequenceJob) {
   store.intern(chain2("middle"), 5);
   store.intern(chain2("first"), 1);
 
-  const ShapeTable table = store.freeze();
+  const ShapeTable table = store.freeze_with_ids().table;
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table.shapes[0].first_seq, 1u);
   EXPECT_EQ(table.exemplars[0].job_name, "first");
@@ -107,7 +133,7 @@ TEST(ShapeStore, ExemplarIsTheMinimumSequenceJob) {
 TEST(ShapeStore, TableRowsCarryStructuralFeatures) {
   ShapeStore store;
   store.intern(fan_in("j_a"), 0);
-  const ShapeTable table = store.freeze();
+  const ShapeTable table = store.freeze_with_ids().table;
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table.shapes[0].size, 3);
   EXPECT_EQ(table.shapes[0].critical_path, 2);
@@ -137,7 +163,7 @@ TEST(ShapeStore, TruncatedHashForcesIsomorphismFallback) {
   EXPECT_GT(stats.hash_collisions, 0u);
   EXPECT_GT(stats.isomorphism_probes, 0u);
 
-  const ShapeTable table = store.freeze();
+  const ShapeTable table = store.freeze_with_ids().table;
   ASSERT_EQ(table.size(), 3u);
   EXPECT_EQ(table.shapes[0].count, 2u);  // chain2
   EXPECT_EQ(table.shapes[1].count, 2u);  // chain3
@@ -179,7 +205,7 @@ TEST(ShapeStore, ConcurrentInterningOfOneShapeYieldsOneExactEntry) {
   EXPECT_EQ(stats.total_jobs,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(stats.distinct_shapes, 1u);
-  const ShapeTable table = store.freeze();
+  const ShapeTable table = store.freeze_with_ids().table;
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table.shapes[0].count,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
@@ -199,7 +225,7 @@ TEST(ShapeStore, ConcurrentMixedShapesFreezeDeterministically) {
         default: store.intern(fan_in("j" + std::to_string(s)), s); break;
       }
     }
-    return store.freeze();
+    return store.freeze_with_ids().table;
   };
   const ShapeTable expected = build_serial();
 
@@ -218,7 +244,7 @@ TEST(ShapeStore, ConcurrentMixedShapesFreezeDeterministically) {
     });
   }
   for (auto& thread : threads) thread.join();
-  const ShapeTable actual = store.freeze();
+  const ShapeTable actual = store.freeze_with_ids().table;
 
   ASSERT_EQ(actual.size(), expected.size());
   EXPECT_EQ(actual.total_jobs, expected.total_jobs);

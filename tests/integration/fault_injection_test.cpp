@@ -1,6 +1,7 @@
 // Fault-injection integration suite: a deliberately corrupted trace pushed
 // through the whole pipeline, strict vs lenient, plus (when compiled with
-// -DCWGL_FAILPOINTS=ON) injected I/O, worker and stitch faults.
+// -DCWGL_FAILPOINTS=ON) injected I/O, worker and stitch faults, and faults
+// around the full-trace run's validation, which runs beside its clustering.
 //
 // The corrupted trace carries four distinct kinds of damage:
 //   1. an unterminated quote (CSV-structure corruption, truncates a record)
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -24,11 +26,15 @@
 
 #include "cli/commands.hpp"
 #include "core/ingest.hpp"
+#include "core/pipeline.hpp"
 #include "model/format.hpp"
 #include "model/model.hpp"
+#include "obs/stopwatch.hpp"
+#include "obs/tracer.hpp"
 #include "serve/classifier.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
+#include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/diagnostics.hpp"
 #include "util/error.hpp"
@@ -323,6 +329,96 @@ TEST_F(FailpointFixture, SubmitFaultSettlesCleanly) {
   util::ThreadPool pool(4);
   std::istringstream in(healthy_csv(64));
   EXPECT_THROW(core::stream_dag_jobs(in, {}, &pool), util::FailpointError);
+}
+
+trace::Trace full_trace_input() {
+  trace::GeneratorConfig cfg;
+  cfg.seed = 23;
+  cfg.num_jobs = 2000;
+  cfg.emit_instances = false;
+  return trace::TraceGenerator(cfg).generate();
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+std::uint64_t triggers(const std::string& site) {
+  for (const util::failpoint::SiteReport& r : util::failpoint::report()) {
+    if (r.site == site) return r.triggers;
+  }
+  return 0;
+}
+
+// A full-trace run submits the validation's exact reference to its pool
+// before anything else; when that submission fails, the reference runs
+// inline and the agreement is the serial run's.
+TEST_F(FailpointFixture, ReferenceSubmitFaultFallsBackInline) {
+  const trace::Trace data = full_trace_input();
+  const core::CharacterizationPipeline pipeline{core::PipelineConfig{}};
+  const core::FullTraceResult serial = pipeline.run_full(data);
+  ASSERT_GT(serial.agreement.items, 0u);
+
+  util::failpoint::configure("pool.submit=error*1");
+  util::ThreadPool pool(4);
+  const core::FullTraceResult pooled = pipeline.run_full(data, &pool);
+  EXPECT_EQ(triggers("pool.submit"), 1u);
+  EXPECT_EQ(pooled.shape_labels, serial.shape_labels);
+  EXPECT_EQ(pooled.agreement.items, serial.agreement.items);
+  EXPECT_TRUE(same_bits(pooled.agreement.ari, serial.agreement.ari));
+  EXPECT_TRUE(same_bits(pooled.agreement.nmi, serial.agreement.nmi));
+}
+
+// The mini-batch restarts fail while the reference, which reads the run's
+// locals, still runs on a worker (held up 200 ms): the error surfaces only
+// once the reference has finished, its span closed. Each submission waits
+// 20 ms first, so a worker, not the caller helping the pool, takes the
+// reference.
+TEST_F(FailpointFixture, RestartFaultSurfacesAfterTheReferenceIsJoined) {
+  const trace::Trace data = full_trace_input();
+  const core::CharacterizationPipeline pipeline{core::PipelineConfig{}};
+  util::failpoint::configure(
+      "pool.submit=delay:20ms;pool.chunk=error*1;"
+      "pipeline.full_validate=delay:200ms");
+  util::ThreadPool pool(4);
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.start();
+  obs::Stopwatch watch;
+  bool typed = false;
+  try {
+    pipeline.run_full(data, &pool);
+  } catch (const util::FailpointError&) {
+    typed = true;
+  }
+  const double elapsed_ms = watch.millis();
+  tracer.stop();
+  EXPECT_TRUE(typed);
+  int reference_tid = -1;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.name == "pipeline.full_validate") reference_tid = e.tid;
+  }
+  const int caller_tid = tracer.events().front().tid;
+  EXPECT_NE(reference_tid, caller_tid);
+  EXPECT_EQ(triggers("pool.chunk"), 1u);
+  EXPECT_GE(elapsed_ms, 200.0);
+  int begins = 0;
+  int ends = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.name == "pipeline.full_validate" && e.phase == 'B') ++begins;
+    if (e.name == "pipeline.full_validate" && e.phase == 'E') ++ends;
+  }
+  EXPECT_EQ(begins, 1);
+  EXPECT_EQ(ends, 1);
+}
+
+// A failing reference is the run's error, raised at the join.
+TEST_F(FailpointFixture, ReferenceFaultIsTheRunsError) {
+  const trace::Trace data = full_trace_input();
+  const core::CharacterizationPipeline pipeline{core::PipelineConfig{}};
+  util::failpoint::configure("pipeline.full_validate=error");
+  util::ThreadPool pool(4);
+  EXPECT_THROW(pipeline.run_full(data, &pool), util::FailpointError);
+  EXPECT_THROW(pipeline.run_full(data), util::FailpointError);
 }
 
 TEST_F(FailpointFixture, DelayInjectionOnlySlowsThingsDown) {
