@@ -124,7 +124,10 @@ run_config() {
 # and PredictDifferential runs the workers' shared predict memo under TSan.
 #  Crc32 runs the slice-by-8 checksum's word loads under ASan, and
 # BuildJobDag the one-pass DAG build's per-thread scratch.
-FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|InPlaceReader|GroupStream|ChunkEdges|TraceIoStream|Crc32|BuildJobDag|CsvScanner|CsvBlockScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict|JsonWriter'
+#  Classifier/ScanKernel run the classify scan's per-thread scratch, its
+# dense columns and every scan-kernel variant the CPU dispatches to under
+# both sanitizers.
+FAULT_FILTER='Failpoint|FaultInjection|Diagnostics|StreamDagJobs|StreamShapeJobs|InPlaceReader|GroupStream|ChunkEdges|TraceIoStream|Crc32|BuildJobDag|CsvScanner|CsvBlockScanner|BoundedQueue|ThreadPool|ParallelFor|GramTiling|SparseDot|Spectral|ModelFormat|GoldenModel|ShapeStore|Daemon|Protocol|ClusterAtScale|MiniBatchKMeans|LandmarkSpectral|FullTrace|InternDifferential|KMeansWeighted|KMeansMapped|SilhouetteWeighted|DescribeWeighted|PaperGolden|PredictDifferential|Cli\.Predict|JsonWriter|Classifier|ScanKernel'
 
 # Smoke the machine-readable bench pipeline end to end: tiny-input runs of
 # the two benches with committed baselines must produce cwgl-bench-v1 JSON

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "util/cpu.hpp"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CWGL_ROW_SCALE_X86 1
 #include <immintrin.h>
@@ -14,7 +16,7 @@ namespace {
 #if defined(CWGL_ROW_SCALE_X86)
 
 // The wider variants are compiled for their ISA whatever the build's
-// -march, and run only where row_scale_kernels() found the CPU support.
+// -march, and run only where util::vector_isas() found the CPU support.
 
 void scale_sse2(double* row, std::size_t n, double factor) noexcept {
   const __m128d f = _mm_set1_pd(factor);
@@ -53,15 +55,20 @@ __attribute__((target("avx512f"))) void scale_avx512f(double* row,
 }
 
 std::vector<RowScaleKernel> supported_kernels() {
-  __builtin_cpu_init();
   std::vector<RowScaleKernel> kernels;
-  if (__builtin_cpu_supports("avx512f")) {
-    kernels.push_back({"avx512f", 64, scale_avx512f});
+  for (const util::VectorIsa isa : util::vector_isas()) {
+    switch (isa) {
+      case util::VectorIsa::kAvx512f:
+        kernels.push_back({"avx512f", 64, scale_avx512f});
+        break;
+      case util::VectorIsa::kAvx2:
+        kernels.push_back({"avx2", 32, scale_avx2});
+        break;
+      case util::VectorIsa::kSse2:
+        kernels.push_back({"sse2", 16, scale_sse2});
+        break;
+    }
   }
-  if (__builtin_cpu_supports("avx2")) {
-    kernels.push_back({"avx2", 32, scale_avx2});
-  }
-  kernels.push_back({"sse2", 16, scale_sse2});
   return kernels;
 }
 

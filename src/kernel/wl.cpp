@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -37,6 +38,18 @@ void validate_config(const WlConfig& config) {
   }
 }
 
+/// One thread's WL buffers, reused from graph to graph: the colors of this
+/// iteration and the next, a neighbour bucket, the signature being built,
+/// each iteration's feature scale, and one key per vertex visit.
+struct WlScratch {
+  std::vector<int> color;
+  std::vector<int> next;
+  std::vector<int> bucket;
+  std::string sig;
+  std::vector<double> weight;
+  std::vector<std::uint64_t> visits;
+};
+
 /// The WL refinement loop shared by the training (interning) and frozen
 /// (lookup-only) featurizers. `lookup(sig)` maps a byte-signature to its
 /// feature id; the two call sites differ ONLY in that mapping, which is what
@@ -45,30 +58,36 @@ void validate_config(const WlConfig& config) {
 template <typename Lookup>
 SparseVector wl_featurize(const WlConfig& config, const LabeledGraph& g,
                           Lookup&& lookup) {
+  thread_local WlScratch scratch;
+  auto& [color, next, bucket, sig, weight, visits] = scratch;
   // Scale features by sqrt(w_i) so the kernel contribution of iteration i
   // scales by exactly w_i.
-  const auto weight = [&](int it) {
-    return config.iteration_weights.empty()
-               ? 1.0
-               : std::sqrt(config.iteration_weights[it]);
+  weight.assign(static_cast<std::size_t>(config.iterations) + 1, 1.0);
+  if (!config.iteration_weights.empty()) {
+    for (std::size_t it = 0; it < weight.size(); ++it) {
+      weight[it] = std::sqrt(config.iteration_weights[it]);
+    }
+  }
+  // Each visit of a vertex is one key: its feature id above its iteration.
+  const auto visit = [&visits](int id, int it) {
+    visits.push_back(std::uint64_t{static_cast<std::uint32_t>(id)} << 32 |
+                     static_cast<std::uint32_t>(it));
   };
 
   const int n = g.graph.num_vertices();
-  std::unordered_map<int, double> counts;
+  color.resize(static_cast<std::size_t>(n));
+  next.resize(static_cast<std::size_t>(n));
+  visits.clear();
 
   // Iteration 0: intern the raw labels (namespaced by iteration).
-  std::vector<int> color(n);
-  std::string sig;
   for (int v = 0; v < n; ++v) {
     sig.clear();
     append_int(sig, 0);  // iteration tag
     append_int(sig, g.label(v));
     color[v] = lookup(sig);
-    counts[color[v]] += weight(0);
+    visit(color[v], 0);
   }
 
-  std::vector<int> next(n);
-  std::vector<int> bucket;
   for (int it = 1; it <= config.iterations; ++it) {
     for (int v = 0; v < n; ++v) {
       sig.clear();
@@ -94,11 +113,33 @@ SparseVector wl_featurize(const WlConfig& config, const LabeledGraph& g,
         for (int b : bucket) append_int(sig, b);
       }
       next[v] = lookup(sig);
-      counts[next[v]] += weight(it);
+      visit(next[v], it);
     }
     color.swap(next);
   }
-  return SparseVector::from_counts(counts);
+
+  // A feature's value is its visits' weights summed from 0.0 in visit
+  // order. Sorting the keys groups each id's visits by iteration, ascending
+  // — the visit order, up to visits within one iteration, which all add
+  // the same weight. So every sum has the bits a per-id running total
+  // kept during the loop would have. Only the frozen featurizer's shared
+  // OOV id collects visits from several iterations.
+  std::sort(visits.begin(), visits.end());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    if (i == 0 || visits[i] >> 32 != visits[i - 1] >> 32) ++distinct;
+  }
+  SparseVector out;
+  out.items.reserve(distinct);
+  for (std::size_t i = 0; i < visits.size();) {
+    const std::uint64_t id = visits[i] >> 32;
+    double sum = 0.0;
+    for (; i < visits.size() && visits[i] >> 32 == id; ++i) {
+      sum += weight[static_cast<std::uint32_t>(visits[i])];
+    }
+    out.items.emplace_back(static_cast<int>(id), sum);
+  }
+  return out;
 }
 
 }  // namespace

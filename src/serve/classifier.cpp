@@ -19,6 +19,7 @@ struct ServeMetrics {
   obs::Counter* memo_hits;
   obs::Counter* scans;
   obs::Counter* postings;
+  obs::Counter* rechecks;
 
   static const ServeMetrics& get() {
     static const ServeMetrics m = [] {
@@ -27,7 +28,8 @@ struct ServeMetrics {
                           &reg.counter("serve.classify.oov_jobs"),
                           &reg.counter("serve.classify.memo_hits"),
                           &reg.counter("serve.classify.scans"),
-                          &reg.counter("serve.classify.postings")};
+                          &reg.counter("serve.classify.postings"),
+                          &reg.counter("serve.classify.rechecks")};
     }();
     return m;
   }
@@ -36,6 +38,36 @@ struct ServeMetrics {
 constexpr std::uint32_t kSlotEmpty = 0;
 constexpr std::uint32_t kSlotBusy = 1;
 constexpr std::uint32_t kSlotReady = 2;
+
+/// The filter re-scores every representative whose estimate is at least
+/// this share of its cluster's largest. The estimate and the exact score
+/// are each within two rounding errors of their real values, so the
+/// estimate of an exact maximum or tie falls at most about 8 ulps short of
+/// the largest; the margin is about 4,500 ulps.
+constexpr double kFilterMargin = 1.0 - 1e-12;
+/// That error bound needs every product and quotient involved to be a
+/// normal double. It holds when the job's norm, every nonzero self norm and
+/// the cluster's largest estimate lie in [2^-256, 2^256]; a cluster outside
+/// it is re-scored whole.
+constexpr double kFilterMin = 0x1p-256;
+constexpr double kFilterMax = 0x1p256;
+
+/// One thread's scan buffers, kept from scan to scan and grown to the
+/// largest model the thread has scanned: the accumulators and the
+/// positions the filter keeps.
+struct ScanScratch {
+  std::vector<double> dots;
+  std::vector<std::uint32_t> hits;
+};
+
+ScanScratch& scan_scratch(std::size_t reps) {
+  thread_local ScanScratch scratch;
+  if (scratch.dots.size() < reps) {
+    scratch.dots.resize(reps);
+    scratch.hits.resize(reps);
+  }
+  return scratch;
+}
 
 /// Hash of a feature vector's exact bits: one multiply per entry, then a
 /// final mix so the low bits can index the table. Equal vectors hash equal;
@@ -52,61 +84,115 @@ std::uint64_t bit_hash(const kernel::SparseVector& v) noexcept {
 
 }  // namespace
 
-Classifier::Classifier(model::FittedModel m)
+Classifier::Classifier(model::FittedModel m, const ScanKernel& kernel)
     : model_((m.validate(), std::move(m))),
-      featurizer_(model_.wl, dict_, model_.oov_id()) {
+      featurizer_(model_.wl, dict_, model_.oov_id()),
+      kernel_(&kernel) {
   // Single-threaded interning assigns dense first-seen ids, so dictionary
   // entry i gets id i back — the exact id space the frozen feature vectors
   // were encoded in. validate() has already rejected duplicate signatures,
   // which is what makes this bijective.
   for (const std::string& signature : model_.dictionary) dict_.intern(signature);
-  // Representative pointers are stable from here on: model_ is owned and
-  // never reshaped after construction (the serving contract). The vectors
-  // are inverted into the CSR index in O(total nnz): count each id's
-  // postings while flattening, prefix-sum the counts into offsets, then
-  // fill in scan order, which leaves every id's positions ascending.
+
+  // Flatten the scan order and count each id's holders. Representative
+  // addresses are stable from here on: model_ is owned and never reshaped
+  // after construction (the serving contract).
   std::size_t reps = 0;
-  for (const auto& cluster : model_.representatives) reps += cluster.size();
-  scan_.reserve(reps);
-  postings_begin_.assign(model_.dictionary.size() + 1, 0);
   std::size_t entries = 0;
-  for (std::size_t c = 0; c < model_.representatives.size(); ++c) {
-    for (const model::Representative& rep : model_.representatives[c]) {
-      const std::size_t nnz = rep.features.items.size();
-      scan_.push_back(ScanEntry{&rep, static_cast<int>(c),
-                                static_cast<std::uint32_t>(nnz)});
-      entries += nnz;
-      for (const auto& [id, value] : rep.features.items) {
-        ++postings_begin_[static_cast<std::size_t>(id) + 1];
-      }
+  for (const auto& cluster : model_.representatives) {
+    reps += cluster.size();
+    for (const model::Representative& rep : cluster) {
+      entries += rep.features.items.size();
     }
   }
   if (reps >= kNone || entries >= kNone) {
     throw model::ModelError("model too large for the serving index");
   }
+  const std::size_t ids = model_.dictionary.size();
+  std::vector<std::uint32_t> holders(ids, 0);
+  cluster_begin_.reserve(model_.representatives.size() + 1);
+  self_norm_.reserve(reps);
+  filter_scale_.reserve(reps);
+  training_index_.reserve(reps);
+  nnz_.reserve(reps);
+  for (const auto& cluster : model_.representatives) {
+    cluster_begin_.push_back(static_cast<std::uint32_t>(self_norm_.size()));
+    for (const model::Representative& rep : cluster) {
+      const double norm = rep.self_norm;
+      self_norm_.push_back(norm);
+      double scale = 1.0;
+      if (model_.normalize) {
+        scale = norm > 0.0 ? 1.0 / norm : 0.0;
+        if (norm > 0.0 && (norm < kFilterMin || norm > kFilterMax)) {
+          filter_norms_ = false;
+        }
+      }
+      filter_scale_.push_back(scale);
+      training_index_.push_back(rep.training_index);
+      nnz_.push_back(static_cast<std::uint32_t>(rep.features.items.size()));
+      for (const auto& [id, value] : rep.features.items) {
+        ++holders[static_cast<std::size_t>(id)];
+      }
+    }
+  }
+  cluster_begin_.push_back(static_cast<std::uint32_t>(reps));
+
+  // Pick the dense ids, size the CSR ranges of the rest, then fill both in
+  // scan order, which leaves every sparse id's positions ascending. A
+  // feature held by at least two-thirds of the representatives is dense:
+  // its R doubles cost no more than its 12-byte postings.
+  std::vector<std::uint32_t> column(ids, kNone);
+  postings_begin_.assign(ids + 1, 0);
+  for (std::size_t d = 0; d < ids; ++d) {
+    if (3 * std::size_t{holders[d]} >= 2 * reps) {
+      column[d] = static_cast<std::uint32_t>(dense_ids_.size());
+      dense_ids_.push_back(static_cast<std::uint32_t>(d));
+      dense_holders_.push_back(holders[d]);
+    } else {
+      postings_begin_[d + 1] = holders[d];
+    }
+  }
   std::partial_sum(postings_begin_.begin(), postings_begin_.end(),
                    postings_begin_.begin());
-  postings_rep_.resize(entries);
-  postings_value_.resize(entries);
+  postings_rep_.resize(postings_begin_.back());
+  postings_value_.resize(postings_begin_.back());
+  const std::size_t words = (reps + 63) / 64;
+  dense_values_.assign(dense_ids_.size() * reps, 0.0);
+  dense_present_.assign(dense_ids_.size() * words, 0);
   std::vector<std::uint32_t> next(postings_begin_.begin(),
                                   postings_begin_.end() - 1);
-  for (std::size_t i = 0; i < scan_.size(); ++i) {
-    for (const auto& [id, value] : scan_[i].rep->features.items) {
-      const std::uint32_t at = next[static_cast<std::size_t>(id)]++;
-      postings_rep_[at] = static_cast<std::uint32_t>(i);
-      postings_value_[at] = value;
+  std::uint32_t r = 0;
+  for (const auto& cluster : model_.representatives) {
+    for (const model::Representative& rep : cluster) {
+      for (const auto& [id, value] : rep.features.items) {
+        const auto d = static_cast<std::size_t>(id);
+        if (column[d] != kNone) {
+          dense_values_[column[d] * reps + r] = value;
+          dense_present_[column[d] * words + r / 64] |= std::uint64_t{1}
+                                                        << (r % 64);
+        } else {
+          const std::uint32_t at = next[d]++;
+          postings_rep_[at] = r;
+          postings_value_[at] = value;
+        }
+      }
+      ++r;
     }
   }
 
   // Group representatives by bitwise-identical features: one memo slot per
   // distinct vector, O(total nnz) expected.
   memo_index_.assign(reps == 0 ? 0 : std::bit_ceil(reps + reps / 2 + 1), 0);
-  for (std::size_t i = 0; i < scan_.size(); ++i) {
-    const kernel::SparseVector& features = scan_[i].rep->features;
-    const std::size_t at = probe(features, bit_hash(features));
-    if (memo_index_[at] != 0) continue;  // an earlier rep holds this vector
-    memo_keys_.push_back(static_cast<std::uint32_t>(i));
-    memo_index_[at] = static_cast<std::uint32_t>(memo_keys_.size());
+  r = 0;
+  for (const auto& cluster : model_.representatives) {
+    for (const model::Representative& rep : cluster) {
+      const std::size_t at = probe(rep.features, bit_hash(rep.features));
+      if (memo_index_[at] == 0) {  // no earlier rep holds this vector
+        memo_keys_.push_back(r);
+        memo_index_[at] = static_cast<std::uint32_t>(memo_keys_.size());
+      }
+      ++r;
+    }
   }
 
   // The index now holds every vector: free them, so a reloading daemon's
@@ -143,23 +229,51 @@ std::size_t Classifier::probe(const kernel::SparseVector& phi,
   return i;
 }
 
+const model::Representative& Classifier::representative(
+    std::uint32_t r) const noexcept {
+  // The last cluster that begins at or before r holds it: an empty cluster
+  // begins where the next one does.
+  const auto c = static_cast<std::size_t>(
+      std::upper_bound(cluster_begin_.begin(), cluster_begin_.end(), r) -
+      cluster_begin_.begin() - 1);
+  return model_.representatives[c][r - cluster_begin_[c]];
+}
+
 bool Classifier::holds(std::uint32_t r,
                        const kernel::SparseVector& phi) const noexcept {
   // Equal counts, and every entry of phi present at r with equal bits
   // (stricter than operator==: 0.0 and -0.0 differ), is bitwise equality.
   // Highest ids first: they are the rarest signatures, so their postings
   // are short and a mismatching key is usually rejected there.
-  if (scan_[r].nnz != phi.items.size()) return false;
+  if (nnz_[r] != phi.items.size()) return false;
+  const std::size_t reps = self_norm_.size();
   const std::size_t ids = postings_begin_.size() - 1;
   for (auto entry = phi.items.rbegin(); entry != phi.items.rend(); ++entry) {
     const auto& [id, value] = *entry;
     if (static_cast<std::size_t>(id) >= ids) return false;  // the OOV id
     const auto first = postings_rep_.begin() + postings_begin_[id];
     const auto last = postings_rep_.begin() + postings_begin_[id + 1];
-    const auto at = std::lower_bound(first, last, r);
-    if (at == last || *at != r) return false;
-    const double held = postings_value_[static_cast<std::size_t>(
-        at - postings_rep_.begin())];
+    double held = 0.0;
+    if (first != last) {
+      const auto at = std::lower_bound(first, last, r);
+      if (at == last || *at != r) return false;
+      held = postings_value_[static_cast<std::size_t>(
+          at - postings_rep_.begin())];
+    } else {
+      // A dense column holds 0.0 where r lacks the feature, and so can a
+      // present entry (a zero iteration weight): its presence bit decides.
+      const auto dense = std::lower_bound(dense_ids_.begin(), dense_ids_.end(),
+                                          static_cast<std::uint32_t>(id));
+      if (dense == dense_ids_.end() ||
+          *dense != static_cast<std::uint32_t>(id)) {
+        return false;  // no representative holds id
+      }
+      const auto k = static_cast<std::size_t>(dense - dense_ids_.begin());
+      const std::size_t words = (reps + 63) / 64;
+      const std::uint64_t word = dense_present_[k * words + r / 64];
+      if ((word >> (r % 64) & 1) == 0) return false;
+      held = dense_values_[k * reps + r];
+    }
     if (std::bit_cast<std::uint64_t>(held) !=
         std::bit_cast<std::uint64_t>(value)) {
       return false;
@@ -169,47 +283,93 @@ bool Classifier::holds(std::uint32_t r,
 }
 
 std::uint32_t Classifier::scan(const kernel::SparseVector& phi,
-                               Prediction& out,
-                               std::uint64_t& postings) const {
-  // dots[i] = <phi, features of scan_[i]>. Each accumulator starts at 0.0
-  // and receives its products in ascending-id order (phi's entries are
-  // walked in order, each id once) — the order SparseVector::dot sums
+                               Prediction& out, ScanCost& cost) const {
+  const std::size_t reps = self_norm_.size();
+  ScanScratch& scratch = scan_scratch(reps);
+  double* const dots = scratch.dots.data();
+  std::uint32_t* const hits = scratch.hits.data();
+
+  // dots[r] = <phi, features of representative r>. Each accumulator starts
+  // at 0.0 and receives its products in ascending-id order (phi's entries
+  // are walked in order, each id once) — the order SparseVector::dot sums
   // matched products in, so every dot has the exact bits it would have
-  // there. The OOV id sorts last and no representative holds it.
-  std::vector<double> dots(scan_.size(), 0.0);
+  // there. A dense column adds v * 0.0 = +0.0 where a representative lacks
+  // the id, which leaves any accumulator but -0.0 unchanged, and none is
+  // -0.0: each starts at +0.0 and adds products of non-negative values.
+  // The OOV id sorts last and no representative holds it.
+  std::fill_n(dots, reps, 0.0);
   const std::size_t ids = postings_begin_.size() - 1;
+  auto dense = dense_ids_.begin();
   for (const auto& [id, value] : phi.items) {
     if (static_cast<std::size_t>(id) >= ids) break;
+    const std::uint32_t begin = postings_begin_[id];
     const std::uint32_t end = postings_begin_[id + 1];
-    for (std::uint32_t p = postings_begin_[id]; p < end; ++p) {
+    if (begin == end) {  // a dense id, or one nobody holds
+      dense = std::lower_bound(dense, dense_ids_.end(),
+                               static_cast<std::uint32_t>(id));
+      if (dense == dense_ids_.end() ||
+          *dense != static_cast<std::uint32_t>(id)) {
+        continue;
+      }
+      const auto k = static_cast<std::size_t>(dense - dense_ids_.begin());
+      kernel_->add_column(dots, dense_values_.data() + k * reps, value, reps);
+      cost.postings += dense_holders_[k];
+      continue;
+    }
+    for (std::uint32_t p = begin; p < end; ++p) {
       dots[postings_rep_[p]] += value * postings_value_[p];
     }
-    postings += end - postings_begin_[id];
+    cost.postings += end - begin;
   }
 
+  // The filter: estimate = dot * (1 / self_norm), a multiply per
+  // representative, and per cluster its largest. The exact score
+  // dot / (norm * self_norm) divides the same dot by a product of the same
+  // norms, so the two stay within a few ulps of proportional (norm is
+  // common to the cluster): every representative whose exact score reaches
+  // or ties the cluster's best has an estimate within kFilterMargin of the
+  // largest. Only those are re-scored exactly, in scan order, with the
+  // per-cluster score and the tie-break below. An unnormalized model's
+  // score is the dot itself, so it keeps exactly the cluster's largest.
+  const bool normalize = model_.normalize;
   const double norm = phi.norm();
+  const bool filter =
+      filter_norms_ && norm >= kFilterMin && norm <= kFilterMax;
+  const double margin = normalize ? kFilterMargin : 1.0;
   out.scores.assign(model_.num_clusters(), 0.0);
   double best = -std::numeric_limits<double>::infinity();
   std::uint64_t best_index = std::numeric_limits<std::uint64_t>::max();
   int best_cluster = 0;
   std::uint32_t nearest = kNone;
-
-  // Ties go to the lowest training index, so the answer does not depend on
-  // the scan order.
-  for (std::size_t i = 0; i < scan_.size(); ++i) {
-    const model::Representative& rep = *scan_[i].rep;
-    const auto c = static_cast<std::size_t>(scan_[i].cluster);
-    double sim = dots[i];
-    if (model_.normalize) {
-      const double denom = norm * rep.self_norm;
-      sim = denom > 0.0 ? sim / denom : 0.0;
+  for (std::size_t c = 0; c + 1 < cluster_begin_.size(); ++c) {
+    const std::uint32_t begin = cluster_begin_[c];
+    const std::size_t n = cluster_begin_[c + 1] - begin;
+    double top = 0.0;
+    std::size_t kept = kernel_->filter(
+        dots + begin, filter_scale_.data() + begin, n, margin, hits, top);
+    if (normalize && !(filter && top >= kFilterMin && top <= kFilterMax)) {
+      // Outside the error bound's range: re-score the whole cluster.
+      std::iota(hits, hits + n, 0u);
+      kept = n;
     }
-    if (sim > out.scores[c]) out.scores[c] = sim;
-    if (sim > best || (sim == best && rep.training_index < best_index)) {
-      best = sim;
-      best_index = rep.training_index;
-      best_cluster = scan_[i].cluster;
-      nearest = static_cast<std::uint32_t>(i);
+    cost.rechecks += kept;
+    double& score = out.scores[c];
+    for (std::size_t k = 0; k < kept; ++k) {
+      const std::uint32_t r = begin + hits[k];
+      double sim = dots[r];
+      if (normalize) {
+        const double denom = norm * self_norm_[r];
+        sim = denom > 0.0 ? sim / denom : 0.0;
+      }
+      if (sim > score) score = sim;
+      // Ties go to the lowest training index, so the answer does not depend
+      // on the scan order.
+      if (sim > best || (sim == best && training_index_[r] < best_index)) {
+        best = sim;
+        best_index = training_index_[r];
+        best_cluster = static_cast<int>(c);
+        nearest = r;
+      }
     }
   }
   out.cluster = best_cluster;
@@ -241,10 +401,11 @@ Prediction Classifier::classify_graph(const kernel::LabeledGraph& g) const {
     out.scores.assign(values + 1, values + stride);
     metrics.memo_hits->add();
   } else {
-    std::uint64_t postings = 0;
-    nearest = scan(phi, out, postings);
+    ScanCost cost;
+    nearest = scan(phi, out, cost);
     metrics.scans->add();
-    metrics.postings->add(postings);
+    metrics.postings->add(cost.postings);
+    metrics.rechecks->add(cost.rechecks);
     std::uint32_t expected = kSlotEmpty;
     // Racing writers scanned the same key and so hold the same bits; the
     // CAS winner publishes, the others just return their own copy.
@@ -262,7 +423,7 @@ Prediction Classifier::classify_graph(const kernel::LabeledGraph& g) const {
 
   out.cluster_letter = model::FittedModel::letter(
       static_cast<std::size_t>(out.cluster));
-  if (nearest != kNone) out.nearest_job = scan_[nearest].rep->job_name;
+  if (nearest != kNone) out.nearest_job = representative(nearest).job_name;
   const model::ClusterProfile& profile =
       model_.profiles[static_cast<std::size_t>(out.cluster)];
   out.predicted_critical_path = profile.median_critical_path;

@@ -9,6 +9,7 @@
 #include "core/job_dag.hpp"
 #include "kernel/wl.hpp"
 #include "model/model.hpp"
+#include "serve/scan_kernel.hpp"
 
 namespace cwgl::serve {
 
@@ -52,22 +53,31 @@ struct Prediction {
 /// results independent of iteration order.
 ///
 /// Representative index: the constructor inverts the representatives'
-/// feature vectors into a feature-major (CSR) index keyed by dictionary id —
-/// for each id, the scan positions of the representatives that hold it
-/// (ascending) and their values. A scan walks the job's own entries in
-/// ascending id and adds each product into one accumulator per
-/// representative, so its cost is the postings those ids carry
-/// (`serve.classify.postings`) plus one pass over the accumulators, not
-/// representatives × a sparse merge; the OOV id has no postings. *Exactness:* every accumulator starts at 0.0 and
-/// receives its products in ascending-id order, the order
-/// kernel::SparseVector::dot sums them in, so each similarity, score,
-/// nearest representative and tie has the bits a per-representative dot
-/// would give. *Memory:* the index replaces the vectors instead of sitting
-/// beside them — the constructor releases every Representative::features
-/// once the index is built, and 12 bytes per posting plus 4 per dictionary
-/// id undercut the 16 bytes per entry (and one allocation per vector) the
-/// vectors held. This matters because a reloading daemon holds two
-/// Classifiers at once.
+/// feature vectors into a feature-major index keyed by dictionary id. A
+/// feature held by at least two-thirds of the representatives is a dense
+/// column of one double per representative (0.0 where it is absent, plus a
+/// presence bit); every other feature keeps CSR postings, the scan
+/// positions of the representatives that hold it (ascending) and their
+/// values. A scan walks the job's own entries in ascending id: a dense id
+/// adds `v * column` to every accumulator at vector width, a sparse id adds
+/// into the accumulators of its holders, and the OOV id has no postings.
+/// Then one multiply-only pass estimates every normalized score, a
+/// per-cluster maximum bounds them, and only the representatives within a
+/// relative 1e-12 of their cluster's best are re-scored with the exact
+/// division and tie-break. *Exactness:* every accumulator starts at 0.0
+/// and receives its products in ascending-id order, the order
+/// kernel::SparseVector::dot sums them in, with no fused multiply-add; an
+/// absent dense entry adds +0.0 to an accumulator that is never -0.0; and
+/// the estimate is a few ulps from the exact score, so every
+/// representative that can reach or tie its cluster's exact best is
+/// re-scored. Each similarity, score, nearest representative and tie has
+/// the bits a per-representative dot would give (DESIGN.md §12).
+/// *Memory:* the index replaces the vectors instead of sitting beside them
+/// — the constructor releases every Representative::features once the
+/// index is built. A dense column is never larger than the 12-byte
+/// postings it replaces, bar its R/8 bytes of presence bits. A reloading
+/// daemon holds two Classifiers at once; each thread that scans keeps one
+/// scratch of 12 bytes per representative.
 ///
 /// Answer memo: the scan is a pure function of the job's feature vector,
 /// so a job whose vector bitwise-equals some representative's gets the
@@ -82,7 +92,10 @@ class Classifier {
  public:
   /// Takes ownership of the snapshot. Throws model::ModelError if the model
   /// fails validation (a snapshot from load_model() is already validated).
-  explicit Classifier(model::FittedModel m);
+  /// `kernel` runs the scan's vector loops: by default the widest variant
+  /// this CPU runs; every variant gives the same bits.
+  explicit Classifier(model::FittedModel m,
+                      const ScanKernel& kernel = scan_kernel());
 
   Classifier(const Classifier&) = delete;
   Classifier& operator=(const Classifier&) = delete;
@@ -110,12 +123,20 @@ class Classifier {
 
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
+  /// What one scan cost: the postings of the job's ids it visited (a dense
+  /// column counts its holders) and the representatives it re-scored
+  /// exactly.
+  struct ScanCost {
+    std::uint64_t postings = 0;
+    std::uint64_t rechecks = 0;
+  };
+
   /// Scores `phi` against every representative through the index, filling
-  /// out.scores, out.similarity and out.cluster, and adds the number of
-  /// postings it visited to `postings`. Returns the scan_ index of the
-  /// nearest representative, or kNone when nothing beat -infinity.
+  /// out.scores, out.similarity and out.cluster, and adds what it cost to
+  /// `cost`. Returns the scan position of the nearest representative, or
+  /// kNone when nothing beat -infinity.
   std::uint32_t scan(const kernel::SparseVector& phi, Prediction& out,
-                     std::uint64_t& postings) const;
+                     ScanCost& cost) const;
 
   /// True when `phi` bitwise-equals the feature vector of the representative
   /// at scan position `r`, as the index holds it.
@@ -127,41 +148,56 @@ class Classifier {
   std::size_t probe(const kernel::SparseVector& phi,
                     std::uint64_t h) const noexcept;
 
-  /// One representative in the flattened scan order (clusters ascending,
-  /// then each cluster's reps in model order — exactly the order the old
-  /// nested loop visited, so the tie-break outcome is unchanged). `rep`'s
-  /// features are released after construction; `nnz` keeps their count.
-  struct ScanEntry {
-    const model::Representative* rep;
-    int cluster;
-    std::uint32_t nnz;
-  };
+  /// The representative at scan position `r`.
+  const model::Representative& representative(std::uint32_t r) const noexcept;
 
   model::FittedModel model_;
   kernel::SignatureDictionary dict_;
   kernel::FrozenWlFeaturizer featurizer_;
-  /// Flattened over model_.representatives at construction; accumulator i
-  /// of a scan belongs to scan_[i].
-  std::vector<ScanEntry> scan_;
+  const ScanKernel* kernel_;
 
-  /// The representative index in CSR form: the postings of dictionary id d
-  /// are positions [postings_begin_[d], postings_begin_[d + 1]) of
-  /// postings_rep_ (scan_ indices, ascending) and postings_value_ (that
-  /// representative's feature value for d).
+  /// The scan order: clusters ascending, then each cluster's
+  /// representatives in model order, so cluster c holds positions
+  /// [cluster_begin_[c], cluster_begin_[c + 1]). Accumulator r of a scan
+  /// belongs to position r; the arrays below are indexed by it.
+  std::vector<std::uint32_t> cluster_begin_;
+  std::vector<double> self_norm_;
+  /// What the filter multiplies a dot by: 1 / self_norm (0 for a zero
+  /// vector) in a normalized model, 1 in an unnormalized one.
+  std::vector<double> filter_scale_;
+  std::vector<std::uint64_t> training_index_;
+  std::vector<std::uint32_t> nnz_;
+  /// False when some self norm lies outside the range in which the filter's
+  /// error bound holds; every scan then re-scores every representative.
+  bool filter_norms_ = true;
+
+  /// The sparse features in CSR form: the postings of dictionary id d are
+  /// positions [postings_begin_[d], postings_begin_[d + 1]) of
+  /// postings_rep_ (scan positions, ascending) and postings_value_ (that
+  /// representative's feature value for d). A dense id's range is empty.
   std::vector<std::uint32_t> postings_begin_;
   std::vector<std::uint32_t> postings_rep_;
   std::vector<double> postings_value_;
+
+  /// The dense features, ascending by id: column k holds dense_values_
+  /// [k * R, (k + 1) * R) (0.0 where a representative lacks the feature)
+  /// and presence bits dense_present_[k * W, (k + 1) * W) with W = ceil(R
+  /// / 64); dense_holders_[k] counts the representatives that hold it.
+  std::vector<std::uint32_t> dense_ids_;
+  std::vector<std::uint32_t> dense_holders_;
+  std::vector<double> dense_values_;
+  std::vector<std::uint64_t> dense_present_;
 
   /// A memo slot's answer. `state` goes empty -> busy (the one CAS, won by
   /// a single writer) -> ready (release store after the payload is written);
   /// readers touch the payload only after an acquire load sees ready.
   struct MemoSlot {
     std::atomic<std::uint32_t> state{0};
-    std::uint32_t nearest = kNone;  ///< scan_ index of the nearest rep
+    std::uint32_t nearest = kNone;  ///< scan position of the nearest rep
     int cluster = 0;
   };
-  /// Slot s's key is the feature vector of representative
-  /// scan_[memo_keys_[s]], the first of the representatives sharing that
+  /// Slot s's key is the feature vector of the representative at scan
+  /// position memo_keys_[s], the first of the representatives sharing that
   /// bitwise-identical vector.
   std::vector<std::uint32_t> memo_keys_;
   /// Open-addressing index over the slots (slot + 1; 0 = empty), at most

@@ -608,6 +608,10 @@ TEST(Cli, PredictMetricsAndSpans) {
                 counters.at("predict.memo.hits").as_number(),
             static_cast<double>(doc.at("jobs").as_array().size()));
   EXPECT_GT(counters.at("predict.memo.hits").as_number(), 0.0);
+  // Each scan re-scores exactly at least its nearest representative.
+  EXPECT_GT(counters.at("serve.classify.scans").as_number(), 0.0);
+  EXPECT_GE(counters.at("serve.classify.rechecks").as_number(),
+            counters.at("serve.classify.scans").as_number());
 
   std::map<std::string, std::vector<const util::JsonValue*>> ends;
   const util::JsonValue spans = util::parse_json(slurp(trace_out));

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <barrier>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
@@ -285,9 +286,10 @@ std::uint64_t counter(const char* name) {
 /// Cold pass then warm pass through ONE memoizing Classifier; both must
 /// equal the oracle bit for bit, and the warm pass must actually hit.
 void expect_memo_matches_oracle(const model::FittedModel& m,
-                                const std::vector<core::JobDag>& jobs) {
+                                const std::vector<core::JobDag>& jobs,
+                                const ScanKernel& kernel = scan_kernel()) {
   const std::vector<Prediction> want = oracle(m, jobs);
-  const Classifier memoized(m);
+  const Classifier memoized(m, kernel);
   for (const char* pass : {"cold", "warm"}) {
     const std::uint64_t hits_before = counter("serve.classify.memo_hits");
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -396,14 +398,19 @@ TEST(ClassifierMemoTest, ConcurrentColdMemoMatchesOracle) {
 // ---- Representative index edge cases --------------------------------------
 
 /// Non-unit iteration weights scale features by sqrt(w), so values are not
-/// integers and only the dot's own ascending-id summation order reproduces
-/// its bits.
+/// integers and only the dot's own ascending-id summation order, with each
+/// product rounded before it is added, reproduces its bits: a kernel that
+/// fused the dense columns' multiply and add would fail here. Every kernel
+/// variant this CPU runs gets the same answers.
 TEST(ClassifierIndexTest, WeightedIterationsMatchReference) {
   const Fixture f = fit_small([](core::PipelineConfig& c) {
     c.similarity.wl.iteration_weights = {0.3, 1.7};
   });
   ASSERT_EQ(f.model.wl.iteration_weights, (std::vector<double>{0.3, 1.7}));
-  expect_memo_matches_oracle(f.model, memo_inputs(f.result.sample));
+  for (const ScanKernel& kernel : scan_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    expect_memo_matches_oracle(f.model, memo_inputs(f.result.sample), kernel);
+  }
 }
 
 /// A job that shares no feature with any representative: the scan visits no
@@ -518,6 +525,287 @@ TEST(ClassifierIndexTest, ScanCountsThePostingsOfTheJobsFeatures) {
   classifier.classify(job);
   EXPECT_EQ(counter("serve.classify.scans") - scans0, 1u);
   EXPECT_EQ(counter("serve.classify.postings") - postings0, shared);
+}
+
+// ---- The filter and the dense columns --------------------------------------
+
+/// Replaces a representative's vector, keeping the norm consistent.
+void set_features(model::Representative& rep, kernel::SparseVector features) {
+  rep.features = std::move(features);
+  rep.self_norm = rep.features.norm();
+}
+
+/// A held-out job with no OOV feature that no representative scores 0.99
+/// against, so a representative close to its own vector is the nearest.
+core::JobDag novel_in_vocabulary_job(const model::FittedModel& m) {
+  const ReferenceScan reference(m);
+  for (const core::JobDag& job : held_out_jobs(200, 8)) {
+    std::size_t oov = 0;
+    reference.features(job, &oov);
+    if (oov == 0 && reference.classify(job).similarity < 0.99) return job;
+  }
+  ADD_FAILURE() << "no novel in-vocabulary held-out job";
+  return {};
+}
+
+/// lambda * phi as a representative's vector, with its exact score against
+/// phi and the filter's estimate of it (the dot times 1 / self norm).
+struct Scaled {
+  kernel::SparseVector features;
+  double exact = 0.0;
+  double estimate = 0.0;
+};
+
+Scaled scaled(const kernel::SparseVector& phi, double lambda) {
+  Scaled out;
+  for (const auto& [id, value] : phi.items) {
+    out.features.items.emplace_back(id, lambda * value);
+  }
+  const double self_norm = out.features.norm();
+  const double dot = phi.dot_scalar(out.features);
+  out.exact = dot / (phi.norm() * self_norm);
+  out.estimate = dot * (1.0 / self_norm);
+  return out;
+}
+
+/// Two scalings of phi whose exact scores differ by one ulp while their
+/// estimates order the other way: {higher exact score, higher estimate}. A
+/// filter that kept only the largest estimate would re-score the wrong one.
+std::pair<Scaled, Scaled> inverted_pair(const kernel::SparseVector& phi) {
+  std::vector<Scaled> all;
+  for (int k = 1; k <= 2000; ++k) all.push_back(scaled(phi, 1.0 + k / 4096.0));
+  for (const Scaled& a : all) {
+    for (const Scaled& b : all) {
+      if (a.exact == std::nextafter(b.exact, 2.0) && a.estimate < b.estimate) {
+        return {a, b};
+      }
+    }
+  }
+  ADD_FAILURE() << "no pair of scalings inverts the estimate's order";
+  return {};
+}
+
+/// Cluster 0's nearest representative scores one ulp above the other one
+/// scaled from the job's vector, while its estimate is the lower of the
+/// two: the filter's margin must keep both for the exact re-score.
+TEST(ClassifierIndexTest, FilterRescoresAOneUlpNearTie) {
+  Fixture f = fit_small();
+  ASSERT_GE(f.model.representatives[0].size(), 2u);
+  const core::JobDag job = novel_in_vocabulary_job(f.model);
+  const kernel::SparseVector phi = ReferenceScan(f.model).features(job);
+  const auto [higher, lower] = inverted_pair(phi);
+  model::Representative& nearest = f.model.representatives[0][0];
+  set_features(nearest, higher.features);
+  set_features(f.model.representatives[0][1], lower.features);
+
+  const Prediction want = oracle(f.model, {job})[0];
+  ASSERT_EQ(want.nearest_job, nearest.job_name);
+  ASSERT_EQ(bits(want.similarity), bits(higher.exact));
+  for (const ScanKernel& kernel : scan_kernels()) {
+    const Classifier classifier(f.model, kernel);
+    expect_bit_identical(classifier.classify(job), want, kernel.name);
+  }
+}
+
+/// The same pair in clusters 0 and 1, the later cluster's copy of the
+/// higher one carrying the model's lowest training index: the two exact
+/// bests tie across clusters, and both must survive the filter for the
+/// tie to go to the lowest training index.
+TEST(ClassifierIndexTest, FilterKeepsAnExactTieAcrossClusters) {
+  Fixture f = fit_small();
+  ASSERT_GE(f.model.num_clusters(), 2u);
+  ASSERT_GE(f.model.representatives[0].size(), 2u);
+  ASSERT_GE(f.model.representatives[1].size(), 2u);
+  const core::JobDag job = novel_in_vocabulary_job(f.model);
+  const kernel::SparseVector phi = ReferenceScan(f.model).features(job);
+  const auto [higher, lower] = inverted_pair(phi);
+  model::Representative& copy = f.model.representatives[1][0];
+  model::Representative* lowest = &copy;
+  for (auto& cluster : f.model.representatives) {
+    for (model::Representative& rep : cluster) {
+      if (rep.training_index < lowest->training_index) lowest = &rep;
+    }
+  }
+  std::swap(lowest->training_index, copy.training_index);
+  for (std::size_t c = 0; c < 2; ++c) {
+    set_features(f.model.representatives[c][0], higher.features);
+    set_features(f.model.representatives[c][1], lower.features);
+  }
+
+  const Prediction want = oracle(f.model, {job})[0];
+  ASSERT_EQ(want.nearest_job, copy.job_name);
+  ASSERT_EQ(want.cluster, 1);
+  ASSERT_EQ(bits(want.scores[0]), bits(higher.exact));
+  ASSERT_EQ(bits(want.scores[1]), bits(higher.exact));
+  for (const ScanKernel& kernel : scan_kernels()) {
+    const Classifier classifier(f.model, kernel);
+    expect_bit_identical(classifier.classify(job), want, kernel.name);
+  }
+}
+
+/// Iteration weights of 1e-320 make every feature about 1e-160, so dots
+/// and the products norm * self_norm are subnormal and the exact score can
+/// round far from the filter's estimate. Outside the range where the
+/// estimate's error bound holds the filter keeps every representative: a
+/// filter that kept only those near the largest estimate would pick the
+/// wrong one of this pair.
+TEST(ClassifierIndexTest, SubnormalScoresAreRescoredWhole) {
+  Fixture f = fit_small();
+  ASSERT_GE(f.model.representatives[0].size(), 2u);
+  const core::JobDag job = novel_in_vocabulary_job(f.model);
+  f.model.wl.iteration_weights = {1e-320, 1e-320};
+  const kernel::SparseVector phi = ReferenceScan(f.model).features(job);
+  ASSERT_LT(phi.norm(), 1e-100);
+  // Exact scores in one order, estimates in the other by far more than the
+  // filter's margin.
+  std::vector<Scaled> all;
+  for (int k = 1; k <= 400; ++k) all.push_back(scaled(phi, 1.0 + k / 512.0));
+  const Scaled* higher = nullptr;
+  const Scaled* lower = nullptr;
+  for (const Scaled& a : all) {
+    for (const Scaled& b : all) {
+      if (a.exact > b.exact && a.estimate < b.estimate * (1.0 - 1e-9)) {
+        higher = &a;
+        lower = &b;
+      }
+    }
+  }
+  ASSERT_NE(higher, nullptr) << "no pair inverts by more than the margin";
+  model::Representative& nearest = f.model.representatives[0][0];
+  set_features(nearest, higher->features);
+  set_features(f.model.representatives[0][1], lower->features);
+
+  const Prediction want = oracle(f.model, {job})[0];
+  ASSERT_EQ(want.nearest_job, nearest.job_name);
+  for (const ScanKernel& kernel : scan_kernels()) {
+    const Classifier classifier(f.model, kernel);
+    expect_bit_identical(classifier.classify(job), want, kernel.name);
+  }
+}
+
+/// Two of the first sample job's features, one held by exactly two-thirds
+/// of the representatives (the least that makes a dense column) and one by
+/// a single representative fewer (postings): answers and posting counts
+/// match the reference on both sides of the line.
+TEST(ClassifierIndexTest, DensityLineMatchesReference) {
+  Fixture f = fit_small();
+  const std::size_t reps = f.model.training_jobs();
+  const std::size_t line = (2 * reps + 2) / 3;
+  ASSERT_GE(3 * line, 2 * reps);
+  ASSERT_LT(3 * (line - 1), 2 * reps);
+  const kernel::SparseVector phi =
+      ReferenceScan(f.model).features(f.result.sample.front());
+  ASSERT_GE(phi.items.size(), 2u);
+  const int dense_id = phi.items[0].first;
+  const int sparse_id = phi.items[1].first;
+
+  // Representative k (in scan order) holds dense_id iff k < line and
+  // sparse_id iff k < line - 1, keeping any value it already had.
+  std::size_t k = 0;
+  for (auto& cluster : f.model.representatives) {
+    for (model::Representative& rep : cluster) {
+      kernel::SparseVector v = rep.features;
+      for (const auto& [id, holders] :
+           {std::pair{dense_id, line}, std::pair{sparse_id, line - 1}}) {
+        const auto at = std::lower_bound(
+            v.items.begin(), v.items.end(), id,
+            [](const auto& entry, int key) { return entry.first < key; });
+        const bool held = at != v.items.end() && at->first == id;
+        if (k < holders && !held) v.items.insert(at, {id, 2.0});
+        if (k >= holders && held) v.items.erase(at);
+      }
+      set_features(rep, std::move(v));
+      ++k;
+    }
+  }
+  for (const ScanKernel& kernel : scan_kernels()) {
+    SCOPED_TRACE(kernel.name);
+    expect_memo_matches_oracle(f.model, memo_inputs(f.result.sample), kernel);
+  }
+
+  // Every posting of the job's ids, dense or not, is counted once.
+  std::uint64_t shared = 0;
+  for (const auto& cluster : f.model.representatives) {
+    for (const model::Representative& rep : cluster) {
+      for (const auto& [id, value] : rep.features.items) {
+        if (std::any_of(phi.items.begin(), phi.items.end(),
+                        [&](const auto& e) { return e.first == id; })) {
+          ++shared;
+        }
+      }
+    }
+  }
+  const Classifier classifier(f.model);  // cold memo: the first call scans
+  const std::uint64_t scans0 = counter("serve.classify.scans");
+  const std::uint64_t postings0 = counter("serve.classify.postings");
+  const std::uint64_t rechecks0 = counter("serve.classify.rechecks");
+  classifier.classify(f.result.sample.front());
+  ASSERT_EQ(counter("serve.classify.scans") - scans0, 1u);
+  EXPECT_EQ(counter("serve.classify.postings") - postings0, shared);
+  EXPECT_GE(counter("serve.classify.rechecks") - rechecks0, 1u);
+}
+
+/// With iteration weight 0 every label feature is 0.0, so label sets of
+/// one size differ only in where their zeros sit. Each is its own memo key:
+/// a dense column holds 0.0 both where a representative has the label and
+/// where it lacks it, and only the presence bit tells them apart.
+TEST(ClassifierMemoTest, ZeroValuedEntriesAtDifferentIdsAreDifferentKeys) {
+  Fixture f = fit_small();
+  model::FittedModel& m = f.model;
+  m.wl.iterations = 0;
+  m.wl.iteration_weights = {0.0};
+  // Representative k holds every one of 12 labels but a pair of its own.
+  constexpr int kLabels = 12;
+  std::vector<std::pair<int, int>> pairs;
+  for (int a = 0; a < kLabels; ++a) {
+    for (int b = a + 1; b < kLabels; ++b) pairs.emplace_back(a, b);
+  }
+  ASSERT_LE(m.training_jobs(), pairs.size());
+  kernel::WlSubtreeFeaturizer training(m.wl);
+  std::vector<kernel::LabeledGraph> graphs;
+  std::size_t k = 0;
+  for (auto& cluster : m.representatives) {
+    for (model::Representative& rep : cluster) {
+      kernel::LabeledGraph g;
+      for (int label = 0; label < kLabels; ++label) {
+        if (label != pairs[k].first && label != pairs[k].second) {
+          g.labels.push_back(label);
+        }
+      }
+      g.graph = graph::Digraph(static_cast<int>(g.labels.size()), {});
+      set_features(rep, training.featurize(g));
+      ASSERT_EQ(rep.self_norm, 0.0);
+      graphs.push_back(std::move(g));
+      ++k;
+    }
+  }
+  m.dictionary = training.signatures();
+  const model::Representative* lowest = nullptr;
+  for (const auto& cluster : m.representatives) {
+    for (const model::Representative& rep : cluster) {
+      if (lowest == nullptr || rep.training_index < lowest->training_index) {
+        lowest = &rep;
+      }
+    }
+  }
+
+  const Classifier classifier(m);
+  const std::uint64_t scans0 = counter("serve.classify.scans");
+  const std::uint64_t hits0 = counter("serve.classify.memo_hits");
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const kernel::LabeledGraph& g : graphs) {
+      // Every norm is 0, so every score is +0.0 and the tie goes to the
+      // lowest training index.
+      const Prediction p = classifier.classify_graph(g);
+      EXPECT_EQ(p.oov_hits, 0u);
+      EXPECT_EQ(bits(p.similarity), bits(0.0));
+      EXPECT_EQ(p.nearest_job, lowest->job_name);
+    }
+  }
+  // One scan per distinct vector on the cold pass, a hit for each on the
+  // warm one.
+  EXPECT_EQ(counter("serve.classify.scans") - scans0, graphs.size());
+  EXPECT_EQ(counter("serve.classify.memo_hits") - hits0, graphs.size());
 }
 
 }  // namespace
