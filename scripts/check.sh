@@ -36,7 +36,10 @@
 #   trace with a hard ARI >= 0.8 gate against the exact sampled pipeline,
 #   a `fit --full` -> `predict` round-trip, `fit --full --trace` streaming
 #   20k- and 80k-job traces from disk (snapshots byte-identical to the
-#   generated fits, peak RSS at 80k at most 2x that at 20k), and
+#   generated fits, peak RSS at 80k at most 2x that at 20k), the same
+#   traces through `characterize --full --trace --json` (equal to the
+#   generated run's document, timings masked) and `ingest --intern --json`
+#   (intern and built blocks equal pooled and --serial), and
 #   bench_full_cluster diffed against bench/baselines/BENCH_full_cluster.json
 #   with --min-bar floors on both agreement ARIs
 # — plus the telemetry-smoke pass: a live daemon with the full telemetry
@@ -482,6 +485,44 @@ print(f"  peak RSS ratio 80k/20k: {ratio:.2f}x")
       for jobs in 20000 80000; do
         if ! cmp "${out}/streamed_${jobs}.cwgl" "${out}/generated_${jobs}.cwgl"; then
           echo "${name}: streamed and generated ${jobs}-job snapshots differ" >&2
+          ok=0
+        fi
+      done
+    fi
+    if ((ok)); then
+      echo "=== [${name}] streamed vs generated reports; pooled vs serial intern ==="
+      for jobs in 20000 80000; do
+        if ! "${cwgl}" characterize --full --trace "${out}/trace_${jobs}" \
+              --json > "${out}/streamed_${jobs}.json" ||
+            ! "${cwgl}" characterize --full --jobs "${jobs}" --seed 42 \
+              --json > "${out}/generated_${jobs}.json" ||
+            ! "${cwgl}" ingest --trace "${out}/trace_${jobs}" --intern \
+              --json > "${out}/ingest_pooled_${jobs}.json" ||
+            ! "${cwgl}" ingest --trace "${out}/trace_${jobs}" --intern \
+              --serial --json > "${out}/ingest_serial_${jobs}.json"; then
+          echo "${name}: characterize/ingest of the ${jobs}-job trace failed" >&2
+          ok=0
+        elif ! python3 -c '
+import json, sys
+out, jobs = sys.argv[1], sys.argv[2]
+def load(name):
+    return json.load(open(f"{out}/{name}_{jobs}.json"))
+streamed, generated = load("streamed"), load("generated")
+for doc in (streamed, generated):
+    doc.pop("timings")
+if streamed != generated:
+    diff = sorted(k for k in generated if streamed.get(k) != generated[k])
+    raise SystemExit(f"{jobs} jobs: streamed report differs in {diff}")
+pooled, serial = load("ingest_pooled"), load("ingest_serial")
+for block in ("intern", "built"):
+    if pooled[block] != serial[block]:
+        raise SystemExit(f"{jobs} jobs: ingest {block} differs: "
+                         f"pooled {pooled[block]} serial {serial[block]}")
+shapes = pooled["intern"]["distinct_shapes"]
+print(f"  {jobs} jobs: streamed report == generated; "
+      f"{shapes} shapes pooled == serial")
+' "${out}" "${jobs}"; then
+          echo "${name}: streamed/generated or pooled/serial mismatch at ${jobs} jobs" >&2
           ok=0
         fi
       done

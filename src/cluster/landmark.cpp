@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "linalg/eigen.hpp"
@@ -9,6 +10,7 @@
 #include "obs/tracer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cwgl::cluster {
 
@@ -39,6 +41,17 @@ std::vector<std::size_t> sample_landmarks(std::span<const double> weights,
   }
   std::sort(picks.begin(), picks.end());
   return picks;
+}
+
+/// fn(lo, hi) over [0, n): in chunks of `grain` on `pool`, or at once
+/// without one.
+void for_rows(util::ThreadPool* pool, std::size_t n, std::size_t grain,
+              const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool != nullptr) {
+    util::parallel_for_chunked(*pool, 0, n, grain, fn);
+  } else {
+    fn(0, n);
+  }
 }
 
 }  // namespace
@@ -94,14 +107,17 @@ LandmarkResult landmark_spectral_cluster(
   // Exact m x m landmark kernel. Sparse dots are symmetric (same ascending
   // accumulation order either way), but mirror explicitly so
   // symmetric_eigen's symmetry check can never trip on it.
+  // Row i writes only (i, j >= i) and its mirror (j >= i, i).
   linalg::Matrix gram(m, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i; j < m; ++j) {
-      const double v = points[r.landmarks[i]].dot(points[r.landmarks[j]]);
-      gram(i, j) = v;
-      gram(j, i) = v;
+  for_rows(opt.pool, m, 8, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t j = i; j < m; ++j) {
+        const double v = points[r.landmarks[i]].dot(points[r.landmarks[j]]);
+        gram(i, j) = v;
+        gram(j, i) = v;
+      }
     }
-  }
+  });
 
   // A non-convergent solve throws util::Error, which cluster_at_scale
   // degrades on.
@@ -132,30 +148,32 @@ LandmarkResult landmark_spectral_cluster(
   // then row-normalize (unit rows make the k-means geometry match the
   // spectral embedding's).
   linalg::Matrix embedding(n, r.dims);
-  std::vector<double> kx(m);
   std::vector<double> inv_sqrt(r.dims);
   for (std::size_t l = 0; l < r.dims; ++l) {
     inv_sqrt[l] = 1.0 / std::sqrt(eig.values[kept[l]]);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      kx[j] = points[i].dot(points[r.landmarks[j]]);
-    }
-    auto row = embedding.row(i);
-    for (std::size_t l = 0; l < r.dims; ++l) {
-      double acc = 0.0;
+  for_rows(opt.pool, n, 64, [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> kx(m);
+    for (std::size_t i = lo; i < hi; ++i) {
       for (std::size_t j = 0; j < m; ++j) {
-        acc += eig.vectors(j, kept[l]) * kx[j];
+        kx[j] = points[i].dot(points[r.landmarks[j]]);
       }
-      row[l] = inv_sqrt[l] * acc;
+      auto row = embedding.row(i);
+      for (std::size_t l = 0; l < r.dims; ++l) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < m; ++j) {
+          acc += eig.vectors(j, kept[l]) * kx[j];
+        }
+        row[l] = inv_sqrt[l] * acc;
+      }
+      double norm = 0.0;
+      for (double v : row) norm += v * v;
+      norm = std::sqrt(norm);
+      if (norm > 0.0) {
+        for (double& v : row) v /= norm;
+      }
     }
-    double norm = 0.0;
-    for (double v : row) norm += v * v;
-    norm = std::sqrt(norm);
-    if (norm > 0.0) {
-      for (double& v : row) v /= norm;
-    }
-  }
+  });
 
   const KMeansResult km = kmeans(embedding, k, opt.kmeans, weights);
   r.labels = km.labels;

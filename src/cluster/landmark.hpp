@@ -9,6 +9,10 @@
 #include "kernel/types.hpp"
 #include "linalg/matrix.hpp"
 
+namespace cwgl::util {
+class ThreadPool;
+}
+
 namespace cwgl::cluster {
 
 /// Options for landmark (Nystrom) spectral clustering.
@@ -26,6 +30,10 @@ struct LandmarkOptions {
   KMeansOptions kmeans;
   /// Landmark sampling seed (kmeans has its own, inside `kmeans`).
   std::uint64_t seed = 1;
+  /// Computes the landmark Gram's rows and the projected rows side by
+  /// side; null (or a 1-worker pool) runs them inline. Each row reads only
+  /// its own point, so the result is the same either way.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Result of a landmark spectral clustering run.

@@ -214,8 +214,8 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   // sampled pipeline would compute on those jobs. That exact side reads
   // only the normalized vectors and the counts, so it runs on the pool
   // beside the clustering below (the default 3 mini-batch restarts leave a
-  // worker of 4 idle; the landmark backend runs on the caller) and is
-  // joined only to compare labels.
+  // worker of 4 idle; the landmark backend's row loops share the pool with
+  // it) and is joined only to compare labels.
   std::size_t v = std::min<std::size_t>(config_.full_validation_sample,
                                         static_cast<std::size_t>(total_jobs));
   v = std::min<std::size_t>(v, cluster::SpectralOptions{}.max_dense_items);
@@ -271,6 +271,7 @@ FullTraceResult CharacterizationPipeline::run_full_table(
   scale_options.clusters = k_eff;
   scale_options.seed = config_.clustering.seed;
   scale_options.minibatch.pool = pool;
+  scale_options.landmark.pool = pool;
   cluster::ScaleResult scaled =
       cluster::cluster_at_scale(normalized, weights, dims, scale_options);
   result.method = scaled.method;

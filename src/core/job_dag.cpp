@@ -203,19 +203,19 @@ std::optional<JobDag> build_job_dag(std::string_view job_name,
   return finish_build(job_name, tasks, s.parse(tasks), s, issues);
 }
 
+bool passes_row_criteria(std::span<const trace::TaskRecord> tasks,
+                         const trace::SamplingCriteria& criteria) {
+  const auto size = static_cast<long long>(tasks.size());
+  return size >= criteria.min_tasks && size <= criteria.max_tasks &&
+         (!criteria.require_integrity || trace::passes_integrity(tasks)) &&
+         (!criteria.require_availability || trace::passes_availability(tasks));
+}
+
 std::optional<JobDag> build_eligible_dag(
     std::string_view job_name, std::span<const trace::TaskRecord> tasks,
     const trace::SamplingCriteria& criteria, bool& eligible,
     std::vector<BuildIssue>* issues) {
   eligible = false;
-  const auto size = static_cast<long long>(tasks.size());
-  if (size < criteria.min_tasks || size > criteria.max_tasks) return std::nullopt;
-  if (criteria.require_integrity && !trace::passes_integrity(tasks)) {
-    return std::nullopt;
-  }
-  if (criteria.require_availability && !trace::passes_availability(tasks)) {
-    return std::nullopt;
-  }
   BuildScratch& s = scratch();
   const std::size_t bad_name = s.parse(tasks);
   // trace::is_dag_job over the parse: two or more tasks, every name in the

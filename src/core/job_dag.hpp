@@ -96,10 +96,19 @@ std::optional<JobDag> build_job_dag(std::string_view job_name,
                                     std::span<const trace::TaskRecord> tasks,
                                     std::vector<BuildIssue>* issues = nullptr);
 
-/// trace::passes_criteria and build_job_dag over one parse of the task
-/// names, the streaming ingest's step per job group. `eligible` says
-/// whether the job passes `criteria`; a job that does not is skipped with
-/// nothing in `issues`, and one that does gets build_job_dag's result.
+/// The row-level half of the streaming ingest's eligibility test: the task
+/// count and, as `criteria` asks, integrity and availability. These read
+/// columns other than the task names, so two jobs with the same names can
+/// differ here; build_eligible_dag's answer depends on the names alone.
+bool passes_row_criteria(std::span<const trace::TaskRecord> tasks,
+                         const trace::SamplingCriteria& criteria);
+
+/// The name-level half, for a job that passes_row_criteria: the DAG test
+/// of `criteria` and build_job_dag over one parse of the task names.
+/// `eligible` says whether the job passes the DAG test; a job that does
+/// not is skipped with nothing in `issues`, and one that does gets
+/// build_job_dag's result. Together the halves equal select_jobs' criteria
+/// followed by build_job_dag.
 std::optional<JobDag> build_eligible_dag(
     std::string_view job_name, std::span<const trace::TaskRecord> tasks,
     const trace::SamplingCriteria& criteria, bool& eligible,

@@ -34,6 +34,7 @@ struct ShapeStore::Shard {
   std::uint64_t misses = 0;
   std::uint64_t isomorphism_probes = 0;
   std::uint64_t hash_collisions = 0;
+  std::uint64_t repeats = 0;
 };
 
 ShapeStore::ShapeStore() : ShapeStore(Options{}) {}
@@ -60,14 +61,32 @@ const ShapeStore::Node* ShapeStore::intern(JobDag&& job, std::uint64_t seq) {
   std::vector<int> labels = job.type_labels();
   const std::uint64_t full_hash = graph::canonical_hash(job.dag, labels);
   const std::uint64_t key = full_hash & key_mask_;
+  Shard& shard = shard_of(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  return find_or_insert(shard, std::move(job), std::move(labels), full_hash,
+                        key, seq);
+}
+
+ShapeStore::Shard& ShapeStore::shard_of(std::uint64_t key) const {
   // Mix the key before picking a shard so that low-entropy masked keys
   // (tests with hash_bits ~ 2) still spread; the mix must be a pure
   // function of the key so every thread agrees on the owning shard.
   const std::uint64_t mixed = key * 0x9e3779b97f4a7c15ULL;
-  Shard& shard = *shards_[(mixed >> 32) & (options_.shards - 1)];
+  return *shards_[(mixed >> 32) & (options_.shards - 1)];
+}
+
+void ShapeStore::add_repeats(const Node* node, std::uint64_t repeats) {
+  if (frozen_.load(std::memory_order_relaxed)) {
+    throw util::Error("ShapeStore: add_repeats after freeze");
+  }
+  Shard& shard = shard_of(node->intern_key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  return find_or_insert(shard, std::move(job), std::move(labels), full_hash,
-                        key, seq);
+  // The node is this store's, so the const is only the handle's.
+  const_cast<Node*>(node)->count += repeats;
+  shard.total_jobs += repeats;
+  shard.hits += repeats;
+  shard.isomorphism_probes += repeats;
+  shard.repeats += repeats;
 }
 
 const ShapeStore::Node* ShapeStore::find_or_insert(Shard& shard, JobDag&& job,
@@ -150,6 +169,7 @@ ShapeStore::Stats ShapeStore::stats() const {
     stats.misses += shard->misses;
     stats.isomorphism_probes += shard->isomorphism_probes;
     stats.hash_collisions += shard->hash_collisions;
+    stats.repeats += shard->repeats;
   }
   return stats;
 }
@@ -203,6 +223,7 @@ ShapeStore::FrozenView ShapeStore::freeze_with_ids() {
   registry.counter("intern.misses").add(stats.misses);
   registry.counter("intern.isomorphism_probes").add(stats.isomorphism_probes);
   registry.counter("intern.hash_collisions").add(stats.hash_collisions);
+  registry.counter("intern.repeats").add(stats.repeats);
   return view;
 }
 

@@ -113,8 +113,12 @@ class ShapeStore {
     std::uint64_t distinct_shapes = 0;   ///< live nodes
     std::uint64_t hits = 0;              ///< matched an existing shape
     std::uint64_t misses = 0;            ///< created a new shape
-    std::uint64_t isomorphism_probes = 0;  ///< exact / fingerprint checks run
+    /// Exact / fingerprint checks run, plus one per repeat: task-name
+    /// identity is the exact check that matched it.
+    std::uint64_t isomorphism_probes = 0;
     std::uint64_t hash_collisions = 0;   ///< equal key, non-isomorphic shape
+    /// Jobs counted through add_repeats; also in total_jobs and hits.
+    std::uint64_t repeats = 0;
 
     /// distinct/total: the paper's shape-redundancy headline (tiny for
     /// real traces).
@@ -144,6 +148,13 @@ class ShapeStore {
     return intern(JobDag(job), seq);
   }
 
+  /// Counts `repeats` more jobs of `node`'s shape, none of them earlier in
+  /// the trace than the node's exemplar: jobs whose task names equal those
+  /// of a job interned as `node` (stream_shape_jobs' memo). Each adds to
+  /// the node's count and to `total_jobs`, `hits`, `isomorphism_probes` and
+  /// `repeats`. Throws util::Error once the store is frozen.
+  void add_repeats(const Node* node, std::uint64_t repeats);
+
   /// Aggregated counters (takes every shard lock; cheap, O(shards)).
   Stats stats() const;
 
@@ -165,6 +176,7 @@ class ShapeStore {
  private:
   struct Shard;
 
+  Shard& shard_of(std::uint64_t key) const;
   const Node* find_or_insert(Shard& shard, JobDag&& job,
                              std::vector<int>&& labels, std::uint64_t full_hash,
                              std::uint64_t key, std::uint64_t seq);

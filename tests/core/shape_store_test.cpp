@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "core/ingest.hpp"
+#include "graph/canonical.hpp"
+#include "support/canonical_oracle.hpp"
 #include "trace/group_stream.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -325,6 +327,22 @@ TEST(StreamShapeJobs, PooledMatchesSerialExactly) {
     }
     EXPECT_EQ(pooled.intern.distinct_shapes, serial.intern.distinct_shapes);
     EXPECT_EQ(pooled.intern.hits, serial.intern.hits);
+  }
+}
+
+// Every generated job's shape key is the sorting reference hash's value:
+// the census and the intern table order ties by these keys.
+TEST(ShapeStore, CanonicalHashMatchesTheReferenceOnGeneratedJobs) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    std::istringstream in(generated_csv(1500, seed));
+    const std::vector<JobDag> jobs = stream_dag_jobs(in);
+    ASSERT_GT(jobs.size(), 500u);
+    for (const JobDag& job : jobs) {
+      const std::vector<int> labels = job.type_labels();
+      ASSERT_EQ(graph::canonical_hash(job.dag, labels),
+                oracle::canonical_hash(job.dag, labels))
+          << job.job_name;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "graph/digraph.hpp"
 #include "graph/isomorphism.hpp"
+#include "support/canonical_oracle.hpp"
 #include "support/proptest.hpp"
 
 namespace cwgl::graph {
@@ -39,6 +40,45 @@ TEST(CanonicalHashProperty, AgreesWithExactIsomorphismOnPermutedCopies) {
     ASSERT_TRUE(are_isomorphic(g.graph, g.labels, iso.graph, iso.labels));
     EXPECT_EQ(canonical_hash(g.graph, g.labels),
               canonical_hash(iso.graph, iso.labels));
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Bits: the hash folds neighbour multisets of up to two colors without a
+// sort, so it must return the sorting reference's value on every graph —
+// stored shape keys and the census tie order depend on them.
+// ---------------------------------------------------------------------------
+
+TEST(CanonicalHashProperty, MatchesTheSortingReferenceOnRandomDigraphs) {
+  run_cases(0xCA50'0101ULL, 400, [](util::Xoshiro256StarStar& rng) {
+    const int n = rng.uniform_int(1, 64);
+    // Densities from a sparse job-like graph to dense, cycles and
+    // self-loops included, so every multiset size shows up.
+    const double density = rng.uniform01() * (rng.bernoulli(0.5) ? 0.1 : 0.6);
+    std::vector<Edge> edges;
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (rng.bernoulli(density)) edges.push_back({u, v});
+      }
+    }
+    const Digraph g(n, edges);
+    std::vector<int> labels;
+    if (rng.bernoulli(0.5)) {
+      for (int v = 0; v < n; ++v) labels.push_back(rng.uniform_int(0, 3));
+    }
+    EXPECT_EQ(canonical_hash(g, labels), oracle::canonical_hash(g, labels));
+    const int iterations = rng.uniform_int(0, 3);
+    EXPECT_EQ(canonical_hash(g, labels, iterations),
+              oracle::canonical_hash(g, labels, iterations));
+  });
+}
+
+TEST(CanonicalHashProperty, MatchesTheSortingReferenceOnJobGraphs) {
+  run_cases(0xCA50'0102ULL, 300, [](util::Xoshiro256StarStar& rng) {
+    const kernel::LabeledGraph g = random_job_graph(rng, 2, 64);
+    EXPECT_EQ(canonical_hash(g.graph, g.labels),
+              oracle::canonical_hash(g.graph, g.labels));
+    EXPECT_EQ(canonical_hash(g.graph, {}), oracle::canonical_hash(g.graph, {}));
   });
 }
 
